@@ -17,7 +17,7 @@ from .homology import (DEFAULT_SIZE_CAP, ChainComplexGF2, betti_gf2,
 from .reducer import (ReductionStats, StepReport, candidate_vertices,
                       comparison_budget, format_step_log, reduce,
                       reduction_step, verify_step_equations)
-from .relation import Relation, SubRelation, from_toplexes
+from .relation import Relation, SubRelation
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,7 @@ __all__ = [
     "ReductionStats", "SizeCapError", "StepReport", "SubRelation",
     "ToplexList", "betti_gf2", "candidate_vertices", "collapse_core",
     "comparison_budget", "enumerate_simplices", "find_dominated_row",
-    "format_step_log", "from_toplexes", "gen_simplex_boundary",
+    "format_step_log", "gen_simplex_boundary",
     "gen_sphere_cube", "gen_sphere_uv", "gen_torus_grid",
     "is_strong_collapsible", "parse_off", "parse_toplex_file", "rank_gf2",
     "reduce", "reduction_step", "verify_step_equations", "witness_relation",

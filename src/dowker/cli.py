@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 parse/parameter error, 2 Betti mismatch under
 --check-betti, 3 simplex enumeration size cap exceeded.  The environment
-variable DOWKER_SIZE_CAP overrides the enumeration cap.
+variable DOWKER_SIZE_CAP overrides the enumeration cap; a value that is not a
+positive integer is a parameter error.
 """
 
 from __future__ import annotations
@@ -27,7 +28,11 @@ DEFAULT_MAX_DIM = 2
 
 def _size_cap():
     cap = os.environ.get("DOWKER_SIZE_CAP")
-    return int(cap) if cap else DEFAULT_SIZE_CAP
+    if not cap:
+        return DEFAULT_SIZE_CAP
+    if not cap.strip().isdecimal() or int(cap) < 1:
+        raise ValueError(f"DOWKER_SIZE_CAP must be a positive integer, got {cap!r}")
+    return int(cap)
 
 
 def _load_relation(path, fmt):

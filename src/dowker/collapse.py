@@ -1,13 +1,13 @@
 """Row/column domination and the strong-collapse core.
 
 A row is dominated when its column set is contained in another row's; deleting
-it does not change the homotopy type of the complex.  Exhausting row removals,
-then column removals (the same scan on the transpose), until neither applies
-yields the core.  A relation whose core is 1x1 is strong collapsible, hence
-contractible; a larger core is inconclusive.
+it does not change the homotopy type of the complex.  Alternating one pass of
+row removals and one of column removals (the same scan on the other axis)
+until neither removes anything yields the core.  A relation whose core is 1x1
+is strong collapsible, hence contractible; a larger core is inconclusive.
 """
 
-from .relation import Relation, _iter_bits
+from .relation import Relation, _dominator, _iter_bits
 
 
 def find_dominated_row(r: Relation):
@@ -16,49 +16,28 @@ def find_dominated_row(r: Relation):
     Equal rows report the higher index as dominated.  None when every row is
     maximal.
     """
-    masks = r.row_masks
-    n = len(masks)
-    for i in range(n):
-        mi = masks[i]
-        for j in range(n):
-            if j == i:
-                continue
-            mj = masks[j]
-            if mi & mj == mi and (mi != mj or i > j):
-                return (i, j)
+    everything = (1 << r.nrows) - 1
+    for i in range(r.nrows):
+        j = _dominator(r.row_masks, r.col_masks, i, everything)
+        if j is not None:
+            return (i, j)
     return None
 
 
 def _exhaust(live_a, masks_a, masks_b):
-    """Remove dominated members of axis a until none remain.
+    """Remove the dominated members of axis a among the bit set `live_a`.
 
-    Scan ascending over live positions, restarting after each removal; the
-    removed member's bit is cleared on axis b so subset tests stay exact
-    without compacting indices.  Returns True when anything was removed.
+    A removed member's bit is cleared on axis b, so subset tests stay exact
+    without compacting indices.  Returns the new live set.
     """
-    removed_any = False
-    restart = True
-    while restart:
-        restart = False
-        for ai in range(len(live_a)):
-            i = live_a[ai]
-            mi = masks_a[i]
-            for aj in range(len(live_a)):
-                if aj == ai:
-                    continue
-                mj = masks_a[live_a[aj]]
-                if mi & mj == mi and (mi != mj or ai > aj):
-                    del live_a[ai]
-                    bit = ~(1 << i)
-                    for b in _iter_bits(mi):
-                        masks_b[b] &= bit
-                    masks_a[i] = 0
-                    removed_any = True
-                    restart = True
-                    break
-            if restart:
-                break
-    return removed_any
+    # a removal clears bits on axis b only, so no earlier member becomes dominated
+    for i in _iter_bits(live_a):
+        if _dominator(masks_a, masks_b, i, live_a) is not None:
+            bit = ~(1 << i)
+            live_a &= bit
+            for b in _iter_bits(masks_a[i]):
+                masks_b[b] &= bit
+    return live_a
 
 
 def collapse_core(r: Relation) -> Relation:
@@ -69,17 +48,18 @@ def collapse_core(r: Relation) -> Relation:
     """
     row_masks = list(r.row_masks)
     col_masks = list(r.col_masks)
-    live_rows = list(range(r.nrows))
-    live_cols = list(range(r.ncols))
+    live_rows, live_cols = (1 << r.nrows) - 1, (1 << r.ncols) - 1
     while True:
-        changed = _exhaust(live_rows, row_masks, col_masks)
-        changed |= _exhaust(live_cols, col_masks, row_masks)
-        if not changed:
+        rows = _exhaust(live_rows, row_masks, col_masks)
+        cols = _exhaust(live_cols, col_masks, row_masks)
+        if rows == live_rows and cols == live_cols:
             break
-    col_pos = {c: k for k, c in enumerate(live_cols)}
-    rows = [[col_pos[c] for c in _iter_bits(row_masks[i])] for i in live_rows]
-    return Relation([r.row_labels[i] for i in live_rows],
-                    [r.col_labels[j] for j in live_cols], rows)
+        live_rows, live_cols = rows, cols
+    rows = list(_iter_bits(live_rows))
+    col_pos = {c: k for k, c in enumerate(_iter_bits(live_cols))}
+    return Relation([r.row_labels[i] for i in rows],
+                    [r.col_labels[j] for j in col_pos],
+                    [[col_pos[c] for c in _iter_bits(row_masks[i])] for i in rows])
 
 
 def is_strong_collapsible(r: Relation) -> bool:

@@ -10,7 +10,7 @@ generators used as regression fixtures.
 from __future__ import annotations
 
 from .errors import ParseError
-from .relation import Relation, _keep_irreducible
+from .relation import Relation, _keep_irreducible, _maximal_toplexes, _transpose
 
 
 class ToplexList:
@@ -22,36 +22,8 @@ class ToplexList:
     """
 
     def __init__(self, toplexes, vertex_names=None):
-        tops = [tuple(t) for t in toplexes]
-        for t in tops:
-            if not t:
-                raise ValueError("empty toplex")
-            if len(set(t)) != len(t):
-                raise ValueError(f"toplex {t!r} repeats a vertex")
-        if vertex_names is None:
-            seen = {}
-            for t in tops:
-                for v in t:
-                    seen.setdefault(v, None)
-            vertex_names = tuple(seen)
-        else:
-            vertex_names = tuple(vertex_names)
-            if len(set(vertex_names)) != len(vertex_names):
-                raise ValueError("duplicate vertex names")
-            union = {v for t in tops for v in t}
-            if union - set(vertex_names):
-                raise ValueError("vertex_names does not cover all toplexes")
-        sets = [frozenset(t) for t in tops]
-        kept = []
-        for i, s in enumerate(sets):
-            drop = False
-            for j, u in enumerate(sets):
-                if i != j and s <= u and (s != u or j < i):
-                    drop = True
-                    break
-            if not drop:
-                kept.append(i)
-        self.toplexes = tuple(tops[i] for i in kept)
+        vertex_names, tops, _ = _maximal_toplexes(list(toplexes), vertex_names)
+        self.toplexes = tuple(tops)
         self.vertex_names = vertex_names
         self.index = {v: i for i, v in enumerate(vertex_names)}
 
@@ -189,7 +161,8 @@ def witness_relation(cover) -> Relation:
         while label in col_labels:
             label += "'"
         col_labels.append(label)
-    keep = _keep_irreducible(col_masks, range(len(col_masks)))
+    keep = _keep_irreducible(col_masks, _transpose(col_masks, len(names)),
+                             range(len(col_masks)))
     col_masks = [col_masks[k] for k in keep]
     col_labels = [col_labels[k] for k in keep]
     rows = [[j for j, m in enumerate(col_masks) if (m >> i) & 1]

@@ -10,8 +10,10 @@ only pairs inside the new row's columns can be affected, so the clean-up is
 scoped there.  Each step removes two rows and adds one, preserving the mod-2
 Betti numbers whenever the tested subcomplex really was contractible.
 
-Rows the cursor has passed are never reconsidered: a pair that failed the
-contractibility test cannot become contractible through later merges.
+`reduce` makes one pass and does not revisit pairs: rows the cursor has
+passed are never reconsidered, even though a later merge can make a pair that
+failed (or was never tested) contractible, so a second `reduce` on the result
+may shrink it further.
 """
 
 from __future__ import annotations

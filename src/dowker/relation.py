@@ -44,28 +44,49 @@ def _drop_bits(mask, positions_desc):
     return mask
 
 
-def _keep_irreducible(masks, candidates):
+def _transpose(masks, n):
+    """The other orientation of `masks`: bit k of out[b] is bit b of masks[k]."""
+    out = [0] * n
+    for k, m in enumerate(masks):
+        for b in _iter_bits(m):
+            out[b] |= 1 << k
+    return out
+
+
+def _supersets(mask, other, within):
+    """Members in bit set `within` whose mask contains `mask`.
+
+    `other` is the other orientation of the members' masks, so the answer is
+    the AND of `other` over the set bits of `mask`: O(|mask| * n / 64).
+    """
+    for b in _iter_bits(mask):
+        within &= other[b]
+    return within
+
+
+def _dominator(masks, other, i, within):
+    """First member of bit set `within` that dominates member i, or None.
+
+    k dominates i when masks[i] is contained in masks[k] and the masks
+    differ or k < i (equal masks keep the lowest index).
+    """
+    m = masks[i]
+    for k in _iter_bits(_supersets(m, other, within & ~(1 << i))):
+        if k < i or masks[k] != m:
+            return k
+    return None
+
+
+def _keep_irreducible(masks, other, candidates):
     """Candidate indices that survive containment clean-up.
 
     A candidate goes away when its mask is strictly contained in another
     candidate's, or equals the mask of a lower-indexed candidate (duplicates
-    keep the lowest index).  Pairs with a member outside `candidates` are
-    never compared.
+    keep the lowest index).  Members outside `candidates` never dominate.
+    `other` is the other orientation of `masks`.
     """
-    kept = []
-    for y1 in candidates:
-        m1 = masks[y1]
-        dominated = False
-        for y2 in candidates:
-            if y1 == y2:
-                continue
-            m2 = masks[y2]
-            if m1 & m2 == m1 and (m1 != m2 or y2 < y1):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(y1)
-    return kept
+    within = _mask_of(candidates)
+    return [y for y in candidates if _dominator(masks, other, y, within) is None]
 
 
 class Relation:
@@ -102,38 +123,29 @@ class Relation:
                 if not 0 <= c < ncols:
                     raise ValueError(f"column index {c} out of range in row {label!r}")
                 m |= 1 << c
-            if m == 0:
-                raise ValueError(f"row {label!r} has no incident column")
             row_masks.append(m)
-        col_masks = [0] * ncols
-        for i, m in enumerate(row_masks):
-            for c in _iter_bits(m):
-                col_masks[c] |= 1 << i
-        for j, m in enumerate(col_masks):
-            if m == 0:
-                raise ValueError(f"column {col_labels[j]!r} has no incident row")
-        self.row_labels = row_labels
-        self.col_labels = col_labels
-        self.row_masks = tuple(row_masks)
-        self.col_masks = tuple(col_masks)
+        self._set(row_labels, col_labels, row_masks)
 
     @classmethod
     def _build(cls, row_labels, col_labels, row_masks):
         """Trusted constructor from row masks; re-derives the column masks."""
         self = object.__new__(cls)
+        self._set(row_labels, col_labels, row_masks)
+        return self
+
+    def _set(self, row_labels, col_labels, row_masks):
+        """Store labels and row masks, derive the column masks, and reject
+        empty rows and columns."""
         self.row_labels = tuple(row_labels)
         self.col_labels = tuple(col_labels)
         self.row_masks = tuple(row_masks)
-        col_masks = [0] * len(self.col_labels)
-        for i, m in enumerate(self.row_masks):
+        for label, m in zip(self.row_labels, self.row_masks):
             if m == 0:
-                raise ValueError(f"row {self.row_labels[i]!r} has no incident column")
-            for c in _iter_bits(m):
-                col_masks[c] |= 1 << i
-        if any(m == 0 for m in col_masks):
-            raise ValueError("all-zero column")
-        self.col_masks = tuple(col_masks)
-        return self
+                raise ValueError(f"row {label!r} has no incident column")
+        self.col_masks = tuple(_transpose(self.row_masks, len(self.col_labels)))
+        for label, m in zip(self.col_labels, self.col_masks):
+            if m == 0:
+                raise ValueError(f"column {label!r} has no incident row")
 
     # ------------------------------------------------------------------
     # basic access
@@ -201,18 +213,11 @@ class Relation:
         toplexes.  Duplicate and set-contained toplexes are dropped, keeping
         the earliest occurrence, so the result is column irreducible.
         """
-        order, tops = _toplex_name_sets(toplexes)
-        index = {v: i for i, v in enumerate(order)}
-        col_masks = [_mask_of(index[v] for v in t) for t in tops]
-        keep = _keep_irreducible(col_masks, range(len(col_masks)))
-        col_masks = [col_masks[k] for k in keep]
-        row_masks = [0] * len(order)
-        for j, m in enumerate(col_masks):
-            for i in _iter_bits(m):
-                row_masks[i] |= 1 << j
-        for i, m in enumerate(row_masks):
+        order, _, col_masks = _maximal_toplexes(toplexes)
+        row_masks = _transpose(col_masks, len(order))
+        for label, m in zip(order, row_masks):
             if m == 0:
-                raise ValueError(f"vertex {order[i]!r} belongs to no toplex")
+                raise ValueError(f"vertex {label!r} belongs to no toplex")
         col_labels = [f"t{j}" for j in range(len(col_masks))]
         return cls._build(order, col_labels, row_masks)
 
@@ -304,14 +309,15 @@ class Relation:
             candidates = sorted(set(restrict_to))
             if candidates and (candidates[0] < 0 or candidates[-1] >= self.ncols):
                 raise ValueError("column index out of range")
-        kept = set(_keep_irreducible(self.col_masks, candidates))
-        removed = [y for y in candidates if y not in kept]
+        kept = _mask_of(_keep_irreducible(self.col_masks, self.row_masks, candidates))
+        removed = [y for y in candidates if not (kept >> y) & 1]
         if not removed:
             return self, []
         info = []
         for y in removed:
-            kind = ("duplicate"
-                    if any(self.col_masks[k] == self.col_masks[y] for k in kept)
+            m = self.col_masks[y]
+            sup = _supersets(m, self.row_masks, kept)
+            kind = ("duplicate" if any(self.col_masks[k] == m for k in _iter_bits(sup))
                     else "face")
             info.append((y, kind))
         removed_desc = removed[::-1]
@@ -321,12 +327,9 @@ class Relation:
         return Relation._build(self.row_labels, col_labels, row_masks), info
 
     def is_column_irreducible(self):
-        for j1 in range(self.ncols):
-            m1 = self.col_masks[j1]
-            for j2 in range(self.ncols):
-                if j1 != j2 and m1 & self.col_masks[j2] == m1:
-                    return False
-        return True
+        everything = (1 << self.ncols) - 1
+        return all(_supersets(m, self.row_masks, everything) == 1 << j
+                   for j, m in enumerate(self.col_masks))
 
     # ------------------------------------------------------------------
     # text format
@@ -408,10 +411,14 @@ class SubRelation:
     relation: Relation
 
 
-def _toplex_name_sets(toplexes):
-    """Vertex order and per-toplex name tuples from a ToplexList or iterable."""
+def _toplex_name_sets(toplexes, order=None):
+    """Vertex order and per-toplex name tuples from a ToplexList or iterable.
+
+    An iterable takes the explicit `order` if given, first-appearance order
+    otherwise.
+    """
     members = getattr(toplexes, "toplexes", None)
-    order = getattr(toplexes, "vertex_names", None)
+    order = getattr(toplexes, "vertex_names", order)
     if members is None:
         members = list(toplexes)
     tops = [tuple(t) for t in members]
@@ -436,6 +443,14 @@ def _toplex_name_sets(toplexes):
     return order, tops
 
 
-def from_toplexes(toplexes) -> Relation:
-    """Module-level alias for Relation.from_toplexes."""
-    return Relation.from_toplexes(toplexes)
+def _maximal_toplexes(toplexes, order=None):
+    """`_toplex_name_sets` without duplicate and set-contained toplexes.
+
+    The earliest occurrence is kept.  Also returns each kept toplex's vertex
+    mask.
+    """
+    order, tops = _toplex_name_sets(toplexes, order)
+    index = {v: i for i, v in enumerate(order)}
+    masks = [_mask_of(index[v] for v in t) for t in tops]
+    keep = _keep_irreducible(masks, _transpose(masks, len(order)), range(len(masks)))
+    return order, [tops[k] for k in keep], [masks[k] for k in keep]

@@ -71,6 +71,59 @@ def random_relation(rng, max_rows=8, max_cols=8, density=0.45):
                             [f"y{j}" for j in range(n)], rows)
 
 
+def with_repeats(rng, relation, p=0.3):
+    """`relation` with some rows and some columns repeated, in shuffled row
+    order, so that equal masks occur on both axes."""
+    rows = [list(relation.row(i)) for i in range(relation.nrows)]
+    rows += [list(row) for row in rows if rng.random() < p]
+    copies = [j for j in range(relation.ncols) if rng.random() < p]
+    for k, j in enumerate(copies):
+        for row in rows:
+            if j in row:
+                row.append(relation.ncols + k)
+    rng.shuffle(rows)
+    return Relation([f"x{i}" for i in range(len(rows))],
+                    [f"y{j}" for j in range(relation.ncols + len(copies))], rows)
+
+
+def first_dominators(sets, candidates=None):
+    """Pairwise domination by the definition, the reference for the kernel.
+
+    For each candidate i (all indices by default), the first candidate j in
+    ascending order with sets[i] a subset of sets[j] and either the sets
+    differ or j < i; None when there is no such j.
+    """
+    cands = range(len(sets)) if candidates is None else sorted(candidates)
+    return {i: next((j for j in cands
+                     if j != i and sets[i] <= sets[j] and (sets[i] != sets[j] or j < i)),
+                    None)
+            for i in cands}
+
+
+def core_labels_reference(relation):
+    """Row and column labels left by strong collapse, removing the first
+    dominated row, then the first dominated column, one at a time and
+    rescanning from the start after each removal."""
+    axes = ({relation.row_labels[i]: {relation.col_labels[c] for c in relation.row(i)}
+             for i in range(relation.nrows)},
+            {relation.col_labels[j]: {relation.row_labels[i] for i in relation.col(j)}
+             for j in range(relation.ncols)})
+    changed = True
+    while changed:
+        changed = False
+        for a, b in ((0, 1), (1, 0)):
+            while True:
+                labels = list(axes[a])
+                dom = first_dominators([axes[a][l] for l in labels])
+                victim = next((labels[i] for i in dom if dom[i] is not None), None)
+                if victim is None:
+                    break
+                for other in axes[a].pop(victim):
+                    axes[b][other].discard(victim)
+                changed = True
+    return tuple(axes[0]), tuple(axes[1])
+
+
 def random_toplex_list(rng, max_vertices=12, max_toplexes=20, max_size=5):
     nv = rng.randint(2, max_vertices)
     nt = rng.randint(1, max_toplexes)

@@ -242,3 +242,11 @@ def test_size_cap_exits_3(tmp_path, capsys, monkeypatch):
     src = write(tmp_path, "big.toplex", "a b c d e f g\n")
     assert cli.main(["betti", "--input", src]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_size_cap_rejects_bad_values(tmp_path, capsys, monkeypatch):
+    src = write(tmp_path, "edge.toplex", "a b\n")
+    for value in ("abc", "-5", "0"):
+        monkeypatch.setenv("DOWKER_SIZE_CAP", value)
+        assert cli.main(["betti", "--input", src]) == 1
+        assert "DOWKER_SIZE_CAP" in capsys.readouterr().err

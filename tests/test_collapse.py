@@ -6,7 +6,8 @@ import pytest
 
 from dowker import (Relation, betti_gf2, collapse_core, find_dominated_row,
                     is_strong_collapsible)
-from _util import fan_relation, random_relation
+from _util import (core_labels_reference, fan_relation, first_dominators,
+                   random_relation, with_repeats)
 
 
 def tetra_boundary():
@@ -101,3 +102,17 @@ def test_collapsible_implies_point_homology():
             seen += 1
             assert betti_gf2(r.toplexes(), 3) == (1, 0, 0, 0)
     assert seen >= 10  # the sample must actually exercise the claim
+
+
+def test_domination_matches_pairwise_reference():
+    rng = random.Random(43)
+    for n in range(200):
+        r = random_relation(rng)
+        if n % 2:
+            r = with_repeats(rng, r)
+        for rel in (r, r.transpose()):
+            dom = first_dominators([set(rel.row(i)) for i in range(rel.nrows)])
+            expected = next(((i, j) for i, j in dom.items() if j is not None), None)
+            assert find_dominated_row(rel) == expected
+        core = collapse_core(r)
+        assert (core.row_labels, core.col_labels) == core_labels_reference(r)

@@ -8,7 +8,8 @@ from dowker import (ParseError, Relation, ToplexList, betti_gf2,
                     enumerate_simplices, gen_simplex_boundary, gen_sphere_cube,
                     gen_sphere_uv, gen_torus_grid, parse_off,
                     parse_toplex_file, witness_relation)
-from _util import FAN_DENSE, edge_use_counts, random_relation
+from _util import (FAN_DENSE, edge_use_counts, first_dominators, random_relation,
+                   random_toplex_list)
 
 FAN_FILE = """\
 # two triangles sharing an edge, with pendant edges
@@ -240,6 +241,16 @@ def test_toplex_list_validation():
 def test_toplex_list_keeps_earliest_duplicate():
     t = ToplexList([("a", "b"), ("b", "a")])
     assert t.toplexes == (("a", "b"),)
+
+
+def test_toplex_list_normalisation_matches_pairwise_reference():
+    rng = random.Random(53)
+    for _ in range(100):
+        tops = random_toplex_list(rng)
+        # reordered copies: equal vertex sets under different tuples
+        tops += [t[::-1] for t in rng.sample(tops, len(tops) // 3)]
+        dom = first_dominators([frozenset(t) for t in tops])
+        assert ToplexList(tops).toplexes == tuple(tops[i] for i in dom if dom[i] is None)
 
 
 def test_relation_round_trip_through_text_formats():

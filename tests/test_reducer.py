@@ -243,6 +243,18 @@ def test_budget_on_simplex_boundaries():
         assert comparison_budget(r) == v * (v - 1) // 2
 
 
+def test_second_pass_can_shrink_further():
+    # one pass does not revisit pairs, so merges made possible later are missed
+    rng = random.Random(20260809)
+    draws = [random_irreducible_relation(rng) for _ in range(300)]
+    for k, once_shape, twice_shape in [(112, (8, 10), (7, 9)), (162, (6, 6), (5, 5)),
+                                       (188, (6, 5), (3, 3))]:
+        once, _, _ = reduce(draws[k])
+        twice, _, _ = reduce(once)
+        assert (once.shape, twice.shape) == (once_shape, twice_shape)
+        assert betti_gf2(twice.toplexes(), 3) == betti_gf2(draws[k].toplexes(), 3)
+
+
 def test_degenerate_inputs():
     out, stats, log = reduce(Relation((), (), ()))
     assert out.shape == (0, 0)

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from dowker import ParseError, Relation, ToplexList, from_toplexes
+from dowker import ParseError, Relation, ToplexList
 from _util import (FAN_DENSE, FAN_MERGED_DENSE, FAN_STAR_DENSE, FAN_TOPLEXES,
-                   closed_star, complex_of, fan_relation, random_irreducible_relation,
-                   random_relation)
+                   closed_star, complex_of, fan_relation, first_dominators,
+                   random_irreducible_relation, random_relation, with_repeats)
 
 
 # ----------------------------------------------------------------------
@@ -44,8 +44,8 @@ def test_empty_toplex_rejected():
         Relation.from_toplexes([("a",), ()])
 
 
-def test_module_level_alias():
-    assert from_toplexes(FAN_TOPLEXES) == fan_relation()
+def test_from_toplexes_accepts_toplex_list():
+    assert Relation.from_toplexes(ToplexList(FAN_TOPLEXES)) == fan_relation()
 
 
 # ----------------------------------------------------------------------
@@ -252,6 +252,29 @@ def test_scoped_cleanup_matches_full_cleanup_after_merge():
         assert merged.ncols == r.ncols
         assert merged.make_column_irreducible(restrict_to=union) \
             == merged.make_column_irreducible()
+
+
+def test_column_cleanup_matches_pairwise_reference():
+    rng = random.Random(47)
+    for n in range(200):
+        r = random_relation(rng)
+        if n % 2:
+            r = with_repeats(rng, r)
+        sets = [set(r.col(j)) for j in range(r.ncols)]
+        assert r.is_column_irreducible() == all(
+            not sets[a] <= sets[b] for a in range(r.ncols) for b in range(r.ncols) if a != b)
+        for restrict in (None, rng.sample(range(r.ncols), rng.randint(1, r.ncols))):
+            dom = first_dominators(sets, restrict)
+            kept = [j for j in dom if dom[j] is None]
+            removed = [(j, "duplicate" if any(sets[k] == sets[j] for k in kept) else "face")
+                       for j in dom if dom[j] is not None]
+            out, info = r._clean_columns(restrict)
+            assert info == removed
+            assert out.col_labels == tuple(l for j, l in enumerate(r.col_labels)
+                                           if j not in dict(removed))
+            assert out == r.make_column_irreducible(restrict)
+            if restrict is None:
+                assert out.is_column_irreducible()
 
 
 def test_extract_rebuild_identity():
