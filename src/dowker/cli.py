@@ -49,7 +49,10 @@ def _load_relation(path, fmt):
 
 def cmd_reduce(args):
     relation = _load_relation(args.input, args.format)
-    relation = relation.make_column_irreducible()
+    if args.format == "rel":
+        # toplex and OFF input went through from_toplexes, which keeps only
+        # maximal toplexes
+        relation = relation.make_column_irreducible()
     max_dim = args.max_dim if args.max_dim is not None else DEFAULT_MAX_DIM
     cap = _size_cap()
     betti_before = betti_after = None

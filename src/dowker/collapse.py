@@ -7,7 +7,7 @@ until neither removes anything yields the core.  A relation whose core is 1x1
 is strong collapsible, hence contractible; a larger core is inconclusive.
 """
 
-from .relation import Relation, _dominator, _iter_bits
+from .relation import Relation, _Draft, _dominator, _exhaust
 
 
 def find_dominated_row(r: Relation):
@@ -24,42 +24,20 @@ def find_dominated_row(r: Relation):
     return None
 
 
-def _exhaust(live_a, masks_a, masks_b):
-    """Remove the dominated members of axis a among the bit set `live_a`.
-
-    A removed member's bit is cleared on axis b, so subset tests stay exact
-    without compacting indices.  Returns the new live set.
-    """
-    # a removal clears bits on axis b only, so no earlier member becomes dominated
-    for i in _iter_bits(live_a):
-        if _dominator(masks_a, masks_b, i, live_a) is not None:
-            bit = ~(1 << i)
-            live_a &= bit
-            for b in _iter_bits(masks_a[i]):
-                masks_b[b] &= bit
-    return live_a
-
-
 def collapse_core(r: Relation) -> Relation:
     """Alternate row and column domination removal to the fixpoint.
 
     The core has no dominated row and no dominated column, and the same mod-2
     Betti numbers as the input.
     """
-    row_masks = list(r.row_masks)
-    col_masks = list(r.col_masks)
+    draft = _Draft(r)
     live_rows, live_cols = (1 << r.nrows) - 1, (1 << r.ncols) - 1
     while True:
-        rows = _exhaust(live_rows, row_masks, col_masks)
-        cols = _exhaust(live_cols, col_masks, row_masks)
+        rows = _exhaust(live_rows, draft.row_masks, draft.col_masks)
+        cols = _exhaust(live_cols, draft.col_masks, draft.row_masks)
         if rows == live_rows and cols == live_cols:
-            break
+            return draft.freeze()
         live_rows, live_cols = rows, cols
-    rows = list(_iter_bits(live_rows))
-    col_pos = {c: k for k, c in enumerate(_iter_bits(live_cols))}
-    return Relation([r.row_labels[i] for i in rows],
-                    [r.col_labels[j] for j in col_pos],
-                    [[col_pos[c] for c in _iter_bits(row_masks[i])] for i in rows])
 
 
 def is_strong_collapsible(r: Relation) -> bool:

@@ -10,7 +10,7 @@ generators used as regression fixtures.
 from __future__ import annotations
 
 from .errors import ParseError
-from .relation import Relation, _keep_irreducible, _maximal_toplexes, _transpose
+from .relation import Relation, _exhaust, _maximal_toplexes, _transpose
 
 
 class ToplexList:
@@ -134,40 +134,29 @@ def witness_relation(cover) -> Relation:
     names = [name for name, _ in items]
     if len(set(names)) != len(names):
         raise ValueError("duplicate cover set names")
-    sets = []
-    for name, elements in items:
+    membership = {}
+    for i, (name, elements) in enumerate(items):
         elements = list(elements)
         if not elements:
             raise ValueError(f"cover set {name!r} is empty")
-        sets.append(elements)
-    membership = {}
-    element_order = []
-    for i, elements in enumerate(sets):
         for e in elements:
-            if e not in membership:
-                membership[e] = 0
-                element_order.append(e)
-            membership[e] |= 1 << i
-    col_masks = []
+            membership[e] = membership.get(e, 0) | 1 << i
+    first = {}
+    for e, fp in membership.items():
+        first.setdefault(fp, e)
+    col_masks = list(first)
     col_labels = []
-    seen = set()
-    for e in element_order:
-        fp = membership[e]
-        if fp in seen:
-            continue
-        seen.add(fp)
-        col_masks.append(fp)
+    used = set()
+    for e in first.values():
         label = str(e)
-        while label in col_labels:
+        while label in used:
             label += "'"
+        used.add(label)
         col_labels.append(label)
-    keep = _keep_irreducible(col_masks, _transpose(col_masks, len(names)),
-                             range(len(col_masks)))
-    col_masks = [col_masks[k] for k in keep]
-    col_labels = [col_labels[k] for k in keep]
-    rows = [[j for j, m in enumerate(col_masks) if (m >> i) & 1]
-            for i in range(len(names))]
-    return Relation(names, col_labels, rows)
+    # _exhaust zeroes the mask of every column it drops
+    _exhaust((1 << len(col_masks)) - 1, col_masks, _transpose(col_masks, len(names)))
+    return Relation._build(names, [l for l, m in zip(col_labels, col_masks) if m],
+                           _transpose([m for m in col_masks if m], len(names)))
 
 
 # ----------------------------------------------------------------------

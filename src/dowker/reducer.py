@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 
 from .collapse import is_strong_collapsible
-from .relation import Relation, _iter_bits
+from .relation import Relation, _Draft, _drop, _exhaust, _iter_bits, _union
 
 _Z_LABEL = re.compile(r"^z(\d+)$")
 
@@ -77,22 +77,13 @@ class ReductionStats:
 
 def _star_vertex_mask(r, i):
     """Rows sharing at least one column with row i (includes i)."""
-    m = 0
-    for c in _iter_bits(r.row_masks[i]):
-        m |= r.col_masks[c]
-    return m
+    return _union(r.col_masks, _iter_bits(r.row_masks[i]))
 
 
 def _two_hop_mask(r, i):
     """Rows reachable from row i within two column hops (includes i)."""
-    one = _star_vertex_mask(r, i)
-    cols = 0
-    for v in _iter_bits(one):
-        cols |= r.row_masks[v]
-    two = 0
-    for c in _iter_bits(cols):
-        two |= r.col_masks[c]
-    return two
+    cols = _union(r.row_masks, _iter_bits(_star_vertex_mask(r, i)))
+    return _union(r.col_masks, _iter_bits(cols))
 
 
 def candidate_vertices(r: Relation, x: int):
@@ -102,7 +93,7 @@ def candidate_vertices(r: Relation, x: int):
     star of x, rows sharing a column with x first, then the remaining
     two-hop rows; ascending index within each class.
     """
-    if not 0 <= x < r.nrows:
+    if not 0 <= x < len(r.row_masks):
         raise ValueError("row index out of range")
     one = _star_vertex_mask(r, x)
     two = _two_hop_mask(r, x)
@@ -114,19 +105,38 @@ def candidate_vertices(r: Relation, x: int):
 def comparison_budget(r: Relation) -> int:
     """Bound on pair tests: half the sum over vertices of their two-hop
     neighbor counts."""
-    total = 0
-    for i in range(r.nrows):
-        total += _two_hop_mask(r, i).bit_count() - 1
-    return total // 2
+    return sum(_two_hop_mask(r, i).bit_count() - 1 for i in range(r.nrows)) // 2
 
 
-def _fresh_z_label(labels):
-    nxt = 0
-    for l in labels:
-        m = _Z_LABEL.match(str(l))
-        if m:
-            nxt = max(nxt, int(m.group(1)) + 1)
-    return f"z{nxt}"
+def _fresh_z(labels):
+    """The lowest n above every label of the form z<n>, so z<n> is fresh."""
+    found = (_Z_LABEL.match(str(l)) for l in labels)
+    return max((int(m.group(1)) + 1 for m in found if m), default=0)
+
+
+def _merge(d, xi, xj, z, ncols):
+    """Replace rows xi and xj of draft `d` by the cone row `z`, in place.
+
+    The cone row takes the next index and the union of the two rows'
+    columns.  Columns among those that the merge made dominated are dropped;
+    nothing else can be affected.  `ncols` is the draft's live column count
+    before the merge.  Returns the step's StepReport.
+    """
+    union = d.row_masks[xi] | d.row_masks[xj]
+    delta_z = (_star_vertex_mask(d, xi) | _star_vertex_mask(d, xj)).bit_count()
+    pair = (d.row_labels[xi], d.row_labels[xj])
+    _drop(d.row_masks, d.col_masks, xi)
+    _drop(d.row_masks, d.col_masks, xj)
+    zi = d.add_row(z, union)
+    merged = [d.col_masks[c] for c in _iter_bits(union)]
+    kept = {d.col_masks[c] for c in _iter_bits(_exhaust(union, d.col_masks, d.row_masks))}
+    # a removed column is a duplicate when its row set equals a kept one's
+    dups = sum(m in kept for m in merged) - len(kept)
+    removed = len(merged) - len(kept)
+    return StepReport(pair=pair, z_label=z,
+                      faces_absorbed=removed - dups, duplicates_merged=dups,
+                      delta_z=delta_z, epsilon_z=d.row_masks[zi].bit_count(),
+                      cols_before=ncols, cols_after=ncols - removed)
 
 
 def reduction_step(r: Relation, xi: int, xj: int):
@@ -140,26 +150,13 @@ def reduction_step(r: Relation, xi: int, xj: int):
     """
     if xi == xj:
         raise ValueError("need two distinct rows")
-    union = r.row_masks[xi] | r.row_masks[xj]
-    delta_z = (_star_vertex_mask(r, xi) | _star_vertex_mask(r, xj)).bit_count()
-    li, lj = r.row_labels[xi], r.row_labels[xj]
-    z = _fresh_z_label(r.row_labels)
-    merged = r.add_row(z, _iter_bits(union)).remove_rows([li, lj])
-    if merged.ncols != r.ncols:
-        raise AssertionError("pair merge cannot orphan a column")
-    cleaned, removed = merged._clean_columns(restrict_to=_iter_bits(union))
-    faces = sum(1 for _, kind in removed if kind == "face")
-    dups = len(removed) - faces
-    report = StepReport(pair=(li, lj), z_label=z,
-                        faces_absorbed=faces, duplicates_merged=dups,
-                        delta_z=delta_z,
-                        epsilon_z=cleaned.row_masks[-1].bit_count(),
-                        cols_before=r.ncols, cols_after=cleaned.ncols)
-    return cleaned, report
+    d = _Draft(r)
+    report = _merge(d, xi, xj, f"z{_fresh_z(r.row_labels)}", r.ncols)
+    return d.freeze(), report
 
 
 def _delta_max(r):
-    return max((_star_vertex_mask(r, i).bit_count() for i in range(r.nrows)),
+    return max((_star_vertex_mask(r, i).bit_count() for i in range(len(r.row_masks))),
                default=0)
 
 
@@ -171,52 +168,61 @@ def reduce(r: Relation, *, on_step=None, debug_check_betti=False):
     """Run the single-pass reduction to exhaustion.
 
     Returns (reduced relation, ReductionStats, list of StepReport).  The
-    input must be column irreducible.  After a successful merge the cursor
-    stays on the same position (now occupied by the next row) and candidates
-    are re-derived; fresh cone rows land at the tail and are processed when
-    the cursor reaches them.  `on_step(before, after, report)` is called
-    after every merge; `debug_check_betti` re-runs the homology oracle around
-    each step on inputs with at most 500 columns.
+    input must be column irreducible.  All merges edit one mutable draft of
+    the relation in place, whose indices stay fixed: a merged row's slot
+    goes dead and the cone row takes a new slot at the tail.  After a
+    successful merge the cursor moves on to the next live slot and
+    candidates are re-derived; cone rows are processed when the cursor
+    reaches them.  `on_step(before, after, report)` is called after every
+    merge; `debug_check_betti` re-runs the homology oracle around each step
+    whose relation has at most 500 columns before the merge, so a larger
+    input is checked once it has shrunk to 500 columns.
     """
     stats = ReductionStats(rows_before=r.nrows, cols_before=r.ncols,
                            comparison_budget=comparison_budget(r))
     stats.delta_max_history.append(_delta_max(r))
     stats.epsilon_max_history.append(_epsilon_max(r))
     log = []
-    cur = r
+    d = _Draft(r)
+    ncols = r.ncols
+    # the last cone label always survives into the next step, so counting
+    # up gives the labels a fresh scan of the row labels would
+    z = _fresh_z(r.row_labels)
     cursor = 0
-    while cursor < cur.nrows:
-        fired = False
-        for j in candidate_vertices(cur, cursor):
-            union = cur.row_masks[cursor] | cur.row_masks[j]
-            sub = cur.restrict_to_columns(_iter_bits(union)).relation
-            ok = is_strong_collapsible(sub)
+    while cursor < len(d.row_masks):
+        # a dead slot has a zero mask and so no candidates: the cursor passes it
+        for j in candidate_vertices(d, cursor):
+            ok = is_strong_collapsible(d.freeze(d.row_masks[cursor] | d.row_masks[j]))
             stats.contractibility_tests += 1
-            stats.tested_pairs.append((cur.row_labels[cursor], cur.row_labels[j], ok))
+            stats.tested_pairs.append((d.row_labels[cursor], d.row_labels[j], ok))
             if not ok:
                 continue
-            before = cur
-            cur, rep = reduction_step(cur, cursor, j)
+            check = debug_check_betti and ncols <= 500
+            before = d.freeze() if check or on_step is not None else None
+            rep = _merge(d, cursor, j, f"z{z}", ncols)
+            z += 1
+            ncols = rep.cols_after
             log.append(rep)
             stats.steps_applied += 1
             stats.faces_absorbed_total += rep.faces_absorbed
             stats.duplicates_merged_total += rep.duplicates_merged
-            stats.delta_max_history.append(_delta_max(cur))
-            stats.epsilon_max_history.append(_epsilon_max(cur))
-            if debug_check_betti and before.ncols <= 500:
+            stats.delta_max_history.append(_delta_max(d))
+            stats.epsilon_max_history.append(_epsilon_max(d))
+            after = d.freeze() if before is not None else None
+            if check:
                 from .homology import betti_gf2
                 b0 = betti_gf2(before.toplexes(), 2)
-                b1 = betti_gf2(cur.toplexes(), 2)
+                b1 = betti_gf2(after.toplexes(), 2)
                 if b0 != b1:
                     raise AssertionError(
                         f"step {stats.steps_applied} changed Betti numbers "
                         f"{b0} -> {b1} (pair {rep.pair})")
             if on_step is not None:
-                on_step(before, cur, rep)
-            fired = True
+                on_step(before, after, rep)
             break
-        if not fired:
+        else:
             cursor += 1
+    cur = d.freeze()
     stats.rows_after = cur.nrows
     stats.cols_after = cur.ncols
     stats.delta_max_seen = max(stats.delta_max_history, default=0)

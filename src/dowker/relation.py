@@ -7,7 +7,9 @@ in both orientations, so row-side domination scans and column-side clean-up
 each run on their natural axis without transposing the whole matrix.
 
 Relation values are immutable once constructed; every operation returns a new
-value, which makes sharing across threads safe without locking.
+value, which makes sharing across threads safe without locking.  Operations
+that remove rows or columns edit a private mutable draft in place and renumber
+the survivors once, when the draft is frozen into a new value.
 """
 
 from __future__ import annotations
@@ -32,16 +34,12 @@ def _mask_of(indices):
     return m
 
 
-def _drop_bit(mask, pos):
-    """Delete bit position `pos`, shifting higher bits down by one."""
-    low = mask & ((1 << pos) - 1)
-    return ((mask >> (pos + 1)) << pos) | low
-
-
-def _drop_bits(mask, positions_desc):
-    for pos in positions_desc:
-        mask = _drop_bit(mask, pos)
-    return mask
+def _union(masks, indices):
+    """OR of masks[i] over `indices`."""
+    m = 0
+    for i in indices:
+        m |= masks[i]
+    return m
 
 
 def _transpose(masks, n):
@@ -77,16 +75,32 @@ def _dominator(masks, other, i, within):
     return None
 
 
-def _keep_irreducible(masks, other, candidates):
-    """Candidate indices that survive containment clean-up.
+def _drop(masks_a, masks_b, i):
+    """Remove member i of axis a in place: zero its mask and clear its bit
+    on axis b."""
+    bit = ~(1 << i)
+    for b in _iter_bits(masks_a[i]):
+        masks_b[b] &= bit
+    masks_a[i] = 0
 
-    A candidate goes away when its mask is strictly contained in another
-    candidate's, or equals the mask of a lower-indexed candidate (duplicates
-    keep the lowest index).  Members outside `candidates` never dominate.
-    `other` is the other orientation of `masks`.
+
+def _exhaust(live_a, masks_a, masks_b):
+    """Remove, in place, the dominated members of axis a among the bit set
+    `live_a`, and return the members that survive.
+
+    A member goes away when its mask is strictly contained in another live
+    member's, or equals the mask of a lower-indexed one (duplicates keep the
+    lowest index).  Members outside `live_a` never dominate.  `masks_b` is the
+    other orientation of `masks_a`; removals go through `_drop`, so subset
+    tests stay exact without compacting indices.
     """
-    within = _mask_of(candidates)
-    return [y for y in candidates if _dominator(masks, other, y, within) is None]
+    # a removal clears bits on axis b only, so no earlier member becomes
+    # dominated, and one ascending pass removes what a fixed-set scan would
+    for i in _iter_bits(live_a):
+        if _dominator(masks_a, masks_b, i, live_a) is not None:
+            live_a &= ~(1 << i)
+            _drop(masks_a, masks_b, i)
+    return live_a
 
 
 class Relation:
@@ -235,14 +249,8 @@ class Relation:
             raise ValueError("empty column selection")
         if cols[0] < 0 or cols[-1] >= self.ncols:
             raise ValueError("column index out of range")
-        colmask = _mask_of(cols)
-        keep_rows = [i for i, m in enumerate(self.row_masks) if m & colmask]
-        local = {c: k for k, c in enumerate(cols)}
-        rows = [[local[c] for c in _iter_bits(self.row_masks[i] & colmask)]
-                for i in keep_rows]
-        rel = Relation([self.row_labels[i] for i in keep_rows],
-                       [self.col_labels[c] for c in cols], rows)
-        return SubRelation(tuple(keep_rows), tuple(cols), rel)
+        return SubRelation(tuple(_iter_bits(_union(self.col_masks, cols))), tuple(cols),
+                           _Draft(self).freeze(_mask_of(cols)))
 
     def add_row(self, label, cols):
         """New relation with a row appended at the end (highest index)."""
@@ -264,21 +272,13 @@ class Relation:
         Columns left with no incident row are removed together with their
         labels; the remaining indexing is compacted preserving order.
         """
-        drop = sorted({self.row_index(l) for l in labels})
+        drop = {self.row_index(l) for l in labels}
         if not drop:
             return self
-        keep_rows = [i for i in range(self.nrows) if i not in set(drop)]
-        drop_desc = drop[::-1]
-        col_masks = [_drop_bits(m, drop_desc) for m in self.col_masks]
-        dead_cols = [j for j, m in enumerate(col_masks) if m == 0]
-        row_masks = [self.row_masks[i] for i in keep_rows]
-        if dead_cols:
-            dead_desc = dead_cols[::-1]
-            row_masks = [_drop_bits(m, dead_desc) for m in row_masks]
-        keep_cols = [j for j in range(self.ncols) if j not in set(dead_cols)]
-        row_labels = [self.row_labels[i] for i in keep_rows]
-        col_labels = [self.col_labels[j] for j in keep_cols]
-        return Relation._build(row_labels, col_labels, row_masks)
+        draft = _Draft(self)
+        for i in drop:
+            _drop(draft.row_masks, draft.col_masks, i)
+        return draft.freeze()
 
     def transpose(self):
         """Rows and columns swapped; an involution."""
@@ -294,37 +294,12 @@ class Relation:
         pair merge); without it the result is fully column irreducible.
         Exact duplicates keep the lowest column index.
         """
-        cleaned, _ = self._clean_columns(restrict_to)
-        return cleaned
-
-    def _clean_columns(self, restrict_to=None):
-        """make_column_irreducible plus a removal log of (index, kind).
-
-        kind is "duplicate" when the removed column's row set equals a kept
-        candidate's, "face" when it is strictly contained in one.
-        """
-        if restrict_to is None:
-            candidates = list(range(self.ncols))
-        else:
-            candidates = sorted(set(restrict_to))
-            if candidates and (candidates[0] < 0 or candidates[-1] >= self.ncols):
-                raise ValueError("column index out of range")
-        kept = _mask_of(_keep_irreducible(self.col_masks, self.row_masks, candidates))
-        removed = [y for y in candidates if not (kept >> y) & 1]
-        if not removed:
-            return self, []
-        info = []
-        for y in removed:
-            m = self.col_masks[y]
-            sup = _supersets(m, self.row_masks, kept)
-            kind = ("duplicate" if any(self.col_masks[k] == m for k in _iter_bits(sup))
-                    else "face")
-            info.append((y, kind))
-        removed_desc = removed[::-1]
-        row_masks = [_drop_bits(m, removed_desc) for m in self.row_masks]
-        removed_set = set(removed)
-        col_labels = [l for j, l in enumerate(self.col_labels) if j not in removed_set]
-        return Relation._build(self.row_labels, col_labels, row_masks), info
+        candidates = range(self.ncols) if restrict_to is None else sorted(set(restrict_to))
+        if candidates and (candidates[0] < 0 or candidates[-1] >= self.ncols):
+            raise ValueError("column index out of range")
+        draft = _Draft(self)
+        _exhaust(_mask_of(candidates), draft.col_masks, draft.row_masks)
+        return draft.freeze()
 
     def is_column_irreducible(self):
         everything = (1 << self.ncols) - 1
@@ -398,6 +373,49 @@ class Relation:
             raise ParseError(str(exc)) from exc
 
 
+class _Draft:
+    """Mutable copy of a relation's incidence over stable indices.
+
+    A member dropped with `_drop` keeps its index with a zero mask, and a
+    new row takes the next index, so edits never renumber anything;
+    `freeze` renumbers the live members once.
+    """
+
+    __slots__ = ("row_labels", "col_labels", "row_masks", "col_masks")
+
+    def __init__(self, r):
+        self.row_labels = list(r.row_labels)
+        self.col_labels = r.col_labels
+        self.row_masks = list(r.row_masks)
+        self.col_masks = list(r.col_masks)
+
+    def add_row(self, label, mask):
+        """Append a row with column bit set `mask`; returns its index."""
+        k = len(self.row_masks)
+        for c in _iter_bits(mask):
+            self.col_masks[c] |= 1 << k
+        self.row_labels.append(label)
+        self.row_masks.append(mask)
+        return k
+
+    def freeze(self, cols=None):
+        """The live rows and columns, renumbered in ascending index order, as
+        a Relation.
+
+        With a column bit set `cols`, only those columns and the rows that
+        meet them; for the union of some rows' columns, that is the union of
+        their closed stars.
+        """
+        live = range(len(self.col_masks)) if cols is None else _iter_bits(cols)
+        keep = [c for c in live if self.col_masks[c]]
+        rows = list(_iter_bits(_union(self.col_masks, keep)))
+        kept = _mask_of(keep)
+        pos = {c: k for k, c in enumerate(keep)}
+        return Relation._build(
+            [self.row_labels[i] for i in rows], [self.col_labels[c] for c in keep],
+            [_mask_of(pos[c] for c in _iter_bits(self.row_masks[i] & kept)) for i in rows])
+
+
 @dataclass(frozen=True)
 class SubRelation:
     """A relation restricted to a column subset, with empty rows dropped.
@@ -452,5 +470,6 @@ def _maximal_toplexes(toplexes, order=None):
     order, tops = _toplex_name_sets(toplexes, order)
     index = {v: i for i, v in enumerate(order)}
     masks = [_mask_of(index[v] for v in t) for t in tops]
-    keep = _keep_irreducible(masks, _transpose(masks, len(order)), range(len(masks)))
-    return order, [tops[k] for k in keep], [masks[k] for k in keep]
+    # _exhaust zeroes the mask of every toplex it drops
+    _exhaust((1 << len(masks)) - 1, masks, _transpose(masks, len(order)))
+    return order, [t for t, m in zip(tops, masks) if m], [m for m in masks if m]

@@ -132,6 +132,13 @@ def test_witness_all_sets_equal():
     assert r.shape == (3, 1)
 
 
+def test_witness_labels_made_unique():
+    # the elements 1 and "1" print the same, so the second label is primed
+    r = witness_relation([("A", [1]), ("B", ["1"])])
+    assert r.col_labels == ("1", "1'")
+    assert r.to_dense() == [[1, 0], [0, 1]]
+
+
 def test_witness_empty_set_rejected():
     with pytest.raises(ValueError):
         witness_relation([("A", [1]), ("B", [])])

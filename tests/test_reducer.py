@@ -8,7 +8,8 @@ import pytest
 from dowker import (Relation, betti_gf2, candidate_vertices, comparison_budget,
                     format_step_log, gen_simplex_boundary, gen_sphere_cube,
                     reduce, reduction_step, verify_step_equations)
-from _util import (FAN_MERGED_DENSE, complex_of, fan_relation,
+import dowker.reducer
+from _util import (FAN_MERGED_DENSE, complex_of, fan_relation, first_dominators,
                    random_irreducible_relation, replay_and_verify)
 
 
@@ -125,6 +126,34 @@ def test_fresh_cone_labels_count_up():
     assert rep2.z_label == "z2"
 
 
+def test_step_classification_matches_pairwise_reference():
+    # after substituting the cone vertex for the pair in the merged row's
+    # columns, a dominated column is a duplicate when its vertex set equals a
+    # kept column's and a face otherwise
+    rng = random.Random(53)
+    totals = [0, 0]
+    for _ in range(300):
+        r = random_irreducible_relation(rng)
+        if r.nrows < 2:
+            continue
+        xi, xj = rng.sample(range(r.nrows), 2)
+        out, rep = reduction_step(r, xi, xj)
+        union = set(r.row(xi)) | set(r.row(xj))
+        pair = {r.row_labels[xi], r.row_labels[xj]}
+        sets = [{r.row_labels[i] for i in r.col(c)} for c in range(r.ncols)]
+        sets = [(s - pair) | {rep.z_label} if c in union else s
+                for c, s in enumerate(sets)]
+        dom = first_dominators(sets, union)
+        kept = [c for c in dom if dom[c] is None]
+        gone = [c for c in dom if dom[c] is not None]
+        dups = sum(1 for c in gone if any(sets[k] == sets[c] for k in kept))
+        assert (rep.duplicates_merged, rep.faces_absorbed) == (dups, len(gone) - dups)
+        assert out.col_labels == tuple(l for c, l in enumerate(r.col_labels) if c not in gone)
+        totals[0] += dups
+        totals[1] += len(gone) - dups
+    assert min(totals) > 0
+
+
 def test_audit_rejects_tampered_reports():
     r = fan_relation()
     out, rep = reduction_step(r, 2, 3)
@@ -187,6 +216,45 @@ def test_reduce_is_deterministic():
         assert log1 == log2
         assert stats1.tested_pairs == stats2.tested_pairs
         assert stats1.delta_max_history == stats2.delta_max_history
+
+
+def test_callbacks_do_not_change_the_result(monkeypatch):
+    # whole-relation snapshots are frozen from the working draft only for
+    # on_step and debug_check_betti; the restriction for every test is the
+    # only other freeze before the final one
+    freezes = []
+
+    class CountingDraft(dowker.reducer._Draft):
+        def freeze(self, cols=None):
+            freezes.append(cols is None)
+            return super().freeze(cols)
+
+    monkeypatch.setattr(dowker.reducer, "_Draft", CountingDraft)
+    rng = random.Random(89)
+    for _ in range(15):
+        r = random_irreducible_relation(rng)
+        results = []
+        for kwargs in ({}, {"on_step": lambda *args: None}, {"debug_check_betti": True},
+                       {"on_step": lambda *args: None, "debug_check_betti": True}):
+            freezes.clear()
+            out, stats, log = reduce(r, **kwargs)
+            results.append((out, stats, log))
+            assert freezes.count(False) == stats.contractibility_tests
+            assert freezes.count(True) == 1 + (2 * stats.steps_applied if kwargs else 0)
+        assert all(res == results[0] for res in results)
+
+
+def test_second_pass_replays_with_counted_cone_labels():
+    # a second pass starts on z<n> row labels; its counted cone labels must
+    # match the label scan that reduction_step makes on every step
+    rng = random.Random(20260809)
+    draws = [random_irreducible_relation(rng) for _ in range(300)]
+    for k in (112, 162, 188):
+        once, _, _ = reduce(draws[k])
+        twice, _, log = reduce(once)
+        final, results = replay_and_verify(once, log)
+        assert log and all(results)
+        assert final == twice
 
 
 def test_every_step_passes_the_audit():

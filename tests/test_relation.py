@@ -265,14 +265,12 @@ def test_column_cleanup_matches_pairwise_reference():
             not sets[a] <= sets[b] for a in range(r.ncols) for b in range(r.ncols) if a != b)
         for restrict in (None, rng.sample(range(r.ncols), rng.randint(1, r.ncols))):
             dom = first_dominators(sets, restrict)
-            kept = [j for j in dom if dom[j] is None]
-            removed = [(j, "duplicate" if any(sets[k] == sets[j] for k in kept) else "face")
-                       for j in dom if dom[j] is not None]
-            out, info = r._clean_columns(restrict)
-            assert info == removed
-            assert out.col_labels == tuple(l for j, l in enumerate(r.col_labels)
-                                           if j not in dict(removed))
-            assert out == r.make_column_irreducible(restrict)
+            kept = [j for j in range(r.ncols) if dom.get(j) is None]
+            pos = {j: k for k, j in enumerate(kept)}
+            out = r.make_column_irreducible(restrict)
+            assert out == Relation(r.row_labels, [r.col_labels[j] for j in kept],
+                                   [[pos[c] for c in r.row(i) if c in pos]
+                                    for i in range(r.nrows)])
             if restrict is None:
                 assert out.is_column_irreducible()
 
