@@ -1,8 +1,9 @@
 """GF(2) simplicial homology oracle.
 
 Independent of the reduction path: it expands toplexes into explicit simplex
-lists, builds boundary matrices over GF(2), and computes Betti numbers by
-rank.  Used to certify that reductions preserve the mod-2 Betti numbers.
+lists, builds each boundary map as one int bitset per simplex (its faces),
+and computes Betti numbers by GF(2) rank.  Used to certify that reductions
+preserve the mod-2 Betti numbers.
 """
 
 from __future__ import annotations
@@ -11,22 +12,22 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-import numpy as np
-
 from .errors import SizeCapError
-from .relation import _toplex_name_sets
+from .relation import _mask_of, _toplex_name_sets
 
 DEFAULT_SIZE_CAP = 5_000_000
 
 
 @dataclass
 class ChainComplexGF2:
-    """Simplices by dimension plus the boundary matrices between them.
+    """Simplices by dimension plus the boundary maps between them.
 
     `simplices_by_dim[k]` is the sorted list of k-simplices as ascending
-    vertex-index tuples.  `boundary[k]` is the GF(2) matrix of the boundary
-    map from k-chains to (k-1)-chains (rows indexed by (k-1)-simplices,
-    columns by k-simplices); `boundary[0]` is the zero map.
+    vertex-index tuples.  `boundary[k]` holds the GF(2) boundary map from
+    k-chains to (k-1)-chains as one int per k-simplex, in
+    `simplices_by_dim[k]` order: bit i is set when the (k-1)-simplex
+    `simplices_by_dim[k-1][i]` is a face of it.  `boundary[0]` is one 0 per
+    vertex (the zero map).
     """
 
     simplices_by_dim: list = field(default_factory=list)
@@ -64,42 +65,29 @@ def enumerate_simplices(toplexes, max_dim, size_cap=DEFAULT_SIZE_CAP) -> ChainCo
     simplices = [sorted(level) for level in levels]
     while simplices and not simplices[-1]:
         simplices.pop()
-    boundary = []
-    for k, level in enumerate(simplices):
-        if k == 0:
-            boundary.append(np.zeros((0, len(level)), dtype=np.uint8))
-            continue
-        pos = {s: i for i, s in enumerate(simplices[k - 1])}
-        mat = np.zeros((len(simplices[k - 1]), len(level)), dtype=np.uint8)
-        for c, s in enumerate(level):
-            for omit in range(len(s)):
-                face = s[:omit] + s[omit + 1:]
-                mat[pos[face], c] = 1
-        boundary.append(mat)
+    boundary = [[0] * len(simplices[0])] if simplices else []
+    for faces, level in zip(simplices, simplices[1:]):
+        pos = {f: i for i, f in enumerate(faces)}
+        boundary.append([_mask_of(pos[s[:i] + s[i + 1:]] for i in range(len(s)))
+                         for s in level])
     return ChainComplexGF2(simplices_by_dim=simplices, boundary=boundary)
 
 
-def rank_gf2(matrix) -> int:
-    """Rank over GF(2) by bitset row elimination; the input is not modified."""
-    a = np.asarray(matrix, dtype=np.uint8) & 1
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return 0
-    packed = np.packbits(a, axis=1, bitorder="little")
+def rank_gf2(vectors) -> int:
+    """Rank over GF(2) of a sequence of int bitsets, by lead-bit elimination.
+
+    Each int is one vector (bit i is coordinate i); the input is not modified.
+    """
     lead = {}
-    rank = 0
-    for row in packed:
-        v = int.from_bytes(row.tobytes(), "little")
+    for v in vectors:
         while v:
             h = v.bit_length() - 1
             w = lead.get(h)
             if w is None:
                 lead[h] = v
-                rank += 1
                 break
             v ^= w
-    return rank
+    return len(lead)
 
 
 def betti_gf2(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP):

@@ -1,7 +1,11 @@
 """Command-line front end: subcommands, report formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
+import dowker
 from dowker import Relation, betti_gf2
 from dowker import cli
 from _util import FAN_TOPLEXES, fan_relation
@@ -19,6 +23,13 @@ def gen_file(tmp_path, name, *args):
     out = tmp_path / name
     assert cli.main(["gen", *args, "--output", str(out)]) == 0
     return str(out)
+
+
+def run_fresh(code, *args):
+    """Stdout of `code` run in a new interpreter that imports this dowker."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dowker.__file__)))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
 
 
 # ----------------------------------------------------------------------
@@ -185,6 +196,30 @@ def test_betti_preserved_for_fan(tmp_path, capsys):
     assert cli.main(["betti", "--input", str(out), "--format", "rel"]) == 0
     after = capsys.readouterr().out.strip()
     assert before == after == "1 2 0"
+
+
+def test_betti_does_not_import_numpy(tmp_path):
+    src = gen_file(tmp_path, "t.toplex", "torus", "--m", "4", "--n", "4")
+    out = run_fresh("import sys\n"
+                    "from dowker.cli import main\n"
+                    "assert main(['betti', '--input', sys.argv[1]]) == 0\n"
+                    "print('numpy' in sys.modules)\n", src)
+    assert out.splitlines() == ["1 2 1", "False"]
+
+
+def test_betti_peak_rss_bounded(tmp_path):
+    # 33.6k simplices; a dense boundary matrix of the 2-simplices alone is 138 MB.
+    # The wrapper's only child is the betti run, so RUSAGE_CHILDREN is its peak.
+    src = gen_file(tmp_path, "t.toplex", "torus", "--m", "60", "--n", "80")
+    out = run_fresh("import resource, subprocess, sys\n"
+                    "subprocess.run([sys.executable, '-m', 'dowker.cli', 'betti',\n"
+                    "                '--input', sys.argv[1]], check=True)\n"
+                    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n", src)
+    betti, maxrss = out.splitlines()
+    assert betti == "1 2 1"
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    kib = int(maxrss) // (1024 if sys.platform == "darwin" else 1)
+    assert kib < 100 * 1024
 
 
 # ----------------------------------------------------------------------

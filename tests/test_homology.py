@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from dowker import (SizeCapError, betti_gf2, enumerate_simplices,
@@ -41,8 +40,12 @@ def test_boundary_squares_to_zero():
         tops = random_toplex_list(rng, max_vertices=8, max_toplexes=8, max_size=4)
         cc = enumerate_simplices(tops, 3)
         for k in range(1, len(cc.boundary) - 1):
-            prod = (cc.boundary[k] @ cc.boundary[k + 1]) % 2
-            assert not prod.any()
+            for col in cc.boundary[k + 1]:
+                acc = 0
+                for i, face in enumerate(cc.boundary[k]):
+                    if col >> i & 1:
+                        acc ^= face
+                assert acc == 0
 
 
 def test_size_cap():
@@ -50,22 +53,28 @@ def test_size_cap():
         enumerate_simplices([tuple(f"v{i}" for i in range(30))], 5, size_cap=100)
 
 
+def pack(bits):
+    """Int bitset with bit i set when bits[i] is 1."""
+    return sum(b << i for i, b in enumerate(bits))
+
+
 def test_rank_cases():
-    assert rank_gf2(np.eye(3, dtype=int)) == 3
-    assert rank_gf2([[1, 1], [1, 1]]) == 1
+    assert rank_gf2([1, 2, 4]) == 3
+    assert rank_gf2([3, 3]) == 1
     # edge/vertex boundary of the triangle: rank 2 by exhaustive row span
     cc = enumerate_simplices([("a", "b"), ("a", "c"), ("b", "c")], 1)
     d1 = cc.boundary[1]
-    assert d1.shape == (3, 3)
-    assert rank_by_rowspace(d1.tolist()) == 2
+    assert len(d1) == 3 and all(bin(col).count("1") == 2 for col in d1)
+    rows = [[col >> i & 1 for col in d1] for i in range(len(cc.simplices_by_dim[0]))]
+    assert rank_by_rowspace(rows) == 2
     assert rank_gf2(d1) == 2
 
 
 def test_rank_input_untouched():
-    m = np.array([[1, 1], [0, 1]], dtype=np.uint8)
-    copy = m.copy()
+    m = [3, 2]
+    copy = list(m)
     rank_gf2(m)
-    assert (m == copy).all()
+    assert m == copy
 
 
 def test_rank_matches_transpose_and_oracle():
@@ -76,8 +85,8 @@ def test_rank_matches_transpose_and_oracle():
         for _ in range(rng.randint(0, 6)):
             rows.append([rng.randint(0, 1) for _ in range(n)])
         expect = rank_by_rowspace(rows)
-        assert rank_gf2(rows) == expect
-        assert rank_gf2(np.array(rows).T) == expect
+        assert rank_gf2([pack(row) for row in rows]) == expect
+        assert rank_gf2([pack(col) for col in zip(*rows)]) == expect
 
 
 def test_betti_point():
