@@ -74,6 +74,7 @@ def cmd_reduce(args):
         "rows_after": stats.rows_after, "cols_after": stats.cols_after,
         "steps": stats.steps_applied, "tests": stats.contractibility_tests,
         "budget": stats.comparison_budget, "time_s": round(elapsed, 6),
+        "delta_max": stats.delta_max_seen, "epsilon_max": stats.epsilon_max_seen,
     }
     if betti_before is not None:
         report["betti_before"] = list(betti_before)

@@ -19,11 +19,14 @@ class ToplexList:
     Normalization drops duplicate toplexes and toplexes set-contained in
     another, keeping the earliest occurrence.  `vertex_names` is the union of
     all input toplexes in first-appearance order (or the explicit order given).
+    `masks` holds each toplex's vertex bit set over `vertex_names`, so
+    `Relation.from_toplexes` need not normalise the list again.
     """
 
     def __init__(self, toplexes, vertex_names=None):
-        vertex_names, tops, _ = _maximal_toplexes(list(toplexes), vertex_names)
+        vertex_names, tops, masks = _maximal_toplexes(list(toplexes), vertex_names)
         self.toplexes = tuple(tops)
+        self.masks = tuple(masks)
         self.vertex_names = vertex_names
         self.index = {v: i for i, v in enumerate(vertex_names)}
 

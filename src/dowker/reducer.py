@@ -56,7 +56,8 @@ class ReductionStats:
     `comparison_budget` is the pair-test bound computed on the input;
     `delta_max_history` / `epsilon_max_history` sample the largest star
     vertex/toplex count over live vertices, once before any step and once
-    after each step.
+    after each step.  They are kept per merge: only the rows in the cone
+    row's star can change either count, so only those are recounted.
     """
 
     rows_before: int = 0
@@ -80,9 +81,10 @@ def _star_vertex_mask(r, i):
     return _union(r.col_masks, _iter_bits(r.row_masks[i]))
 
 
-def _two_hop_mask(r, i):
-    """Rows reachable from row i within two column hops (includes i)."""
-    cols = _union(r.row_masks, _iter_bits(_star_vertex_mask(r, i)))
+def _two_hop_mask(r, one):
+    """Rows sharing a column with a row in bit set `one`; for the star mask
+    of row i, the rows within two column hops of i."""
+    cols = _union(r.row_masks, _iter_bits(one))
     return _union(r.col_masks, _iter_bits(cols))
 
 
@@ -96,7 +98,7 @@ def candidate_vertices(r: Relation, x: int):
     if not 0 <= x < len(r.row_masks):
         raise ValueError("row index out of range")
     one = _star_vertex_mask(r, x)
-    two = _two_hop_mask(r, x)
+    two = _two_hop_mask(r, one)
     first = [i for i in _iter_bits(one) if i > x]
     second = [i for i in _iter_bits(two & ~one) if i > x]
     return first + second
@@ -105,7 +107,8 @@ def candidate_vertices(r: Relation, x: int):
 def comparison_budget(r: Relation) -> int:
     """Bound on pair tests: half the sum over vertices of their two-hop
     neighbor counts."""
-    return sum(_two_hop_mask(r, i).bit_count() - 1 for i in range(r.nrows)) // 2
+    return sum(_two_hop_mask(r, _star_vertex_mask(r, i)).bit_count() - 1
+               for i in range(r.nrows)) // 2
 
 
 def _fresh_z(labels):
@@ -155,13 +158,34 @@ def reduction_step(r: Relation, xi: int, xj: int):
     return d.freeze(), report
 
 
-def _delta_max(r):
-    return max((_star_vertex_mask(r, i).bit_count() for i in range(len(r.row_masks))),
-               default=0)
+class _RunningMax:
+    """The maximum of a per-slot value list under point updates.
 
+    `count[v]` is the number of slots holding v.  `top` rises to a larger
+    value at once and walks down past values that no slot holds, so no
+    update rescans the slots.
+    """
 
-def _epsilon_max(r):
-    return max((m.bit_count() for m in r.row_masks), default=0)
+    def __init__(self, values):
+        self.values = list(values)
+        self.count = [0] * (max(self.values, default=0) + 1)
+        for v in self.values:
+            self.count[v] += 1
+        self.top = len(self.count) - 1
+
+    def set(self, k, v):
+        """Give slot k the value v; k may be the next new slot."""
+        if k == len(self.values):
+            self.values.append(0)
+            self.count[0] += 1
+        self.count[self.values[k]] -= 1
+        if v >= len(self.count):
+            self.count.extend([0] * (v + 1 - len(self.count)))
+        self.count[v] += 1
+        self.values[k] = v
+        self.top = max(self.top, v)
+        while self.top and not self.count[self.top]:
+            self.top -= 1
 
 
 def reduce(r: Relation, *, on_step=None, debug_check_betti=False):
@@ -180,10 +204,13 @@ def reduce(r: Relation, *, on_step=None, debug_check_betti=False):
     """
     stats = ReductionStats(rows_before=r.nrows, cols_before=r.ncols,
                            comparison_budget=comparison_budget(r))
-    stats.delta_max_history.append(_delta_max(r))
-    stats.epsilon_max_history.append(_epsilon_max(r))
     log = []
     d = _Draft(r)
+    # star vertex and toplex count per slot; a dead slot counts 0
+    delta = _RunningMax(_star_vertex_mask(d, i).bit_count() for i in range(r.nrows))
+    epsilon = _RunningMax(m.bit_count() for m in d.row_masks)
+    stats.delta_max_history.append(delta.top)
+    stats.epsilon_max_history.append(epsilon.top)
     ncols = r.ncols
     # the last cone label always survives into the next step, so counting
     # up gives the labels a fresh scan of the row labels would
@@ -206,8 +233,18 @@ def reduce(r: Relation, *, on_step=None, debug_check_betti=False):
             stats.steps_applied += 1
             stats.faces_absorbed_total += rep.faces_absorbed
             stats.duplicates_merged_total += rep.duplicates_merged
-            stats.delta_max_history.append(_delta_max(d))
-            stats.epsilon_max_history.append(_epsilon_max(d))
+            for k in (cursor, j):
+                delta.set(k, 0)
+                epsilon.set(k, 0)
+            # a row that shared a column with xi or xj, or lost a column,
+            # now shares a kept union column with the cone row (a removed
+            # column lies inside a kept one), so the cone row's star holds
+            # every row whose counts can have changed
+            for k in _iter_bits(_star_vertex_mask(d, len(d.row_masks) - 1)):
+                delta.set(k, _star_vertex_mask(d, k).bit_count())
+                epsilon.set(k, d.row_masks[k].bit_count())
+            stats.delta_max_history.append(delta.top)
+            stats.epsilon_max_history.append(epsilon.top)
             after = d.freeze() if before is not None else None
             if check:
                 from .homology import betti_gf2

@@ -227,7 +227,12 @@ class Relation:
         toplexes.  Duplicate and set-contained toplexes are dropped, keeping
         the earliest occurrence, so the result is column irreducible.
         """
-        order, _, col_masks = _maximal_toplexes(toplexes)
+        col_masks = getattr(toplexes, "masks", None)
+        if col_masks is None:
+            order, _, col_masks = _maximal_toplexes(toplexes)
+        else:
+            # a ToplexList was normalised when it was built
+            order = toplexes.vertex_names
         row_masks = _transpose(col_masks, len(order))
         for label, m in zip(order, row_masks):
             if m == 0:

@@ -100,6 +100,16 @@ def first_dominators(sets, candidates=None):
             for i in cands}
 
 
+def star_size_maxima(relation):
+    """The largest closed-star vertex count and toplex count over the
+    vertices, each 0 without vertices: the reference for the reducer's
+    `delta_max_history` and `epsilon_max_history` entries."""
+    stars = [{k for c in relation.row(i) for k in relation.col(c)}
+             for i in range(relation.nrows)]
+    return (max(map(len, stars), default=0),
+            max((len(relation.row(i)) for i in range(relation.nrows)), default=0))
+
+
 def core_labels_reference(relation):
     """Row and column labels left by strong collapse, removing the first
     dominated row, then the first dominated column, one at a time and

@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import dowker
-from dowker import Relation, betti_gf2
+from dowker import Relation, betti_gf2, gen_sphere_cube, reduce
 from dowker import cli
 from _util import FAN_TOPLEXES, fan_relation
 
@@ -106,6 +106,9 @@ def test_reduce_json_report(tmp_path, capsys):
     assert report["rows_before"] == 8 and report["cols_before"] == 12
     assert report["betti_preserved"] is True
     assert report["tests"] <= report["budget"]
+    _, stats, _ = reduce(Relation.from_toplexes(gen_sphere_cube()))
+    assert (report["delta_max"], report["epsilon_max"]) \
+        == (stats.delta_max_seen, stats.epsilon_max_seen)
 
 
 def test_reduce_accepts_rel_format(tmp_path, capsys):

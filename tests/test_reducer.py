@@ -7,10 +7,10 @@ import pytest
 
 from dowker import (Relation, betti_gf2, candidate_vertices, comparison_budget,
                     format_step_log, gen_simplex_boundary, gen_sphere_cube,
-                    reduce, reduction_step, verify_step_equations)
+                    gen_torus_grid, reduce, reduction_step, verify_step_equations)
 import dowker.reducer
 from _util import (FAN_MERGED_DENSE, complex_of, fan_relation, first_dominators,
-                   random_irreducible_relation, replay_and_verify)
+                   random_irreducible_relation, replay_and_verify, star_size_maxima)
 
 
 # ----------------------------------------------------------------------
@@ -302,6 +302,43 @@ def test_star_size_growth_bounded():
         for hist in (stats.delta_max_history, stats.epsilon_max_history):
             for prev, nxt in zip(hist, hist[1:]):
                 assert nxt <= 2 * prev
+
+
+def test_histories_match_star_size_reference():
+    # the histories are updated per merge from the rows in the cone row's
+    # star; every entry must equal a full recount on the relation it samples
+    rng = random.Random(101)
+    inputs = [random_irreducible_relation(rng) for _ in range(300)]
+    inputs += [Relation.from_toplexes(gen_torus_grid(m, n)) for m, n in ((4, 4), (12, 16))]
+    for r in inputs:
+        for _ in range(2):  # the second pass starts on z<n> row labels
+            afters = []
+            out, stats, log = reduce(r, on_step=lambda b, a, rep: afters.append(a))
+            expected = [star_size_maxima(rel) for rel in [r] + afters]
+            assert list(zip(stats.delta_max_history, stats.epsilon_max_history)) == expected
+            assert (stats.delta_max_seen, stats.epsilon_max_seen) \
+                == tuple(max(hist) for hist in zip(*expected))
+            r = out
+
+
+def test_history_upkeep_does_not_grow_with_row_count(monkeypatch):
+    # a recount of every live row after each merge would make the star masks
+    # built per merge grow with the row count, about 3x from 192 to 600 rows
+    calls = []
+    star = dowker.reducer._star_vertex_mask
+
+    def counting(r, i):
+        calls.append(i)
+        return star(r, i)
+
+    monkeypatch.setattr(dowker.reducer, "_star_vertex_mask", counting)
+    per_merge = []
+    for m, n in ((12, 16), (20, 30)):
+        r = Relation.from_toplexes(gen_torus_grid(m, n))
+        calls.clear()
+        _, stats, _ = reduce(r)
+        per_merge.append(len(calls) / stats.steps_applied)
+    assert per_merge[1] / per_merge[0] < 1.5
 
 
 def test_budget_on_simplex_boundaries():

@@ -7,7 +7,8 @@ import pytest
 from dowker import ParseError, Relation, ToplexList
 from _util import (FAN_DENSE, FAN_MERGED_DENSE, FAN_STAR_DENSE, FAN_TOPLEXES,
                    closed_star, complex_of, fan_relation, first_dominators,
-                   random_irreducible_relation, random_relation, with_repeats)
+                   random_irreducible_relation, random_relation, random_toplex_list,
+                   with_repeats)
 
 
 # ----------------------------------------------------------------------
@@ -46,6 +47,23 @@ def test_empty_toplex_rejected():
 
 def test_from_toplexes_accepts_toplex_list():
     assert Relation.from_toplexes(ToplexList(FAN_TOPLEXES)) == fan_relation()
+    # a ToplexList hands over the masks it normalised; the relation must be
+    # the one built from the maximal toplexes, in the list's vertex order
+    rng = random.Random(97)
+    for _ in range(200):
+        tops = random_toplex_list(rng)
+        names = sorted({v for t in tops for v in t}, key=lambda v: rng.random())
+        dom = first_dominators([set(t) for t in tops])
+        kept = [t for i, t in enumerate(tops) if dom[i] is None]
+        for order in (None, names):
+            listed = ToplexList(tops, order)
+            order = listed.vertex_names
+            expected = Relation(order, [f"t{j}" for j in range(len(kept))],
+                                [[j for j, t in enumerate(kept) if v in t] for v in order])
+            assert Relation.from_toplexes(listed) == expected
+        assert Relation.from_toplexes(tops) == Relation.from_toplexes(ToplexList(tops))
+    with pytest.raises(ValueError, match="belongs to no toplex"):
+        Relation.from_toplexes(ToplexList([("a", "b")], ["a", "b", "c"]))
 
 
 # ----------------------------------------------------------------------
