@@ -16,12 +16,26 @@ def find_dominated_row(r: Relation):
     Equal rows report the higher index as dominated.  None when every row is
     maximal.
     """
-    everything = (1 << r.nrows) - 1
-    for i in range(r.nrows):
-        j = _dominator(r.row_masks, r.col_masks, i, everything)
+    draft = _Draft.of(r)
+    everything = range(r.nrows)
+    for i in everything:
+        j = _dominator(draft.rows, draft.cols, i, everything)
         if j is not None:
             return (i, j)
     return None
+
+
+def _core(r: Relation):
+    """A draft of r with row and column domination removal run to the
+    fixpoint, and its live row and column id sets."""
+    draft = _Draft.of(r)
+    rows, cols = set(range(r.nrows)), set(range(r.ncols))
+    while True:
+        size = len(rows) + len(cols)
+        _exhaust(rows, draft.rows, draft.cols)
+        _exhaust(cols, draft.cols, draft.rows)
+        if len(rows) + len(cols) == size:
+            return draft, rows, cols
 
 
 def collapse_core(r: Relation) -> Relation:
@@ -30,14 +44,7 @@ def collapse_core(r: Relation) -> Relation:
     The core has no dominated row and no dominated column, and the same mod-2
     Betti numbers as the input.
     """
-    draft = _Draft(r)
-    live_rows, live_cols = (1 << r.nrows) - 1, (1 << r.ncols) - 1
-    while True:
-        rows = _exhaust(live_rows, draft.row_masks, draft.col_masks)
-        cols = _exhaust(live_cols, draft.col_masks, draft.row_masks)
-        if rows == live_rows and cols == live_cols:
-            return draft.freeze()
-        live_rows, live_cols = rows, cols
+    return _core(r)[0].freeze()
 
 
 def is_strong_collapsible(r: Relation) -> bool:
@@ -47,4 +54,7 @@ def is_strong_collapsible(r: Relation) -> bool:
     """
     if r.nrows == 0:
         raise ValueError("empty relation")
-    return collapse_core(r).shape == (1, 1)
+    # removal keeps every live row and column non-empty, so the live counts
+    # are the core's shape
+    _, rows, cols = _core(r)
+    return len(rows) == len(cols) == 1

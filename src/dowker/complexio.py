@@ -10,7 +10,7 @@ generators used as regression fixtures.
 from __future__ import annotations
 
 from .errors import ParseError
-from .relation import Relation, _exhaust, _maximal_toplexes, _transpose
+from .relation import Relation, _Draft, _exhaust, _maximal_toplexes, _other_axis
 
 
 class ToplexList:
@@ -19,16 +19,16 @@ class ToplexList:
     Normalization drops duplicate toplexes and toplexes set-contained in
     another, keeping the earliest occurrence.  `vertex_names` is the union of
     all input toplexes in first-appearance order (or the explicit order given).
-    `masks` holds each toplex's vertex bit set over `vertex_names`, so
-    `Relation.from_toplexes` need not normalise the list again.
+    `vertex_indices` holds each toplex's ascending vertex indices into
+    `vertex_names`, so `Relation.from_toplexes` need not normalise the list
+    again.
     """
 
     def __init__(self, toplexes, vertex_names=None):
-        vertex_names, tops, masks = _maximal_toplexes(list(toplexes), vertex_names)
+        vertex_names, tops, cols = _maximal_toplexes(list(toplexes), vertex_names)
         self.toplexes = tuple(tops)
-        self.masks = tuple(masks)
+        self.vertex_indices = tuple(cols)
         self.vertex_names = vertex_names
-        self.index = {v: i for i, v in enumerate(vertex_names)}
 
     def __len__(self):
         return len(self.toplexes)
@@ -143,11 +143,11 @@ def witness_relation(cover) -> Relation:
         if not elements:
             raise ValueError(f"cover set {name!r} is empty")
         for e in elements:
-            membership[e] = membership.get(e, 0) | 1 << i
+            membership.setdefault(e, set()).add(i)
     first = {}
     for e, fp in membership.items():
-        first.setdefault(fp, e)
-    col_masks = list(first)
+        first.setdefault(tuple(sorted(fp)), e)
+    cols = list(first)
     col_labels = []
     used = set()
     for e in first.values():
@@ -156,10 +156,9 @@ def witness_relation(cover) -> Relation:
             label += "'"
         used.add(label)
         col_labels.append(label)
-    # _exhaust zeroes the mask of every column it drops
-    _exhaust((1 << len(col_masks)) - 1, col_masks, _transpose(col_masks, len(names)))
-    return Relation._build(names, [l for l, m in zip(col_labels, col_masks) if m],
-                           _transpose([m for m in col_masks if m], len(names)))
+    draft = _Draft(names, col_labels, _other_axis(cols, len(names)), cols)
+    _exhaust(set(range(len(cols))), draft.cols, draft.rows)
+    return draft.freeze()
 
 
 # ----------------------------------------------------------------------

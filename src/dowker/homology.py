@@ -13,9 +13,16 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import SizeCapError
-from .relation import _mask_of, _toplex_name_sets
+from .relation import _toplex_name_sets
 
 DEFAULT_SIZE_CAP = 5_000_000
+
+
+def _mask_of(indices):
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
 
 
 @dataclass

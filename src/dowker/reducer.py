@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 
 from .collapse import is_strong_collapsible
-from .relation import Relation, _Draft, _drop, _exhaust, _iter_bits, _union
+from .relation import Relation, _Draft, _drop, _exhaust
 
 _Z_LABEL = re.compile(r"^z(\d+)$")
 
@@ -76,16 +76,16 @@ class ReductionStats:
     tested_pairs: list = field(default_factory=list)
 
 
-def _star_vertex_mask(r, i):
-    """Rows sharing at least one column with row i (includes i)."""
-    return _union(r.col_masks, _iter_bits(r.row_masks[i]))
+def _star_rows(r, i):
+    """Rows sharing at least one column with row i (includes i), as a set."""
+    return set().union(*[r.cols[c] for c in r.rows[i]])
 
 
-def _two_hop_mask(r, one):
-    """Rows sharing a column with a row in bit set `one`; for the star mask
+def _two_hop_rows(r, one):
+    """Rows sharing a column with a row in the set `one`; for the star rows
     of row i, the rows within two column hops of i."""
-    cols = _union(r.row_masks, _iter_bits(one))
-    return _union(r.col_masks, _iter_bits(cols))
+    cols = set().union(*[r.rows[i] for i in one])
+    return set().union(*[r.cols[c] for c in cols])
 
 
 def candidate_vertices(r: Relation, x: int):
@@ -95,19 +95,17 @@ def candidate_vertices(r: Relation, x: int):
     star of x, rows sharing a column with x first, then the remaining
     two-hop rows; ascending index within each class.
     """
-    if not 0 <= x < len(r.row_masks):
+    if not 0 <= x < len(r.rows):
         raise ValueError("row index out of range")
-    one = _star_vertex_mask(r, x)
-    two = _two_hop_mask(r, one)
-    first = [i for i in _iter_bits(one) if i > x]
-    second = [i for i in _iter_bits(two & ~one) if i > x]
-    return first + second
+    one = _star_rows(r, x)
+    two = _two_hop_rows(r, one)
+    return sorted([i for i in one if i > x]) + sorted([i for i in two - one if i > x])
 
 
 def comparison_budget(r: Relation) -> int:
     """Bound on pair tests: half the sum over vertices of their two-hop
     neighbor counts."""
-    return sum(_two_hop_mask(r, _star_vertex_mask(r, i)).bit_count() - 1
+    return sum(len(_two_hop_rows(r, _star_rows(r, i))) - 1
                for i in range(r.nrows)) // 2
 
 
@@ -125,20 +123,20 @@ def _merge(d, xi, xj, z, ncols):
     nothing else can be affected.  `ncols` is the draft's live column count
     before the merge.  Returns the step's StepReport.
     """
-    union = d.row_masks[xi] | d.row_masks[xj]
-    delta_z = (_star_vertex_mask(d, xi) | _star_vertex_mask(d, xj)).bit_count()
+    union = d.rows[xi] | d.rows[xj]
+    delta_z = len(_star_rows(d, xi) | _star_rows(d, xj))
     pair = (d.row_labels[xi], d.row_labels[xj])
-    _drop(d.row_masks, d.col_masks, xi)
-    _drop(d.row_masks, d.col_masks, xj)
+    _drop(d.rows, d.cols, xi)
+    _drop(d.rows, d.cols, xj)
     zi = d.add_row(z, union)
-    merged = [d.col_masks[c] for c in _iter_bits(union)]
-    kept = {d.col_masks[c] for c in _iter_bits(_exhaust(union, d.col_masks, d.row_masks))}
+    merged = [frozenset(d.cols[c]) for c in union]
+    kept = {frozenset(d.cols[c]) for c in _exhaust(union, d.cols, d.rows)}
     # a removed column is a duplicate when its row set equals a kept one's
     dups = sum(m in kept for m in merged) - len(kept)
     removed = len(merged) - len(kept)
     return StepReport(pair=pair, z_label=z,
                       faces_absorbed=removed - dups, duplicates_merged=dups,
-                      delta_z=delta_z, epsilon_z=d.row_masks[zi].bit_count(),
+                      delta_z=delta_z, epsilon_z=len(d.rows[zi]),
                       cols_before=ncols, cols_after=ncols - removed)
 
 
@@ -151,9 +149,11 @@ def reduction_step(r: Relation, xi: int, xj: int):
     guarantee.  Requires a column-irreducible input for the scoped clean-up
     to restore full irreducibility.
     """
+    if not (0 <= xi < r.nrows and 0 <= xj < r.nrows):
+        raise ValueError("row index out of range")
     if xi == xj:
         raise ValueError("need two distinct rows")
-    d = _Draft(r)
+    d = _Draft.of(r)
     report = _merge(d, xi, xj, f"z{_fresh_z(r.row_labels)}", r.ncols)
     return d.freeze(), report
 
@@ -205,10 +205,10 @@ def reduce(r: Relation, *, on_step=None, debug_check_betti=False):
     stats = ReductionStats(rows_before=r.nrows, cols_before=r.ncols,
                            comparison_budget=comparison_budget(r))
     log = []
-    d = _Draft(r)
+    d = _Draft.of(r)
     # star vertex and toplex count per slot; a dead slot counts 0
-    delta = _RunningMax(_star_vertex_mask(d, i).bit_count() for i in range(r.nrows))
-    epsilon = _RunningMax(m.bit_count() for m in d.row_masks)
+    delta = _RunningMax(len(_star_rows(d, i)) for i in range(r.nrows))
+    epsilon = _RunningMax(map(len, d.rows))
     stats.delta_max_history.append(delta.top)
     stats.epsilon_max_history.append(epsilon.top)
     ncols = r.ncols
@@ -216,10 +216,10 @@ def reduce(r: Relation, *, on_step=None, debug_check_betti=False):
     # up gives the labels a fresh scan of the row labels would
     z = _fresh_z(r.row_labels)
     cursor = 0
-    while cursor < len(d.row_masks):
-        # a dead slot has a zero mask and so no candidates: the cursor passes it
+    while cursor < len(d.rows):
+        # a dead slot has an empty set and so no candidates: the cursor passes it
         for j in candidate_vertices(d, cursor):
-            ok = is_strong_collapsible(d.freeze(d.row_masks[cursor] | d.row_masks[j]))
+            ok = is_strong_collapsible(d.freeze(d.rows[cursor] | d.rows[j]))
             stats.contractibility_tests += 1
             stats.tested_pairs.append((d.row_labels[cursor], d.row_labels[j], ok))
             if not ok:
@@ -240,9 +240,9 @@ def reduce(r: Relation, *, on_step=None, debug_check_betti=False):
             # now shares a kept union column with the cone row (a removed
             # column lies inside a kept one), so the cone row's star holds
             # every row whose counts can have changed
-            for k in _iter_bits(_star_vertex_mask(d, len(d.row_masks) - 1)):
-                delta.set(k, _star_vertex_mask(d, k).bit_count())
-                epsilon.set(k, d.row_masks[k].bit_count())
+            for k in _star_rows(d, len(d.rows) - 1):
+                delta.set(k, len(_star_rows(d, k)))
+                epsilon.set(k, len(d.rows[k]))
             stats.delta_max_history.append(delta.top)
             stats.epsilon_max_history.append(epsilon.top)
             after = d.freeze() if before is not None else None
@@ -296,8 +296,7 @@ def verify_step_equations(before: Relation, after: Relation, report: StepReport)
     if report.faces_absorbed + report.duplicates_merged != len(removed):
         return False
 
-    union_mask = before.row_masks[xi] | before.row_masks[xj]
-    union_cols = {before.col_labels[c] for c in _iter_bits(union_mask)}
+    union_cols = {before.col_labels[c] for c in before.rows[xi] + before.rows[xj]}
     if any(c not in union_cols for c in removed):
         return False
 
@@ -306,13 +305,13 @@ def verify_step_equations(before: Relation, after: Relation, report: StepReport)
     before_rows = {}
     for c in range(before.ncols):
         label = before.col_labels[c]
-        rows = frozenset(before.row_labels[i] for i in _iter_bits(before.col_masks[c]))
+        rows = frozenset(before.row_labels[i] for i in before.cols[c])
         before_rows[label] = rows
         if label in union_cols:
             rows = (rows - {li, lj}) | {z}
         subst[label] = rows
     for j, label in enumerate(after.col_labels):
-        got = frozenset(after.row_labels[i] for i in _iter_bits(after.col_masks[j]))
+        got = frozenset(after.row_labels[i] for i in after.cols[j])
         if got != subst[label]:
             return False
     faces = dups = 0
@@ -327,21 +326,21 @@ def verify_step_equations(before: Relation, after: Relation, report: StepReport)
         return False
 
     def star_labels(rel, i):
-        return frozenset(rel.row_labels[v] for v in _iter_bits(_star_vertex_mask(rel, i)))
+        return frozenset(rel.row_labels[v] for v in _star_rows(rel, i))
 
     sv_i, sv_j = star_labels(before, xi), star_labels(before, xj)
     if report.delta_z != len(sv_i | sv_j):
         return False
-    shared_cols = (before.row_masks[xi] & before.row_masks[xj]).bit_count()
-    eps_i = before.row_masks[xi].bit_count()
-    eps_j = before.row_masks[xj].bit_count()
+    shared_cols = len(set(before.rows[xi]) & set(before.rows[xj]))
+    eps_i = len(before.rows[xi])
+    eps_j = len(before.rows[xj])
     if report.epsilon_z != (eps_i + eps_j - shared_cols
                             - report.faces_absorbed - report.duplicates_merged):
         return False
     z_idx = after.nrows - 1
     if len(star_labels(after, z_idx)) != report.delta_z - 1:
         return False
-    if after.row_masks[z_idx].bit_count() != report.epsilon_z:
+    if len(after.rows[z_idx]) != report.epsilon_z:
         return False
 
     removed_by_vertex = {}
@@ -356,8 +355,8 @@ def verify_step_equations(before: Relation, after: Relation, report: StepReport)
         sv_b = star_labels(before, kb)
         d_b = len(sv_b)
         d_a = len(star_labels(after, ka))
-        e_b = before.row_masks[kb].bit_count()
-        e_a = after.row_masks[ka].bit_count()
+        e_b = len(before.rows[kb])
+        e_a = len(after.rows[ka])
         in_star = removed_by_vertex.get(label, 0)
         if li in sv_b and lj in sv_b:
             if d_a != d_b - 1 or e_a != e_b - in_star:

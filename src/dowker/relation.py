@@ -2,9 +2,12 @@
 
 A relation between row labels (vertices) and column labels (toplexes) is the
 single source of truth for a simplicial complex: the simplices of the complex
-are exactly the row sets that share a column.  Incidence is stored as bitmasks
-in both orientations, so row-side domination scans and column-side clean-up
-each run on their natural axis without transposing the whole matrix.
+are exactly the row sets that share a column.  Incidence is stored sparsely
+in both orientations: a relation holds the ascending index tuple of every row
+and every column, and the mutable draft that operations edit holds one set per
+row and per column.  Row-side domination scans and column-side clean-up each
+run on their natural axis without transposing the whole matrix, and their
+cost follows the ones of the matrix, not its width.
 
 Relation values are immutable once constructed; every operation returns a new
 value, which makes sharing across threads safe without locking.  Operations
@@ -15,103 +18,86 @@ the survivors once, when the draft is frozen into a new value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .errors import ParseError
 
 
-def _iter_bits(mask):
-    """Yield the set bit positions of `mask`, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _mask_of(indices):
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
-
-
-def _union(masks, indices):
-    """OR of masks[i] over `indices`."""
-    m = 0
-    for i in indices:
-        m |= masks[i]
-    return m
-
-
-def _transpose(masks, n):
-    """The other orientation of `masks`: bit k of out[b] is bit b of masks[k]."""
-    out = [0] * n
-    for k, m in enumerate(masks):
-        for b in _iter_bits(m):
-            out[b] |= 1 << k
+def _other_axis(lists, n):
+    """For each of n members of the other axis, the ascending positions in
+    `lists` whose collection holds it."""
+    out = [[] for _ in range(n)]
+    for k, members in enumerate(lists):
+        for b in members:
+            out[b].append(k)
     return out
 
 
-def _supersets(mask, other, within):
-    """Members in bit set `within` whose mask contains `mask`.
+def _dominator(sets, other, i, within):
+    """First member of `within` that dominates member i, or None.
 
-    `other` is the other orientation of the members' masks, so the answer is
-    the AND of `other` over the set bits of `mask`: O(|mask| * n / 64).
+    k dominates i when sets[i] is contained in sets[k] and the sets differ
+    or k < i (equal sets keep the lowest index); sets[i] must be non-empty.
+    `other` is the other orientation of `sets`, so every superset of sets[i]
+    lies in other[b] for each b in sets[i]: the candidates come from the
+    smallest of those, in ascending order, and the cost follows the set
+    sizes, not the axis length.
     """
-    for b in _iter_bits(mask):
-        within &= other[b]
-    return within
-
-
-def _dominator(masks, other, i, within):
-    """First member of bit set `within` that dominates member i, or None.
-
-    k dominates i when masks[i] is contained in masks[k] and the masks
-    differ or k < i (equal masks keep the lowest index).
-    """
-    m = masks[i]
-    for k in _iter_bits(_supersets(m, other, within & ~(1 << i))):
-        if k < i or masks[k] != m:
+    s = sets[i]
+    it = iter(s)
+    smallest = other[next(it)]
+    for b in it:
+        if len(other[b]) < len(smallest):
+            smallest = other[b]
+    n = len(s)
+    for k in sorted(smallest):
+        # a superset differs exactly when it is larger
+        if k != i and k in within and s <= sets[k] and (k < i or len(sets[k]) != n):
             return k
     return None
 
 
-def _drop(masks_a, masks_b, i):
-    """Remove member i of axis a in place: zero its mask and clear its bit
-    on axis b."""
-    bit = ~(1 << i)
-    for b in _iter_bits(masks_a[i]):
-        masks_b[b] &= bit
-    masks_a[i] = 0
+_DEAD = frozenset()
 
 
-def _exhaust(live_a, masks_a, masks_b):
-    """Remove, in place, the dominated members of axis a among the bit set
-    `live_a`, and return the members that survive.
+def _drop(sets_a, sets_b, i):
+    """Remove member i of axis a in place: remove it from the sets of axis b
+    and give it the shared empty set, so a dead slot keeps no set of its
+    own."""
+    for b in sets_a[i]:
+        sets_b[b].discard(i)
+    sets_a[i] = _DEAD
 
-    A member goes away when its mask is strictly contained in another live
-    member's, or equals the mask of a lower-indexed one (duplicates keep the
-    lowest index).  Members outside `live_a` never dominate.  `masks_b` is the
-    other orientation of `masks_a`; removals go through `_drop`, so subset
+
+def _exhaust(live, sets_a, sets_b):
+    """Remove, in place, the dominated members of axis a among the set
+    `live`, drop them from `live` too, and return it.
+
+    A member goes away when its set is strictly contained in another live
+    member's, or equals the set of a lower-indexed one (duplicates keep the
+    lowest index).  Members outside `live` never dominate.  `sets_b` is the
+    other orientation of `sets_a`; removals go through `_drop`, so subset
     tests stay exact without compacting indices.
     """
-    # a removal clears bits on axis b only, so no earlier member becomes
+    # a removal shrinks sets on axis b only, so no earlier member becomes
     # dominated, and one ascending pass removes what a fixed-set scan would
-    for i in _iter_bits(live_a):
-        if _dominator(masks_a, masks_b, i, live_a) is not None:
-            live_a &= ~(1 << i)
-            _drop(masks_a, masks_b, i)
-    return live_a
+    for i in sorted(live):
+        if _dominator(sets_a, sets_b, i, live) is not None:
+            live.discard(i)
+            _drop(sets_a, sets_b, i)
+    return live
 
 
 class Relation:
     """Immutable binary incidence between vertices (rows) and toplexes (columns).
 
-    Invariants: labels are unique per axis, the two mask orientations are exact
-    transposes, and no row or column is all-zero (the 0x0 relation is the only
-    degenerate value allowed).
+    `rows[i]` holds the ascending column indices of row i and `cols[j]` the
+    ascending row indices of column j.  Invariants: labels are unique per
+    axis, the two orientations hold the same ones, and no row or column is
+    empty (the 0x0 relation is the only degenerate value allowed).
     """
 
-    __slots__ = ("row_labels", "col_labels", "row_masks", "col_masks")
+    __slots__ = ("row_labels", "col_labels", "rows", "cols")
 
     def __init__(self, row_labels, col_labels, rows):
         """Build from per-row column index collections.
@@ -126,39 +112,36 @@ class Relation:
             raise ValueError("duplicate row labels")
         if len(set(col_labels)) != len(col_labels):
             raise ValueError("duplicate column labels")
-        rows = list(rows)
+        rows = [tuple(sorted({index(c) for c in cols})) for cols in rows]
         if len(rows) != len(row_labels):
             raise ValueError("row count does not match row label count")
         ncols = len(col_labels)
-        row_masks = []
         for label, cols in zip(row_labels, rows):
-            m = 0
             for c in cols:
                 if not 0 <= c < ncols:
                     raise ValueError(f"column index {c} out of range in row {label!r}")
-                m |= 1 << c
-            row_masks.append(m)
-        self._set(row_labels, col_labels, row_masks)
+        self._set(row_labels, col_labels, rows, _other_axis(rows, ncols))
 
     @classmethod
-    def _build(cls, row_labels, col_labels, row_masks):
-        """Trusted constructor from row masks; re-derives the column masks."""
+    def _build(cls, row_labels, col_labels, rows, cols):
+        """Trusted constructor from both orientations, as ascending index
+        sequences."""
         self = object.__new__(cls)
-        self._set(row_labels, col_labels, row_masks)
+        self._set(row_labels, col_labels, rows, cols)
         return self
 
-    def _set(self, row_labels, col_labels, row_masks):
-        """Store labels and row masks, derive the column masks, and reject
-        empty rows and columns."""
+    def _set(self, row_labels, col_labels, rows, cols):
+        """Store labels and both orientations, and reject empty rows and
+        columns."""
         self.row_labels = tuple(row_labels)
         self.col_labels = tuple(col_labels)
-        self.row_masks = tuple(row_masks)
-        for label, m in zip(self.row_labels, self.row_masks):
-            if m == 0:
+        self.rows = tuple(map(tuple, rows))
+        self.cols = tuple(map(tuple, cols))
+        for label, row in zip(self.row_labels, self.rows):
+            if not row:
                 raise ValueError(f"row {label!r} has no incident column")
-        self.col_masks = tuple(_transpose(self.row_masks, len(self.col_labels)))
-        for label, m in zip(self.col_labels, self.col_masks):
-            if m == 0:
+        for label, col in zip(self.col_labels, self.cols):
+            if not col:
                 raise ValueError(f"column {label!r} has no incident row")
 
     # ------------------------------------------------------------------
@@ -178,11 +161,11 @@ class Relation:
 
     def row(self, i):
         """Ascending column indices incident to row i."""
-        return tuple(_iter_bits(self.row_masks[i]))
+        return self.rows[i]
 
     def col(self, j):
         """Ascending row indices incident to column j."""
-        return tuple(_iter_bits(self.col_masks[j]))
+        return self.cols[j]
 
     def row_index(self, label):
         try:
@@ -191,7 +174,7 @@ class Relation:
             raise ValueError(f"unknown row label {label!r}") from None
 
     def to_dense(self):
-        return [[(m >> j) & 1 for j in range(self.ncols)] for m in self.row_masks]
+        return [[int(j in row) for j in range(self.ncols)] for row in map(set, self.rows)]
 
     def toplexes(self):
         """Per-column vertex label tuples (ascending row index).
@@ -199,17 +182,17 @@ class Relation:
         On a column-irreducible relation these are exactly the toplexes of
         the complex, one per column.
         """
-        return [tuple(self.row_labels[i] for i in _iter_bits(m)) for m in self.col_masks]
+        return [tuple(self.row_labels[i] for i in col) for col in self.cols]
 
     def __eq__(self, other):
         if not isinstance(other, Relation):
             return NotImplemented
         return (self.row_labels == other.row_labels
                 and self.col_labels == other.col_labels
-                and self.row_masks == other.row_masks)
+                and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((self.row_labels, self.col_labels, self.row_masks))
+        return hash((self.row_labels, self.col_labels, self.rows))
 
     def __repr__(self):
         return f"Relation({self.nrows}x{self.ncols})"
@@ -227,18 +210,17 @@ class Relation:
         toplexes.  Duplicate and set-contained toplexes are dropped, keeping
         the earliest occurrence, so the result is column irreducible.
         """
-        col_masks = getattr(toplexes, "masks", None)
-        if col_masks is None:
-            order, _, col_masks = _maximal_toplexes(toplexes)
+        cols = getattr(toplexes, "vertex_indices", None)
+        if cols is None:
+            order, _, cols = _maximal_toplexes(toplexes)
         else:
             # a ToplexList was normalised when it was built
             order = toplexes.vertex_names
-        row_masks = _transpose(col_masks, len(order))
-        for label, m in zip(order, row_masks):
-            if m == 0:
+        rows = _other_axis(cols, len(order))
+        for label, row in zip(order, rows):
+            if not row:
                 raise ValueError(f"vertex {label!r} belongs to no toplex")
-        col_labels = [f"t{j}" for j in range(len(col_masks))]
-        return cls._build(order, col_labels, row_masks)
+        return cls._build(order, [f"t{j}" for j in range(len(cols))], rows, cols)
 
     # ------------------------------------------------------------------
     # operations
@@ -254,22 +236,25 @@ class Relation:
             raise ValueError("empty column selection")
         if cols[0] < 0 or cols[-1] >= self.ncols:
             raise ValueError("column index out of range")
-        return SubRelation(tuple(_iter_bits(_union(self.col_masks, cols))), tuple(cols),
-                           _Draft(self).freeze(_mask_of(cols)))
+        rows = sorted(set().union(*(self.cols[c] for c in cols)))
+        return SubRelation(tuple(rows), tuple(cols), _Draft.of(self).freeze(cols))
 
     def add_row(self, label, cols):
         """New relation with a row appended at the end (highest index)."""
         if label in self.row_labels:
             raise ValueError(f"duplicate row label {label!r}")
-        mask = 0
-        for c in cols:
+        row = tuple(sorted({index(c) for c in cols}))
+        for c in row:
             if not 0 <= c < self.ncols:
                 raise ValueError(f"column index {c} out of range")
-            mask |= 1 << c
-        if mask == 0:
+        if not row:
             raise ValueError("new row needs at least one column")
+        k = self.nrows
+        new_cols = list(self.cols)
+        for c in row:
+            new_cols[c] += (k,)
         return Relation._build(self.row_labels + (label,), self.col_labels,
-                               self.row_masks + (mask,))
+                               self.rows + (row,), new_cols)
 
     def remove_rows(self, labels):
         """New relation without the given rows.
@@ -280,16 +265,16 @@ class Relation:
         drop = {self.row_index(l) for l in labels}
         if not drop:
             return self
-        draft = _Draft(self)
+        draft = _Draft.of(self)
         for i in drop:
-            _drop(draft.row_masks, draft.col_masks, i)
+            _drop(draft.rows, draft.cols, i)
         return draft.freeze()
 
     def transpose(self):
         """Rows and columns swapped; an involution."""
         if self.nrows == 0:
             return self
-        return Relation._build(self.col_labels, self.row_labels, self.col_masks)
+        return Relation._build(self.col_labels, self.row_labels, self.cols, self.rows)
 
     def make_column_irreducible(self, restrict_to=None):
         """Remove columns whose row set is contained in another's.
@@ -302,14 +287,15 @@ class Relation:
         candidates = range(self.ncols) if restrict_to is None else sorted(set(restrict_to))
         if candidates and (candidates[0] < 0 or candidates[-1] >= self.ncols):
             raise ValueError("column index out of range")
-        draft = _Draft(self)
-        _exhaust(_mask_of(candidates), draft.col_masks, draft.row_masks)
+        draft = _Draft.of(self)
+        _exhaust(set(candidates), draft.cols, draft.rows)
         return draft.freeze()
 
     def is_column_irreducible(self):
-        everything = (1 << self.ncols) - 1
-        return all(_supersets(m, self.row_masks, everything) == 1 << j
-                   for j, m in enumerate(self.col_masks))
+        draft = _Draft.of(self)
+        everything = range(self.ncols)
+        return all(_dominator(draft.cols, draft.rows, j, everything) is None
+                   for j in everything)
 
     # ------------------------------------------------------------------
     # text format
@@ -327,8 +313,8 @@ class Relation:
         out = [f"{self.nrows} {self.ncols}",
                " ".join(str(l) for l in self.row_labels),
                " ".join(str(l) for l in self.col_labels)]
-        for m in self.row_masks:
-            out.append(" ".join(str(c) for c in _iter_bits(m)))
+        for row in self.rows:
+            out.append(" ".join(map(str, row)))
         return "\n".join(out) + "\n"
 
     @classmethod
@@ -379,46 +365,57 @@ class Relation:
 
 
 class _Draft:
-    """Mutable copy of a relation's incidence over stable indices.
+    """Mutable incidence over stable indices: one set of column ids per row
+    and one set of row ids per column.
 
-    A member dropped with `_drop` keeps its index with a zero mask, and a
+    A member dropped with `_drop` keeps its index with an empty set, and a
     new row takes the next index, so edits never renumber anything;
     `freeze` renumbers the live members once.
     """
 
-    __slots__ = ("row_labels", "col_labels", "row_masks", "col_masks")
+    __slots__ = ("row_labels", "col_labels", "rows", "cols")
 
-    def __init__(self, r):
-        self.row_labels = list(r.row_labels)
-        self.col_labels = r.col_labels
-        self.row_masks = list(r.row_masks)
-        self.col_masks = list(r.col_masks)
+    def __init__(self, row_labels, col_labels, rows, cols):
+        self.row_labels = list(row_labels)
+        self.col_labels = col_labels
+        self.rows = [set(row) for row in rows]
+        self.cols = [set(col) for col in cols]
 
-    def add_row(self, label, mask):
-        """Append a row with column bit set `mask`; returns its index."""
-        k = len(self.row_masks)
-        for c in _iter_bits(mask):
-            self.col_masks[c] |= 1 << k
+    @classmethod
+    def of(cls, r):
+        """A draft of relation r."""
+        return cls(r.row_labels, r.col_labels, r.rows, r.cols)
+
+    def add_row(self, label, cols):
+        """Append a row incident to the live column ids `cols`; returns its
+        index."""
+        k = len(self.rows)
+        for c in cols:
+            self.cols[c].add(k)
         self.row_labels.append(label)
-        self.row_masks.append(mask)
+        self.rows.append(set(cols))
         return k
 
     def freeze(self, cols=None):
         """The live rows and columns, renumbered in ascending index order, as
         a Relation.
 
-        With a column bit set `cols`, only those columns and the rows that
-        meet them; for the union of some rows' columns, that is the union of
+        With column ids `cols`, only those columns and the rows that meet
+        them; for the union of some rows' columns, that is the union of
         their closed stars.
         """
-        live = range(len(self.col_masks)) if cols is None else _iter_bits(cols)
-        keep = [c for c in live if self.col_masks[c]]
-        rows = list(_iter_bits(_union(self.col_masks, keep)))
-        kept = _mask_of(keep)
-        pos = {c: k for k, c in enumerate(keep)}
+        if cols is None:
+            keep = [c for c, col in enumerate(self.cols) if col]
+            rows = [i for i, row in enumerate(self.rows) if row]
+        else:
+            keep = [c for c in sorted(cols) if self.cols[c]]
+            rows = sorted(set().union(*(self.cols[c] for c in keep)))
+        col_pos = {c: k for k, c in enumerate(keep)}
+        row_pos = {i: k for k, i in enumerate(rows)}
         return Relation._build(
             [self.row_labels[i] for i in rows], [self.col_labels[c] for c in keep],
-            [_mask_of(pos[c] for c in _iter_bits(self.row_masks[i] & kept)) for i in rows])
+            [sorted(col_pos[c] for c in self.rows[i] if c in col_pos) for i in rows],
+            [sorted(map(row_pos.__getitem__, self.cols[c])) for c in keep])
 
 
 @dataclass(frozen=True)
@@ -469,12 +466,12 @@ def _toplex_name_sets(toplexes, order=None):
 def _maximal_toplexes(toplexes, order=None):
     """`_toplex_name_sets` without duplicate and set-contained toplexes.
 
-    The earliest occurrence is kept.  Also returns each kept toplex's vertex
-    mask.
+    The earliest occurrence is kept.  Also returns each kept toplex's
+    ascending vertex indices into the vertex order.
     """
     order, tops = _toplex_name_sets(toplexes, order)
     index = {v: i for i, v in enumerate(order)}
-    masks = [_mask_of(index[v] for v in t) for t in tops]
-    # _exhaust zeroes the mask of every toplex it drops
-    _exhaust((1 << len(masks)) - 1, masks, _transpose(masks, len(order)))
-    return order, [t for t, m in zip(tops, masks) if m], [m for m in masks if m]
+    cols = [tuple(sorted(map(index.__getitem__, t))) for t in tops]
+    draft = _Draft(order, None, _other_axis(cols, len(order)), cols)
+    keep = sorted(_exhaust(set(range(len(cols))), draft.cols, draft.rows))
+    return order, [tops[j] for j in keep], [cols[j] for j in keep]

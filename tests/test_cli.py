@@ -225,6 +225,30 @@ def test_betti_peak_rss_bounded(tmp_path):
     assert kib < 100 * 1024
 
 
+def test_ingestion_peak_rss_bounded():
+    # torus 150x150 (22.5k vertices, 45k triangles), its text built in the
+    # child; the incidence must take memory by its ones, not rows x columns.
+    # The wrapper's only child is the ingestion, so RUSAGE_CHILDREN is its peak.
+    child = ("from dowker import Relation, parse_toplex_file\n"
+             "m = n = 150\n"
+             "def v(i, j):\n"
+             "    return f'g{i % m}_{j % n}'\n"
+             "lines = []\n"
+             "for i in range(m):\n"
+             "    for j in range(n):\n"
+             "        a, b, c, d = v(i, j), v(i + 1, j), v(i + 1, j + 1), v(i, j + 1)\n"
+             "        lines += [f'{a} {b} {c}', f'{a} {c} {d}']\n"
+             "r = Relation.from_toplexes(parse_toplex_file('\\n'.join(lines)))\n"
+             "assert r.shape == (22500, 45000)\n")
+    maxrss = run_fresh("import resource, subprocess, sys\n"
+                       "subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)\n"
+                       "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n",
+                       child)
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    kib = int(maxrss) // (1024 if sys.platform == "darwin" else 1)
+    assert kib < 150 * 1024
+
+
 # ----------------------------------------------------------------------
 # check
 

@@ -110,12 +110,19 @@ def test_step_leaves_far_vertices_alone():
     assert verify_step_equations(r, out, rep)
     for v in ("d", "e"):
         i, j = r.row_labels.index(v), out.row_labels.index(v)
-        assert r.row_masks[i].bit_count() == out.row_masks[j].bit_count()
+        assert len(r.row(i)) == len(out.row(j))
 
 
 def test_step_requires_distinct_rows():
     with pytest.raises(ValueError):
         reduction_step(fan_relation(), 1, 1)
+
+
+def test_step_rejects_out_of_range_rows():
+    r = fan_relation()
+    for xi, xj in ((0, r.nrows), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="row index out of range"):
+            reduction_step(r, xi, xj)
 
 
 def test_fresh_cone_labels_count_up():
@@ -322,16 +329,17 @@ def test_histories_match_star_size_reference():
 
 
 def test_history_upkeep_does_not_grow_with_row_count(monkeypatch):
-    # a recount of every live row after each merge would make the star masks
-    # built per merge grow with the row count, about 3x from 192 to 600 rows
+    # a recount of every live row after each merge would make the star row
+    # sets built per merge grow with the row count, about 3x from 192 to 600
+    # rows
     calls = []
-    star = dowker.reducer._star_vertex_mask
+    star = dowker.reducer._star_rows
 
     def counting(r, i):
         calls.append(i)
         return star(r, i)
 
-    monkeypatch.setattr(dowker.reducer, "_star_vertex_mask", counting)
+    monkeypatch.setattr(dowker.reducer, "_star_rows", counting)
     per_merge = []
     for m, n in ((12, 16), (20, 30)):
         r = Relation.from_toplexes(gen_torus_grid(m, n))

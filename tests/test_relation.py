@@ -319,6 +319,15 @@ def test_constructor_rejections():
         Relation(["a"], ["p"], [[3]])         # out of range
 
 
+def test_integer_like_indices_are_stored_as_ints():
+    r = Relation(["a", "b"], ["p", "q"], [[False, True], [0]])
+    assert r == Relation(["a", "b"], ["p", "q"], [[0, 1], [0]])
+    assert r.to_text() == "2 2\na b\np q\n0 1\n0\n"
+    assert r.add_row("z", [True]).row(2) == (1,)
+    with pytest.raises(TypeError):
+        Relation(["a"], ["p"], [[0.0]])
+
+
 # ----------------------------------------------------------------------
 # text format
 
