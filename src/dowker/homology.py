@@ -1,9 +1,17 @@
 """GF(2) simplicial homology oracle.
 
 Independent of the reduction path: it expands toplexes into explicit simplex
-lists, builds each boundary map as one int bitset per simplex (its faces),
-and computes Betti numbers by GF(2) rank.  Used to certify that reductions
-preserve the mod-2 Betti numbers.
+lists, builds each boundary map as one ascending tuple of face indices per
+simplex, and computes Betti numbers by GF(2) rank.  Used to certify that
+reductions preserve the mod-2 Betti numbers.
+
+The rank kernel treats columns with one or two entries as graph edges and
+ranks them by union-find; only the heavier columns are eliminated, as small
+ints over the graph's components.  The boundary of an edge is a vertex pair,
+and a (d-1)-simplex of a d-dimensional (pseudo)manifold lies in at most two
+d-simplices, so ranking d_1 by its columns and each higher map by its
+transpose leaves no heavy column in d_1 or in the top map; on a surface there
+are none at all.
 """
 
 from __future__ import annotations
@@ -13,16 +21,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import SizeCapError
-from .relation import _toplex_name_sets
+from .relation import _other_axis, _toplex_name_sets
 
 DEFAULT_SIZE_CAP = 5_000_000
-
-
-def _mask_of(indices):
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
 
 
 @dataclass
@@ -30,11 +31,12 @@ class ChainComplexGF2:
     """Simplices by dimension plus the boundary maps between them.
 
     `simplices_by_dim[k]` is the sorted list of k-simplices as ascending
-    vertex-index tuples.  `boundary[k]` holds the GF(2) boundary map from
-    k-chains to (k-1)-chains as one int per k-simplex, in
-    `simplices_by_dim[k]` order: bit i is set when the (k-1)-simplex
-    `simplices_by_dim[k-1][i]` is a face of it.  `boundary[0]` is one 0 per
-    vertex (the zero map).
+    vertex-index tuples; the vertices in use are numbered in vertex order,
+    so `simplices_by_dim[0][i]` is `(i,)`.  `boundary[k]` holds the GF(2)
+    boundary map from k-chains to (k-1)-chains as one column per k-simplex,
+    in `simplices_by_dim[k]` order: the ascending tuple of the indices into
+    `simplices_by_dim[k-1]` of its k+1 faces, which for an edge is the edge
+    itself.  `boundary[0]` is one empty tuple per vertex (the zero map).
     """
 
     simplices_by_dim: list = field(default_factory=list)
@@ -44,22 +46,28 @@ class ChainComplexGF2:
         return tuple(len(s) for s in self.simplices_by_dim)
 
 
-def enumerate_simplices(toplexes, max_dim, size_cap=DEFAULT_SIZE_CAP) -> ChainComplexGF2:
+def enumerate_simplices(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP) -> ChainComplexGF2:
     """All simplices of the complex generated by `toplexes`, up to max_dim+1.
 
     Going one dimension above max_dim makes the Betti number at max_dim
-    exact.  Raises SizeCapError when the deduplicated simplex count would
-    exceed `size_cap`.
+    exact.  `max_dim` defaults to the dimension of the largest toplex (0
+    without toplexes).  Raises SizeCapError when the deduplicated simplex
+    count would exceed `size_cap`.
     """
+    order, tops = _toplex_name_sets(toplexes)
+    if max_dim is None:
+        max_dim = max(max(map(len, tops), default=1) - 1, 0)
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
-    order, tops = _toplex_name_sets(toplexes)
-    index = {v: i for i, v in enumerate(order)}
+    # number only the vertices in use, so vertex i is simplices_by_dim[0][i]
+    used = set().union(*tops)
+    index = {v: i for i, v in enumerate(v for v in order if v in used)}
     top_k = max_dim + 1
     levels = [set() for _ in range(top_k + 1)]
     total = 0
+    vertex = index.__getitem__
     for t in tops:
-        vs = sorted(index[v] for v in t)
+        vs = sorted(map(vertex, t))
         for k in range(min(len(vs), top_k + 1)):
             if math.comb(len(vs), k + 1) > size_cap:
                 raise SizeCapError(f"simplex count exceeds cap {size_cap}")
@@ -69,24 +77,64 @@ def enumerate_simplices(toplexes, max_dim, size_cap=DEFAULT_SIZE_CAP) -> ChainCo
             total += len(level) - before
             if total > size_cap:
                 raise SizeCapError(f"simplex count exceeds cap {size_cap}")
-    simplices = [sorted(level) for level in levels]
-    while simplices and not simplices[-1]:
-        simplices.pop()
-    boundary = [[0] * len(simplices[0])] if simplices else []
-    for faces, level in zip(simplices, simplices[1:]):
-        pos = {f: i for i, f in enumerate(faces)}
-        boundary.append([_mask_of(pos[s[:i] + s[i + 1:]] for i in range(len(s)))
-                         for s in level])
-    return ChainComplexGF2(simplices_by_dim=simplices, boundary=boundary)
+    # sort in place, so each set is freed before the next one is listed
+    for k, level in enumerate(levels):
+        levels[k] = sorted(level)
+    while levels and not levels[-1]:
+        levels.pop()
+    boundary = [[()] * len(levels[0])] if levels else []
+    if len(levels) > 1:
+        # an edge's endpoints are its faces' indices
+        boundary.append(list(levels[1]))
+    for k in range(2, len(levels)):
+        # faces of s in lexicographic order are in ascending index order
+        pos = dict(zip(levels[k - 1], range(len(levels[k - 1]))))
+        face = pos.__getitem__
+        boundary.append([tuple(map(face, combinations(s, k))) for s in levels[k]])
+    return ChainComplexGF2(simplices_by_dim=levels, boundary=boundary)
 
 
-def rank_gf2(vectors) -> int:
-    """Rank over GF(2) of a sequence of int bitsets, by lead-bit elimination.
+def rank_gf2(columns, n) -> int:
+    """Rank over GF(2) of columns over coordinates 0..n-1, each given as the
+    sequence of its distinct non-zero coordinates; the input is not
+    modified.
 
-    Each int is one vector (bit i is coordinate i); the input is not modified.
+    Columns with one or two entries are edges of a graph on the coordinates
+    plus a ground node n (a single entry joins ground), and their rank is the
+    number of unions that join two components.  Their span is every vector
+    with an even number of entries in each component without ground, so a
+    heavier column reduces, modulo that span, to the int with bit j set when
+    it has an odd number of entries in the j-th such component; those ints
+    are ranked by lead-bit elimination.
     """
+    parent = list(range(n + 1))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    rank = 0
+    heavy = []
+    for c in columns:
+        size = len(c)
+        if size > 2:
+            heavy.append(c)
+        elif size:
+            a = find(c[0])
+            b = find(c[1] if size == 2 else n)
+            if a != b:
+                parent[a] = b
+                rank += 1
+    ground = find(n)
+    bit = {}
     lead = {}
-    for v in vectors:
+    for c in heavy:
+        v = 0
+        for x in c:
+            r = find(x)
+            if r != ground:
+                v ^= 1 << bit.setdefault(r, len(bit))
         while v:
             h = v.bit_length() - 1
             w = lead.get(h)
@@ -94,25 +142,27 @@ def rank_gf2(vectors) -> int:
                 lead[h] = v
                 break
             v ^= w
-    return len(lead)
+    return rank + len(lead)
 
 
 def betti_gf2(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP):
     """Mod-2 Betti numbers (beta_0, ..., beta_max_dim).
 
     beta_k = dim ker boundary_k - rank boundary_{k+1}.  `max_dim` defaults
-    to the dimension of the largest toplex.
+    to the dimension of the largest toplex.  d_1 is ranked on its columns
+    (vertex pairs) and each higher map on its transpose, the cofaces of each
+    face, which has the same rank.
     """
-    order, tops = _toplex_name_sets(toplexes)
+    cc = enumerate_simplices(toplexes, max_dim, size_cap=size_cap)
+    simplices = cc.simplices_by_dim
     if max_dim is None:
-        max_dim = max((len(t) for t in tops), default=1) - 1
-        max_dim = max(max_dim, 0)
-    cc = enumerate_simplices(tops, max_dim, size_cap=size_cap)
-    ranks = [rank_gf2(b) for b in cc.boundary]
-    betti = []
-    for k in range(max_dim + 1):
-        n_k = len(cc.simplices_by_dim[k]) if k < len(cc.simplices_by_dim) else 0
-        r_k = ranks[k] if k < len(ranks) else 0
-        r_k1 = ranks[k + 1] if k + 1 < len(ranks) else 0
-        betti.append(n_k - r_k - r_k1)
-    return tuple(betti)
+        # the level above the largest toplex is empty and was dropped
+        max_dim = max(len(simplices) - 1, 0)
+    ranks = [0] * (max_dim + 2)
+    if len(simplices) > 1:
+        ranks[1] = rank_gf2(cc.boundary[1], len(simplices[0]))
+    for k in range(2, len(simplices)):
+        ranks[k] = rank_gf2(_other_axis(cc.boundary[k], len(simplices[k - 1])),
+                            len(simplices[k]))
+    counts = cc.counts() + (0,) * (max_dim + 1)
+    return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(max_dim + 1))

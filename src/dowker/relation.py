@@ -237,7 +237,9 @@ class Relation:
         if cols[0] < 0 or cols[-1] >= self.ncols:
             raise ValueError("column index out of range")
         rows = sorted(set().union(*(self.cols[c] for c in cols)))
-        return SubRelation(tuple(rows), tuple(cols), _Draft.of(self).freeze(cols))
+        # freeze reads only the labels and the two orientations, which a
+        # relation holds as tuples, so the selection is frozen without a copy
+        return SubRelation(tuple(rows), tuple(cols), _Draft.freeze(self, cols))
 
     def add_row(self, label, cols):
         """New relation with a row appended at the end (highest index)."""

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's incidence machinery:
 complexes are expanded to explicit simplex sets and stars are computed by
-the subset definition, so they can certify the bitmask implementations.
+the subset definition, so they can certify the library's sparse
+implementations.
 """
 
 from itertools import combinations
@@ -175,6 +176,40 @@ def edge_use_counts(toplexes):
         for e in combinations(sorted(t), 2):
             counts[e] = counts.get(e, 0) + 1
     return counts
+
+
+def rank_int_columns(vectors):
+    """GF(2) rank of int bitsets (bit i is coordinate i) by lead-bit
+    elimination: the dense reference for the library's rank kernel."""
+    lead = {}
+    for v in vectors:
+        while v:
+            h = v.bit_length() - 1
+            w = lead.get(h)
+            if w is None:
+                lead[h] = v
+                break
+            v ^= w
+    return len(lead)
+
+
+def betti_dense_reference(toplexes, max_dim):
+    """Mod-2 Betti numbers (beta_0, ..., beta_max_dim) by the definition.
+
+    Every simplex is listed by brute force (`simplices_of_columns`), each
+    boundary column is one int bitset over the faces one dimension down,
+    and ranks come from `rank_int_columns`.
+    """
+    simplices = simplices_of_columns(toplexes)
+    levels = [sorted(tuple(sorted(s)) for s in simplices if len(s) == k + 1)
+              for k in range(max_dim + 2)]
+    ranks = [0]
+    for faces, level in zip(levels, levels[1:]):
+        pos = {f: i for i, f in enumerate(faces)}
+        ranks.append(rank_int_columns(
+            [sum(1 << pos[f] for f in combinations(s, len(s) - 1)) for s in level]))
+    ranks.append(0)
+    return tuple(len(levels[k]) - ranks[k] - ranks[k + 1] for k in range(max_dim + 1))
 
 
 def rank_by_rowspace(rows):

@@ -225,6 +225,22 @@ def test_betti_peak_rss_bounded(tmp_path):
     assert kib < 100 * 1024
 
 
+def test_betti_peak_rss_bounded_on_135k_simplices(tmp_path):
+    # torus 150x150: 22.5k vertices, 67.5k edges, 45k triangles.  A boundary
+    # column must take memory by its faces, not by the count one dimension
+    # down.  The wrapper's only child is the betti run.
+    src = gen_file(tmp_path, "t.toplex", "torus", "--m", "150", "--n", "150")
+    out = run_fresh("import resource, subprocess, sys\n"
+                    "subprocess.run([sys.executable, '-m', 'dowker.cli', 'betti',\n"
+                    "                '--input', sys.argv[1]], check=True)\n"
+                    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n", src)
+    betti, maxrss = out.splitlines()
+    assert betti == "1 2 1"
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    kib = int(maxrss) // (1024 if sys.platform == "darwin" else 1)
+    assert kib < 120 * 1024
+
+
 def test_ingestion_peak_rss_bounded():
     # torus 150x150 (22.5k vertices, 45k triangles), its text built in the
     # child; the incidence must take memory by its ones, not rows x columns.

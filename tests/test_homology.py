@@ -1,18 +1,25 @@
 """The GF(2) homology oracle: enumeration, boundary maps, rank, Betti."""
 
 import random
+from itertools import combinations
 
 import pytest
 
-from dowker import (SizeCapError, betti_gf2, enumerate_simplices,
-                    gen_sphere_cube, gen_torus_grid, rank_gf2)
-from _util import (FAN_TOPLEXES, fan_relation, random_relation,
-                   random_toplex_list, rank_by_rowspace, simplices_of_columns)
+from dowker import (SizeCapError, ToplexList, betti_gf2, enumerate_simplices,
+                    gen_simplex_boundary, gen_sphere_cube, gen_sphere_uv,
+                    gen_torus_grid, rank_gf2)
+from dowker import homology
+from dowker.relation import _other_axis
+from _util import (FAN_TOPLEXES, betti_dense_reference, fan_relation,
+                   random_relation, random_toplex_list, rank_by_rowspace,
+                   simplices_of_columns)
 
 
 def test_single_triangle_counts():
     cc = enumerate_simplices([("a", "b", "c")], 2)
     assert cc.counts() == (3, 3, 1)
+    # by default the enumeration stops one level above the largest toplex
+    assert enumerate_simplices([("a", "b", "c")]).counts() == (3, 3, 1)
 
 
 def test_cube_sphere_counts_and_euler():
@@ -36,16 +43,29 @@ def test_enumeration_deduplicates_shared_faces():
 
 def test_boundary_squares_to_zero():
     rng = random.Random(5)
-    for _ in range(25):
-        tops = random_toplex_list(rng, max_vertices=8, max_toplexes=8, max_size=4)
+    cases = [random_toplex_list(rng, max_vertices=8, max_toplexes=8, max_size=4)
+             for _ in range(25)]
+    # explicit vertex orders, shuffled and with names no toplex uses
+    for tops in cases[:10]:
+        names = sorted({v for t in tops for v in t}) + ["unused1", "unused2"]
+        rng.shuffle(names)
+        cases.append(ToplexList(tops, names))
+    for tops in cases:
         cc = enumerate_simplices(tops, 3)
+        simplices = cc.simplices_by_dim
+        assert simplices[0] == [(i,) for i in range(len(simplices[0]))]
+        assert all(col == () for col in cc.boundary[0])
+        for k in range(1, len(cc.boundary)):
+            # the k+1 faces of each simplex, by index one dimension down, ascending
+            for s, col in zip(simplices[k], cc.boundary[k]):
+                assert list(col) == sorted(set(col))
+                assert [simplices[k - 1][i] for i in col] == sorted(combinations(s, k))
         for k in range(1, len(cc.boundary) - 1):
             for col in cc.boundary[k + 1]:
-                acc = 0
-                for i, face in enumerate(cc.boundary[k]):
-                    if col >> i & 1:
-                        acc ^= face
-                assert acc == 0
+                acc = set()
+                for i in col:
+                    acc ^= set(cc.boundary[k][i])
+                assert not acc
 
 
 def test_size_cap():
@@ -53,40 +73,56 @@ def test_size_cap():
         enumerate_simplices([tuple(f"v{i}" for i in range(30))], 5, size_cap=100)
 
 
-def pack(bits):
-    """Int bitset with bit i set when bits[i] is 1."""
-    return sum(b << i for i, b in enumerate(bits))
-
-
 def test_rank_cases():
-    assert rank_gf2([1, 2, 4]) == 3
-    assert rank_gf2([3, 3]) == 1
+    assert rank_gf2([(0,), (1,), (2,)], 3) == 3
+    assert rank_gf2([(0, 1), (0, 1)], 2) == 1
+    assert rank_gf2([], 4) == 0 and rank_gf2([(), ()], 2) == 0
+    # a triangle's edge cycle has rank 2; the heavy column has odd parity on
+    # its component, which holds no ground edge
+    assert rank_gf2([(0, 1), (1, 2), (0, 2), (0, 1, 2)], 3) == 3
+    # (0, 1, 2) = (0,) + (1, 2): its parity on 0's component, tied to
+    # ground, does not count
+    assert rank_gf2([(0,), (1, 2), (0, 1, 2)], 3) == 2
+    assert rank_gf2([(0, 1, 2), (0, 1, 2), (1, 2, 3)], 4) == 2
     # edge/vertex boundary of the triangle: rank 2 by exhaustive row span
     cc = enumerate_simplices([("a", "b"), ("a", "c"), ("b", "c")], 1)
     d1 = cc.boundary[1]
-    assert len(d1) == 3 and all(bin(col).count("1") == 2 for col in d1)
-    rows = [[col >> i & 1 for col in d1] for i in range(len(cc.simplices_by_dim[0]))]
+    assert len(d1) == 3 and all(len(col) == 2 for col in d1)
+    rows = [[int(i in col) for col in d1] for i in range(len(cc.simplices_by_dim[0]))]
     assert rank_by_rowspace(rows) == 2
-    assert rank_gf2(d1) == 2
+    assert rank_gf2(d1, 3) == 2
 
 
 def test_rank_input_untouched():
-    m = [3, 2]
-    copy = list(m)
-    rank_gf2(m)
+    m = [[0, 1], [1], [0, 1, 2], [2, 3, 4]]
+    copy = [list(col) for col in m]
+    rank_gf2(m, 5)
     assert m == copy
 
 
+def random_columns(rng, n, weights):
+    """Random columns over coordinates 0..n-1, each weight drawn from
+    `weights` (capped at n), as ascending index tuples."""
+    return [tuple(sorted(rng.sample(range(n), min(rng.choice(weights), n))))
+            for _ in range(rng.randint(0, 10))]
+
+
 def test_rank_matches_transpose_and_oracle():
+    # mixed weights, only graph edges (weight 1 or 2), only heavy columns,
+    # and uniform 0/1 entries; each matrix and its transpose
     rng = random.Random(17)
-    for _ in range(50):
-        rows = [[rng.randint(0, 1) for _ in range(rng.randint(1, 7))]]
-        n = len(rows[0])
-        for _ in range(rng.randint(0, 6)):
-            rows.append([rng.randint(0, 1) for _ in range(n)])
-        expect = rank_by_rowspace(rows)
-        assert rank_gf2([pack(row) for row in rows]) == expect
-        assert rank_gf2([pack(col) for col in zip(*rows)]) == expect
+    kinds = {"mixed": [0, 1, 2, 3, 4, 6], "graphic": [1, 2], "heavy": [3, 4, 5]}
+    for _ in range(150):
+        n = rng.randint(3, 8)
+        sets = [random_columns(rng, n, w) for w in kinds.values()]
+        sets.append([tuple(i for i in range(n) if rng.random() < 0.5)
+                     for _ in range(rng.randint(0, 8))])
+        for cols in sets:
+            rows = [[int(i in col) for col in cols] for i in range(n)]
+            transpose = [[j for j, col in enumerate(cols) if i in col] for i in range(n)]
+            expect = rank_by_rowspace(rows)
+            assert rank_gf2(cols, n) == expect
+            assert rank_gf2(transpose, len(cols)) == expect
 
 
 def test_betti_point():
@@ -122,6 +158,43 @@ def test_dowker_duality_small():
     for _ in range(20):
         r = random_relation(rng)
         assert betti_gf2(r.toplexes(), 3) == betti_gf2(r.transpose().toplexes(), 3)
+
+
+def test_betti_matches_dense_reference():
+    # random lists reach dimension 5, so the transposed higher maps have
+    # heavy columns (faces with three or more cofaces) as well as graphic ones
+    rng = random.Random(61)
+    cases = [random_toplex_list(rng, max_vertices=9, max_toplexes=12, max_size=6)
+             for _ in range(320)]
+    cases += [gen_sphere_cube(), gen_sphere_uv(6, 5), gen_torus_grid(4, 5),
+              gen_torus_grid(3, 3)] + [gen_simplex_boundary(n) for n in (1, 2, 3, 4)]
+    for tops in cases:
+        for max_dim in range(5):
+            assert betti_gf2(tops, max_dim) == betti_dense_reference(tops, max_dim)
+
+
+def test_surface_maps_have_no_heavy_column():
+    # d_1 columns are vertex pairs, and on a closed surface each edge lies in
+    # two triangles, so the transpose of d_2 has two entries per column
+    for tops in (gen_sphere_cube(), gen_torus_grid(4, 5), gen_sphere_uv(6, 5)):
+        cc = enumerate_simplices(tops, 2)
+        n1 = len(cc.simplices_by_dim[1])
+        assert all(len(col) == 2 for col in cc.boundary[1])
+        assert all(len(col) == 2 for col in _other_axis(cc.boundary[2], n1))
+
+
+def test_betti_normalises_the_toplexes_once(monkeypatch):
+    calls = []
+    real = homology._toplex_name_sets
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(homology, "_toplex_name_sets", counting)
+    assert betti_gf2(gen_torus_grid(4, 4)) == (1, 2, 1)
+    assert betti_gf2(gen_torus_grid(4, 4), 1) == (1, 2)
+    assert len(calls) == 2
 
 
 def test_betti_of_relation_complex():

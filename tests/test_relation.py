@@ -5,6 +5,7 @@ import random
 import pytest
 
 from dowker import ParseError, Relation, ToplexList
+from dowker import relation as relation_module
 from _util import (FAN_DENSE, FAN_MERGED_DENSE, FAN_STAR_DENSE, FAN_TOPLEXES,
                    closed_star, complex_of, fan_relation, first_dominators,
                    random_irreducible_relation, random_relation, random_toplex_list,
@@ -118,6 +119,29 @@ def test_restriction_matches_union_of_stars():
         for i in picked:
             expected |= closed_star(K, r.row_labels[i])
         assert complex_of(sub) == expected
+
+
+def test_restriction_freezes_without_copying_the_relation(monkeypatch):
+    # the result equals freezing a full draft copy, the way restriction was
+    # built before, but no draft of the whole relation is made
+    rng = random.Random(71)
+    cases = []
+    for _ in range(200):
+        r = random_relation(rng)
+        if rng.random() < 0.5:
+            r = with_repeats(rng, r)
+        cols = set(rng.sample(range(r.ncols), rng.randint(1, r.ncols)))
+        rows = tuple(i for i in range(r.nrows) if cols & set(r.row(i)))
+        cases.append((r, cols, rows, relation_module._Draft.of(r).freeze(cols)))
+
+    def no_copy(cls, r):
+        raise AssertionError("restriction copied the relation into a draft")
+
+    monkeypatch.setattr(relation_module._Draft, "of", classmethod(no_copy))
+    for r, cols, rows, expected in cases:
+        sub = r.restrict_to_columns(cols)
+        assert sub.relation == expected
+        assert sub.parent_rows == rows and sub.parent_cols == tuple(sorted(cols))
 
 
 # ----------------------------------------------------------------------
