@@ -35,6 +35,14 @@ def _size_cap():
     return int(cap)
 
 
+def _numbers(values):
+    """The values, space-separated.  A Betti tuple is as long as --max-dim
+    asks, so they are formatted a chunk at a time, not one str per value at
+    once."""
+    return " ".join(" ".join(map(str, values[k:k + 4096]))
+                    for k in range(0, len(values), 4096))
+
+
 def _load_relation(path, fmt):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -53,16 +61,15 @@ def cmd_reduce(args):
         # toplex and OFF input went through from_toplexes, which keeps only
         # maximal toplexes
         relation = relation.make_column_irreducible()
-    max_dim = args.max_dim if args.max_dim is not None else DEFAULT_MAX_DIM
     cap = _size_cap()
     betti_before = betti_after = None
     if args.check_betti:
-        betti_before = betti_gf2(relation.toplexes(), max_dim, size_cap=cap)
+        betti_before = betti_gf2(relation.toplexes(), args.max_dim, size_cap=cap)
     t0 = time.perf_counter()
     reduced, stats, reports = reduce(relation)
     elapsed = time.perf_counter() - t0
     if args.check_betti:
-        betti_after = betti_gf2(reduced.toplexes(), max_dim, size_cap=cap)
+        betti_after = betti_gf2(reduced.toplexes(), args.max_dim, size_cap=cap)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(reduced.to_text())
@@ -90,8 +97,8 @@ def cmd_reduce(args):
         print(f"budget: {stats.comparison_budget}")
         print(f"time: {elapsed:.3f}s")
         if betti_before is not None:
-            print(f"betti-before: {' '.join(str(b) for b in betti_before)}")
-            print(f"betti-after: {' '.join(str(b) for b in betti_after)}")
+            print(f"betti-before: {_numbers(betti_before)}")
+            print(f"betti-after: {_numbers(betti_after)}")
             print(f"betti: {'preserved' if betti_before == betti_after else 'CHANGED'}")
     if betti_before is not None and betti_before != betti_after:
         return 2
@@ -100,9 +107,8 @@ def cmd_reduce(args):
 
 def cmd_betti(args):
     relation = _load_relation(args.input, args.format)
-    max_dim = args.max_dim if args.max_dim is not None else DEFAULT_MAX_DIM
-    betti = betti_gf2(relation.toplexes(), max_dim, size_cap=_size_cap())
-    print(" ".join(str(b) for b in betti))
+    betti = betti_gf2(relation.toplexes(), args.max_dim, size_cap=_size_cap())
+    print(_numbers(betti))
     return 0
 
 
@@ -156,13 +162,15 @@ def build_parser():
     p.add_argument("--log", help="write the step log here")
     p.add_argument("--check-betti", action="store_true",
                    help="run the homology oracle before and after; exit 2 on mismatch")
-    p.add_argument("--max-dim", type=int, default=None, help="homology dimension cap")
+    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
+                   help="homology dimension cap")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("betti", help="print mod-2 Betti numbers")
     add_input(p, fmt_required=False)
-    p.add_argument("--max-dim", type=int, default=None, help="homology dimension cap")
+    p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
+                   help="homology dimension cap")
     p.set_defaults(func=cmd_betti)
 
     p = sub.add_parser("check", help="report column irreducibility and strong collapsibility")

@@ -25,11 +25,12 @@ def find_dominated_row(r: Relation):
     return None
 
 
-def _core(r: Relation):
-    """A draft of r with row and column domination removal run to the
-    fixpoint, and its live row and column id sets."""
+def _core(r):
+    """A draft of r, a relation or a draft, with row and column domination
+    removal run to the fixpoint, and its live row and column id sets."""
     draft = _Draft.of(r)
-    rows, cols = set(range(r.nrows)), set(range(r.ncols))
+    rows = {i for i, row in enumerate(draft.rows) if row}
+    cols = {c for c, col in enumerate(draft.cols) if col}
     while True:
         size = len(rows) + len(cols)
         _exhaust(rows, draft.rows, draft.cols)
@@ -47,12 +48,14 @@ def collapse_core(r: Relation) -> Relation:
     return _core(r)[0].freeze()
 
 
-def is_strong_collapsible(r: Relation) -> bool:
-    """True when the core is a single vertex in a single toplex.
+def is_strong_collapsible(r) -> bool:
+    """True when the core of r, a relation or a draft, is a single vertex in
+    a single toplex.
 
-    True implies the complex is contractible; False is inconclusive.
+    True implies the complex is contractible; False is inconclusive.  A
+    draft's dead slots are not part of it, and r is left unchanged.
     """
-    if r.nrows == 0:
+    if not r.rows:
         raise ValueError("empty relation")
     # removal keeps every live row and column non-empty, so the live counts
     # are the core's shape

@@ -10,7 +10,7 @@ generators used as regression fixtures.
 from __future__ import annotations
 
 from .errors import ParseError
-from .relation import Relation, _Draft, _exhaust, _maximal_toplexes, _other_axis
+from .relation import Relation, _maximal_toplexes, _other_axis
 
 
 class ToplexList:
@@ -147,7 +147,6 @@ def witness_relation(cover) -> Relation:
     first = {}
     for e, fp in membership.items():
         first.setdefault(tuple(sorted(fp)), e)
-    cols = list(first)
     col_labels = []
     used = set()
     for e in first.values():
@@ -156,9 +155,8 @@ def witness_relation(cover) -> Relation:
             label += "'"
         used.add(label)
         col_labels.append(label)
-    draft = _Draft(names, col_labels, _other_axis(cols, len(names)), cols)
-    _exhaust(set(range(len(cols))), draft.cols, draft.rows)
-    return draft.freeze()
+    rows = _other_axis(first, len(names))
+    return Relation(names, col_labels, rows).make_column_irreducible()
 
 
 # ----------------------------------------------------------------------

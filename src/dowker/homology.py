@@ -50,19 +50,21 @@ def enumerate_simplices(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP) -> Ch
     """All simplices of the complex generated by `toplexes`, up to max_dim+1.
 
     Going one dimension above max_dim makes the Betti number at max_dim
-    exact.  `max_dim` defaults to the dimension of the largest toplex (0
+    exact; no level above the largest toplex is built, since it would be
+    empty.  `max_dim` defaults to the dimension of the largest toplex (0
     without toplexes).  Raises SizeCapError when the deduplicated simplex
     count would exceed `size_cap`.
     """
     order, tops = _toplex_name_sets(toplexes)
+    top_dim = max(map(len, tops), default=0) - 1
     if max_dim is None:
-        max_dim = max(max(map(len, tops), default=1) - 1, 0)
+        max_dim = max(top_dim, 0)
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
     # number only the vertices in use, so vertex i is simplices_by_dim[0][i]
     used = set().union(*tops)
     index = {v: i for i, v in enumerate(v for v in order if v in used)}
-    top_k = max_dim + 1
+    top_k = min(max_dim + 1, top_dim)
     levels = [set() for _ in range(top_k + 1)]
     total = 0
     vertex = index.__getitem__
@@ -80,8 +82,6 @@ def enumerate_simplices(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP) -> Ch
     # sort in place, so each set is freed before the next one is listed
     for k, level in enumerate(levels):
         levels[k] = sorted(level)
-    while levels and not levels[-1]:
-        levels.pop()
     boundary = [[()] * len(levels[0])] if levels else []
     if len(levels) > 1:
         # an edge's endpoints are its faces' indices
@@ -151,18 +151,22 @@ def betti_gf2(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP):
     beta_k = dim ker boundary_k - rank boundary_{k+1}.  `max_dim` defaults
     to the dimension of the largest toplex.  d_1 is ranked on its columns
     (vertex pairs) and each higher map on its transpose, the cofaces of each
-    face, which has the same rank.
+    face, which has the same rank.  Above the largest toplex every Betti
+    number is 0; the result holds max_dim + 1 numbers, so SizeCapError is
+    raised when that exceeds `size_cap`.
     """
+    if max_dim is not None and max_dim + 1 > size_cap:
+        raise SizeCapError(f"{max_dim + 1} Betti numbers exceed cap {size_cap}")
     cc = enumerate_simplices(toplexes, max_dim, size_cap=size_cap)
     simplices = cc.simplices_by_dim
+    n = len(simplices)
     if max_dim is None:
-        # the level above the largest toplex is empty and was dropped
-        max_dim = max(len(simplices) - 1, 0)
-    ranks = [0] * (max_dim + 2)
-    if len(simplices) > 1:
+        max_dim = max(n - 1, 0)
+    ranks = [0] * (n + 1)
+    if n > 1:
         ranks[1] = rank_gf2(cc.boundary[1], len(simplices[0]))
-    for k in range(2, len(simplices)):
+    for k in range(2, n):
         ranks[k] = rank_gf2(_other_axis(cc.boundary[k], len(simplices[k - 1])),
                             len(simplices[k]))
-    counts = cc.counts() + (0,) * (max_dim + 1)
-    return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(max_dim + 1))
+    betti = [len(simplices[k]) - ranks[k] - ranks[k + 1] for k in range(n)][:max_dim + 1]
+    return tuple(betti) + (0,) * (max_dim + 1 - len(betti))

@@ -10,6 +10,10 @@ only pairs inside the new row's columns can be affected, so the clean-up is
 scoped there.  Each step removes two rows and adds one, preserving the mod-2
 Betti numbers whenever the tested subcomplex really was contractible.
 
+All of this edits one mutable working draft: each tested union of stars is
+restricted from it and collapsed as a draft, and a relation is built only
+for the result and for the snapshots an `on_step` hook asks for.
+
 `reduce` makes one pass and does not revisit pairs: rows the cursor has
 passed are never reconsidered, even though a later merge can make a pair that
 failed (or was never tested) contractible, so a second `reduce` on the result
@@ -188,19 +192,20 @@ class _RunningMax:
             self.top -= 1
 
 
-def reduce(r: Relation, *, on_step=None, debug_check_betti=False):
+def reduce(r: Relation, *, on_step=None):
     """Run the single-pass reduction to exhaustion.
 
     Returns (reduced relation, ReductionStats, list of StepReport).  The
-    input must be column irreducible.  All merges edit one mutable draft of
-    the relation in place, whose indices stay fixed: a merged row's slot
-    goes dead and the cone row takes a new slot at the tail.  After a
-    successful merge the cursor moves on to the next live slot and
-    candidates are re-derived; cone rows are processed when the cursor
-    reaches them.  `on_step(before, after, report)` is called after every
-    merge; `debug_check_betti` re-runs the homology oracle around each step
-    whose relation has at most 500 columns before the merge, so a larger
-    input is checked once it has shrunk to 500 columns.
+    input must be column irreducible.  Every merge and every pair test
+    works on one mutable draft of the relation, whose indices stay fixed: a
+    merged row's slot goes dead and the cone row takes a new slot at the
+    tail, and each pair's union of closed stars is restricted and collapsed
+    as a draft of its own.  After a successful merge the cursor moves on to
+    the next live slot and candidates are re-derived; cone rows are
+    processed when the cursor reaches them.  A relation is built for the
+    result and, only when `on_step(before, after, report)` is given, once
+    after each merge: `before` is the input for the first step and the
+    previous step's `after` for each later one.
     """
     stats = ReductionStats(rows_before=r.nrows, cols_before=r.ncols,
                            comparison_budget=comparison_budget(r))
@@ -215,17 +220,18 @@ def reduce(r: Relation, *, on_step=None, debug_check_betti=False):
     # the last cone label always survives into the next step, so counting
     # up gives the labels a fresh scan of the row labels would
     z = _fresh_z(r.row_labels)
+    # a column-irreducible input has no dead slot, so it equals a fresh
+    # freeze of the draft
+    before = r
     cursor = 0
     while cursor < len(d.rows):
         # a dead slot has an empty set and so no candidates: the cursor passes it
         for j in candidate_vertices(d, cursor):
-            ok = is_strong_collapsible(d.freeze(d.rows[cursor] | d.rows[j]))
+            ok = is_strong_collapsible(_Draft.of(d, d.rows[cursor] | d.rows[j]))
             stats.contractibility_tests += 1
             stats.tested_pairs.append((d.row_labels[cursor], d.row_labels[j], ok))
             if not ok:
                 continue
-            check = debug_check_betti and ncols <= 500
-            before = d.freeze() if check or on_step is not None else None
             rep = _merge(d, cursor, j, f"z{z}", ncols)
             z += 1
             ncols = rep.cols_after
@@ -245,17 +251,10 @@ def reduce(r: Relation, *, on_step=None, debug_check_betti=False):
                 epsilon.set(k, len(d.rows[k]))
             stats.delta_max_history.append(delta.top)
             stats.epsilon_max_history.append(epsilon.top)
-            after = d.freeze() if before is not None else None
-            if check:
-                from .homology import betti_gf2
-                b0 = betti_gf2(before.toplexes(), 2)
-                b1 = betti_gf2(after.toplexes(), 2)
-                if b0 != b1:
-                    raise AssertionError(
-                        f"step {stats.steps_applied} changed Betti numbers "
-                        f"{b0} -> {b1} (pair {rep.pair})")
             if on_step is not None:
+                after = d.freeze()
                 on_step(before, after, rep)
+                before = after
             break
         else:
             cursor += 1

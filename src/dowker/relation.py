@@ -11,8 +11,9 @@ cost follows the ones of the matrix, not its width.
 
 Relation values are immutable once constructed; every operation returns a new
 value, which makes sharing across threads safe without locking.  Operations
-that remove rows or columns edit a private mutable draft in place and renumber
-the survivors once, when the draft is frozen into a new value.
+that add, remove or select rows or columns edit a private mutable draft in
+place and renumber the survivors once, when the draft is frozen into a new
+value.
 """
 
 from __future__ import annotations
@@ -230,6 +231,7 @@ class Relation:
 
         When `cols` is the union of the column sets of a vertex set A, the
         complex of the result is exactly the union of the closed stars of A.
+        Only the selection is copied into a draft, and that draft is frozen.
         """
         cols = sorted(set(cols))
         if not cols:
@@ -237,26 +239,21 @@ class Relation:
         if cols[0] < 0 or cols[-1] >= self.ncols:
             raise ValueError("column index out of range")
         rows = sorted(set().union(*(self.cols[c] for c in cols)))
-        # freeze reads only the labels and the two orientations, which a
-        # relation holds as tuples, so the selection is frozen without a copy
-        return SubRelation(tuple(rows), tuple(cols), _Draft.freeze(self, cols))
+        return SubRelation(tuple(rows), tuple(cols), _Draft.of(self, cols).freeze())
 
     def add_row(self, label, cols):
         """New relation with a row appended at the end (highest index)."""
         if label in self.row_labels:
             raise ValueError(f"duplicate row label {label!r}")
-        row = tuple(sorted({index(c) for c in cols}))
+        row = sorted({index(c) for c in cols})
         for c in row:
             if not 0 <= c < self.ncols:
                 raise ValueError(f"column index {c} out of range")
         if not row:
             raise ValueError("new row needs at least one column")
-        k = self.nrows
-        new_cols = list(self.cols)
-        for c in row:
-            new_cols[c] += (k,)
-        return Relation._build(self.row_labels + (label,), self.col_labels,
-                               self.rows + (row,), new_cols)
+        draft = _Draft.of(self)
+        draft.add_row(label, row)
+        return draft.freeze()
 
     def remove_rows(self, labels):
         """New relation without the given rows.
@@ -366,27 +363,42 @@ class Relation:
             raise ParseError(str(exc)) from exc
 
 
+@dataclass(slots=True)
 class _Draft:
     """Mutable incidence over stable indices: one set of column ids per row
     and one set of row ids per column.
 
     A member dropped with `_drop` keeps its index with an empty set, and a
     new row takes the next index, so edits never renumber anything;
-    `freeze` renumbers the live members once.
+    `freeze` renumbers the live members once.  `_Draft.of` makes every
+    draft.
     """
 
-    __slots__ = ("row_labels", "col_labels", "rows", "cols")
-
-    def __init__(self, row_labels, col_labels, rows, cols):
-        self.row_labels = list(row_labels)
-        self.col_labels = col_labels
-        self.rows = [set(row) for row in rows]
-        self.cols = [set(col) for col in cols]
+    row_labels: list
+    col_labels: tuple
+    rows: list
+    cols: list
 
     @classmethod
-    def of(cls, r):
-        """A draft of relation r."""
-        return cls(r.row_labels, r.col_labels, r.rows, r.cols)
+    def of(cls, r, cols=None):
+        """A draft of r, a relation or a draft; only its labels and its two
+        orientations are read, and r is left unchanged.
+
+        With column ids `cols`, only those of them that are live and the
+        rows that meet them, renumbered in ascending index order; for the
+        union of some rows' columns, that is the union of their closed
+        stars.  Without, every slot keeps its index, dead ones included.
+        """
+        if cols is None:
+            return cls(list(r.row_labels), r.col_labels,
+                       [set(row) for row in r.rows], [set(col) for col in r.cols])
+        keep = [c for c in sorted(cols) if r.cols[c]]
+        rows = sorted(set().union(*[r.cols[c] for c in keep]))
+        col_pos = {c: k for k, c in enumerate(keep)}
+        row_pos = {i: k for k, i in enumerate(rows)}
+        return cls([r.row_labels[i] for i in rows], tuple(r.col_labels[c] for c in keep),
+                   [{col_pos[c] for c in r.rows[i] if c in col_pos} for i in rows],
+                   [set(map(row_pos.__getitem__, r.cols[c])) for c in keep])
 
     def add_row(self, label, cols):
         """Append a row incident to the live column ids `cols`; returns its
@@ -398,25 +410,17 @@ class _Draft:
         self.rows.append(set(cols))
         return k
 
-    def freeze(self, cols=None):
+    def freeze(self):
         """The live rows and columns, renumbered in ascending index order, as
-        a Relation.
-
-        With column ids `cols`, only those columns and the rows that meet
-        them; for the union of some rows' columns, that is the union of
-        their closed stars.
-        """
-        if cols is None:
-            keep = [c for c, col in enumerate(self.cols) if col]
-            rows = [i for i, row in enumerate(self.rows) if row]
-        else:
-            keep = [c for c in sorted(cols) if self.cols[c]]
-            rows = sorted(set().union(*(self.cols[c] for c in keep)))
+        a Relation."""
+        keep = [c for c, col in enumerate(self.cols) if col]
+        rows = [i for i, row in enumerate(self.rows) if row]
+        # a live row holds only live columns and a live column only live rows
         col_pos = {c: k for k, c in enumerate(keep)}
         row_pos = {i: k for k, i in enumerate(rows)}
         return Relation._build(
             [self.row_labels[i] for i in rows], [self.col_labels[c] for c in keep],
-            [sorted(col_pos[c] for c in self.rows[i] if c in col_pos) for i in rows],
+            [sorted(map(col_pos.__getitem__, self.rows[i])) for i in rows],
             [sorted(map(row_pos.__getitem__, self.cols[c])) for c in keep])
 
 
@@ -474,6 +478,6 @@ def _maximal_toplexes(toplexes, order=None):
     order, tops = _toplex_name_sets(toplexes, order)
     index = {v: i for i, v in enumerate(order)}
     cols = [tuple(sorted(map(index.__getitem__, t))) for t in tops]
-    draft = _Draft(order, None, _other_axis(cols, len(order)), cols)
-    keep = sorted(_exhaust(set(range(len(cols))), draft.cols, draft.rows))
+    rows = [set(row) for row in _other_axis(cols, len(order))]
+    keep = sorted(_exhaust(set(range(len(cols))), [set(col) for col in cols], rows))
     return order, [tops[j] for j in keep], [cols[j] for j in keep]

@@ -2,8 +2,10 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 
 import dowker
 from dowker import Relation, betti_gf2, gen_sphere_cube, reduce
@@ -239,6 +241,45 @@ def test_betti_peak_rss_bounded_on_135k_simplices(tmp_path):
     # ru_maxrss is in KiB on Linux and in bytes on macOS
     kib = int(maxrss) // (1024 if sys.platform == "darwin" else 1)
     assert kib < 120 * 1024
+
+
+def test_betti_huge_max_dim_pads_zeros_in_bounded_memory(tmp_path):
+    # the levels stop at the largest toplex, so a million dimensions cost
+    # only the printed zeros.  The wrapper's only child is the betti run.
+    src = gen_file(tmp_path, "t.toplex", "torus", "--m", "4", "--n", "4")
+    out = run_fresh("import resource, subprocess, sys\n"
+                    "subprocess.run([sys.executable, '-m', 'dowker.cli', 'betti',\n"
+                    "                '--input', sys.argv[1], '--max-dim', '1000000'],\n"
+                    "               check=True, timeout=60)\n"
+                    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n", src)
+    betti, maxrss = out.rsplit("\n", 2)[:2]
+    assert betti + "\n" == "1 2 1" + " 0" * 999_998 + "\n"
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    kib = int(maxrss) // (1024 if sys.platform == "darwin" else 1)
+    assert kib < 64 * 1024
+
+
+def test_betti_max_dim_beyond_the_cap_exits_3(tmp_path):
+    # max_dim + 1 Betti numbers would not fit the default cap of 5M.  The
+    # children get a 1 GiB address space, so allocating per dimension fails
+    # with MemoryError (exit 1) instead of taking the machine's memory.
+    src = gen_file(tmp_path, "t.toplex", "torus", "--m", "4", "--n", "4")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dowker.__file__)))
+    env.pop("DOWKER_SIZE_CAP", None)
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    t0 = time.perf_counter()
+    for cmd in (["betti", "--input", src],
+                ["reduce", "--format", "toplex", "--input", src, "--check-betti"]):
+        proc = subprocess.run([sys.executable, "-m", "dowker.cli", *cmd,
+                               "--max-dim", "1000000000"],
+                              env=env, timeout=60, capture_output=True, text=True,
+                              preexec_fn=limit_memory)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:") and not proc.stdout
+    assert time.perf_counter() - t0 < 20
 
 
 def test_ingestion_peak_rss_bounded():

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+import dowker.reducer
 from dowker import (Relation, betti_gf2, collapse_core, find_dominated_row,
-                    is_strong_collapsible)
+                    gen_torus_grid, is_strong_collapsible, reduce)
+from dowker.relation import _Draft
 from _util import (core_labels_reference, fan_relation, first_dominators,
-                   random_relation, with_repeats)
+                   random_irreducible_relation, random_relation, with_repeats)
 
 
 def tetra_boundary():
@@ -116,3 +118,49 @@ def test_domination_matches_pairwise_reference():
             assert find_dominated_row(rel) == expected
         core = collapse_core(r)
         assert (core.row_labels, core.col_labels) == core_labels_reference(r)
+
+
+def test_restricted_draft_verdict_matches_the_restricted_relation(monkeypatch):
+    # on every working draft of the reducer, dead slots and cone rows
+    # included: a draft restricted to a pair's stars, or to random ids that
+    # may be dead, gets the verdict of the same restriction of the frozen
+    # relation, and neither draft is changed by the test
+    rng = random.Random(131)
+    candidates = dowker.reducer.candidate_vertices
+    seen = {"verdicts": [], "dead": 0, "cone": 0}
+
+    def sets(d):
+        return [set(row) for row in d.rows], [set(col) for col in d.cols]
+
+    def checking(d, x):
+        out = candidates(d, x)
+        frozen = d.freeze()
+        pos = {c: k for k, c in enumerate(c for c, col in enumerate(d.cols) if col)}
+        before = sets(d)
+        picks = [d.rows[x] | d.rows[j] for j in out]
+        picks.append(set(rng.sample(range(len(d.cols)), rng.randint(1, len(d.cols)))))
+        for cols in picks:
+            sub = _Draft.of(d, cols)
+            kept = sets(sub)
+            picked = sorted(pos[c] for c in cols if c in pos)
+            if not picked:
+                with pytest.raises(ValueError):
+                    is_strong_collapsible(sub)
+                continue
+            got = is_strong_collapsible(sub)
+            assert got == is_strong_collapsible(frozen.restrict_to_columns(picked).relation)
+            assert sets(sub) == kept
+            seen["verdicts"].append(got)
+        assert is_strong_collapsible(d) == is_strong_collapsible(frozen)
+        assert sets(d) == before
+        seen["dead"] += not all(d.rows) or not all(d.cols)
+        seen["cone"] += any(str(label).startswith("z") for label in frozen.row_labels)
+        return out
+
+    inputs = [random_irreducible_relation(rng) for _ in range(300)]
+    inputs.append(Relation.from_toplexes(gen_torus_grid(4, 6)))
+    expected = [reduce(r) for r in inputs]
+    monkeypatch.setattr(dowker.reducer, "candidate_vertices", checking)
+    assert [reduce(r) for r in inputs] == expected
+    assert set(seen["verdicts"]) == {True, False}
+    assert seen["dead"] > 300 and seen["cone"] > 300

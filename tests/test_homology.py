@@ -162,15 +162,27 @@ def test_dowker_duality_small():
 
 def test_betti_matches_dense_reference():
     # random lists reach dimension 5, so the transposed higher maps have
-    # heavy columns (faces with three or more cofaces) as well as graphic ones
+    # heavy columns (faces with three or more cofaces) as well as graphic ones;
+    # max_dim reaches past every largest toplex
     rng = random.Random(61)
     cases = [random_toplex_list(rng, max_vertices=9, max_toplexes=12, max_size=6)
              for _ in range(320)]
     cases += [gen_sphere_cube(), gen_sphere_uv(6, 5), gen_torus_grid(4, 5),
               gen_torus_grid(3, 3)] + [gen_simplex_boundary(n) for n in (1, 2, 3, 4)]
     for tops in cases:
-        for max_dim in range(5):
+        for max_dim in range(8):
             assert betti_gf2(tops, max_dim) == betti_dense_reference(tops, max_dim)
+
+
+def test_betti_above_the_largest_toplex_costs_only_the_zeros():
+    # no level above the largest toplex is built, so a million dimensions
+    # take no enumeration; the max_dim + 1 numbers count against the cap
+    torus = gen_torus_grid(4, 4)
+    assert enumerate_simplices(torus, 10**6).counts() == (16, 48, 32)
+    assert betti_gf2(torus, 10**6) == (1, 2, 1) + (0,) * (10**6 - 2)
+    assert betti_gf2([("a",)], 5, size_cap=6) == (1, 0, 0, 0, 0, 0)
+    with pytest.raises(SizeCapError):
+        betti_gf2([("a",)], 5, size_cap=5)
 
 
 def test_surface_maps_have_no_heavy_column():

@@ -9,6 +9,7 @@ from dowker import (Relation, betti_gf2, candidate_vertices, comparison_budget,
                     format_step_log, gen_simplex_boundary, gen_sphere_cube,
                     gen_torus_grid, reduce, reduction_step, verify_step_equations)
 import dowker.reducer
+from dowker import relation as relation_module
 from _util import (FAN_MERGED_DENSE, complex_of, fan_relation, first_dominators,
                    random_irreducible_relation, replay_and_verify, star_size_maxima)
 
@@ -180,12 +181,32 @@ def test_single_toplex_reduces_to_point_with_oracle_checks():
     seen = []
 
     def watch(before, after, rep):
+        # the oracle certifies every step on its own snapshots
+        assert betti_gf2(before.toplexes(), 2) == betti_gf2(after.toplexes(), 2)
         seen.append(betti_gf2(after.toplexes(), 2))
 
-    out, stats, log = reduce(r, on_step=watch, debug_check_betti=True)
+    out, stats, log = reduce(r, on_step=watch)
     assert out.shape == (1, 1)
     assert stats.steps_applied == 2
     assert seen == [(1, 0, 0), (1, 0, 0)]
+
+
+def test_on_step_before_is_the_previous_after():
+    # the first step's before is the input and each later one the previous
+    # step's after; each pair is the step the report describes
+    rng = random.Random(97)
+    inputs = [random_irreducible_relation(rng) for _ in range(60)]
+    inputs.append(Relation.from_toplexes(gen_torus_grid(4, 4)))
+    for r in inputs:
+        calls = []
+        out, stats, log = reduce(r, on_step=lambda b, a, rep: calls.append((b, a, rep)))
+        assert [rep for _, _, rep in calls] == log
+        afters = [a for _, a, _ in calls]
+        assert [b for b, _, _ in calls] == ([r] + afters)[:len(calls)]
+        for before, after, rep in calls:
+            assert betti_gf2(before.toplexes(), 3) == betti_gf2(after.toplexes(), 3)
+            assert verify_step_equations(before, after, rep)
+        assert ([r] + afters)[-1] == out
 
 
 def test_tetra_boundary_untouched():
@@ -226,29 +247,51 @@ def test_reduce_is_deterministic():
 
 
 def test_callbacks_do_not_change_the_result(monkeypatch):
-    # whole-relation snapshots are frozen from the working draft only for
-    # on_step and debug_check_betti; the restriction for every test is the
-    # only other freeze before the final one
+    # a whole-relation snapshot is frozen from the working draft once after
+    # each merge, and only for on_step; each pair is restricted and tested as
+    # a draft, so the final freeze is the only other one
     freezes = []
+    freeze = relation_module._Draft.freeze
 
-    class CountingDraft(dowker.reducer._Draft):
-        def freeze(self, cols=None):
-            freezes.append(cols is None)
-            return super().freeze(cols)
+    def counting(self):
+        freezes.append(self)
+        return freeze(self)
 
-    monkeypatch.setattr(dowker.reducer, "_Draft", CountingDraft)
+    monkeypatch.setattr(relation_module._Draft, "freeze", counting)
     rng = random.Random(89)
+    more_tests_than_steps = 0
     for _ in range(15):
         r = random_irreducible_relation(rng)
         results = []
-        for kwargs in ({}, {"on_step": lambda *args: None}, {"debug_check_betti": True},
-                       {"on_step": lambda *args: None, "debug_check_betti": True}):
+        for kwargs in ({}, {"on_step": lambda *args: None}):
             freezes.clear()
             out, stats, log = reduce(r, **kwargs)
             results.append((out, stats, log))
-            assert freezes.count(False) == stats.contractibility_tests
-            assert freezes.count(True) == 1 + (2 * stats.steps_applied if kwargs else 0)
-        assert all(res == results[0] for res in results)
+            assert len(freezes) == 1 + (stats.steps_applied if kwargs else 0)
+        more_tests_than_steps += stats.contractibility_tests > stats.steps_applied
+        assert results[0] == results[1]
+    assert more_tests_than_steps
+
+
+def test_reduce_builds_one_relation_without_on_step(monkeypatch):
+    built = []
+    build = Relation._build.__func__
+
+    def counting(cls, *args):
+        built.append(args)
+        return build(cls, *args)
+
+    monkeypatch.setattr(Relation, "_build", classmethod(counting))
+    rng = random.Random(113)
+    inputs = [random_irreducible_relation(rng) for _ in range(40)]
+    inputs.append(Relation.from_toplexes(gen_torus_grid(6, 8)))
+    for r in inputs:
+        built.clear()
+        out, stats, log = reduce(r)
+        assert len(built) == 1
+        built.clear()
+        reduce(r, on_step=lambda *args: None)
+        assert len(built) == 1 + stats.steps_applied
 
 
 def test_second_pass_replays_with_counted_cone_labels():

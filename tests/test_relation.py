@@ -121,27 +121,68 @@ def test_restriction_matches_union_of_stars():
         assert complex_of(sub) == expected
 
 
+def dense_restriction(r, cols):
+    """The restriction of r to the ascending column list `cols`, built from
+    the dense matrix: rows meeting the selection, in ascending order."""
+    dense = r.to_dense()
+    rows = tuple(i for i in range(r.nrows) if any(dense[i][c] for c in cols))
+    return rows, Relation([r.row_labels[i] for i in rows], [r.col_labels[c] for c in cols],
+                          [[k for k, c in enumerate(cols) if dense[i][c]] for i in rows])
+
+
 def test_restriction_freezes_without_copying_the_relation(monkeypatch):
-    # the result equals freezing a full draft copy, the way restriction was
-    # built before, but no draft of the whole relation is made
+    # the result equals a restriction built from the dense matrix, and the
+    # only draft made on the way is the one of the selection
     rng = random.Random(71)
-    cases = []
+    seen = []
+    of = relation_module._Draft.of.__func__
+
+    def recording(cls, r, cols=None):
+        seen.append(cols)
+        return of(cls, r, cols)
+
+    monkeypatch.setattr(relation_module._Draft, "of", classmethod(recording))
     for _ in range(200):
         r = random_relation(rng)
         if rng.random() < 0.5:
             r = with_repeats(rng, r)
-        cols = set(rng.sample(range(r.ncols), rng.randint(1, r.ncols)))
-        rows = tuple(i for i in range(r.nrows) if cols & set(r.row(i)))
-        cases.append((r, cols, rows, relation_module._Draft.of(r).freeze(cols)))
-
-    def no_copy(cls, r):
-        raise AssertionError("restriction copied the relation into a draft")
-
-    monkeypatch.setattr(relation_module._Draft, "of", classmethod(no_copy))
-    for r, cols, rows, expected in cases:
-        sub = r.restrict_to_columns(cols)
+        cols = sorted(rng.sample(range(r.ncols), rng.randint(1, r.ncols)))
+        rows, expected = dense_restriction(r, cols)
+        seen.clear()
+        sub = r.restrict_to_columns(cols + cols[:1])
         assert sub.relation == expected
-        assert sub.parent_rows == rows and sub.parent_cols == tuple(sorted(cols))
+        assert sub.parent_rows == rows and sub.parent_cols == tuple(cols)
+        assert len(seen) == 1 and sorted(seen[0]) == cols
+
+
+def test_draft_restriction_skips_dead_slots():
+    # a draft with dropped rows and columns and an appended row, restricted
+    # to ids that include dead columns, equals the dense restriction of its
+    # freeze to the live ones, and holds no empty set
+    rng = random.Random(73)
+    checked = 0
+    for _ in range(300):
+        r = random_relation(rng)
+        d = relation_module._Draft.of(r)
+        for i in rng.sample(range(r.nrows), rng.randint(0, r.nrows - 1)):
+            relation_module._drop(d.rows, d.cols, i)
+        for c in rng.sample(range(r.ncols), rng.randint(0, r.ncols - 1)):
+            # keep every live row non-empty, as every draft edit does
+            if all(len(d.rows[i]) > 1 for i in d.cols[c]):
+                relation_module._drop(d.cols, d.rows, c)
+        live = [c for c, col in enumerate(d.cols) if col]
+        d.add_row("z", rng.sample(live, rng.randint(1, len(live))))
+        frozen = d.freeze()
+        cols = set(rng.sample(range(r.ncols), rng.randint(1, r.ncols)))
+        picked = [k for k, c in enumerate(live) if c in cols]
+        sub = relation_module._Draft.of(d, cols)
+        assert all(sub.rows) and all(sub.cols)
+        if picked:
+            checked += 1
+            assert sub.freeze() == dense_restriction(frozen, picked)[1]
+        else:
+            assert sub.rows == sub.cols == []
+    assert checked > 200
 
 
 # ----------------------------------------------------------------------
@@ -175,6 +216,21 @@ def test_add_row_rejects_duplicate_label_and_empty_cols():
         r.add_row("x1", {0})
     with pytest.raises(ValueError):
         r.add_row("z", set())
+
+
+def test_add_row_matches_appending_to_the_dense_matrix():
+    rng = random.Random(79)
+    for _ in range(300):
+        r = random_relation(rng)
+        if rng.random() < 0.5:
+            r = with_repeats(rng, r)
+        cols = [rng.randrange(r.ncols) for _ in range(rng.randint(1, 2 * r.ncols))]
+        expected = Relation(r.row_labels + ("z",), r.col_labels,
+                            list(r.rows) + [cols])
+        grown = r.add_row("z", iter(cols))
+        assert grown == expected
+        assert grown.cols == expected.cols
+        assert grown.to_dense() == r.to_dense() + [[int(c in cols) for c in range(r.ncols)]]
 
 
 def test_fan_remove_merged_pair():
