@@ -64,12 +64,12 @@ def cmd_reduce(args):
     cap = _size_cap()
     betti_before = betti_after = None
     if args.check_betti:
-        betti_before = betti_gf2(relation.toplexes(), args.max_dim, size_cap=cap)
+        betti_before = betti_gf2(relation, args.max_dim, size_cap=cap)
     t0 = time.perf_counter()
     reduced, stats, reports = reduce(relation)
     elapsed = time.perf_counter() - t0
     if args.check_betti:
-        betti_after = betti_gf2(reduced.toplexes(), args.max_dim, size_cap=cap)
+        betti_after = betti_gf2(reduced, args.max_dim, size_cap=cap)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(reduced.to_text())
@@ -107,7 +107,7 @@ def cmd_reduce(args):
 
 def cmd_betti(args):
     relation = _load_relation(args.input, args.format)
-    betti = betti_gf2(relation.toplexes(), args.max_dim, size_cap=_size_cap())
+    betti = betti_gf2(relation, args.max_dim, size_cap=_size_cap())
     print(_numbers(betti))
     return 0
 

@@ -3,7 +3,11 @@
 Independent of the reduction path: it expands toplexes into explicit simplex
 lists, builds each boundary map as one ascending tuple of face indices per
 simplex, and computes Betti numbers by GF(2) rank.  Used to certify that
-reductions preserve the mod-2 Betti numbers.
+reductions preserve the mod-2 Betti numbers.  The toplexes come as a Relation,
+whose ascending column tuples are used as they are, or as vertex-name
+collections, converted to index tuples once.  The vertices are listed from
+their count, and each level above them is built in bulk, a chunk of toplexes
+at a time, under the simplex cap.
 
 The rank kernel treats columns with one or two entries as graph edges and
 ranks them by union-find; only the heavier columns are eliminated, as small
@@ -16,12 +20,13 @@ are none at all.
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, chain, combinations, repeat
+from math import comb
 
 from .errors import SizeCapError
-from .relation import _other_axis, _toplex_name_sets
+from .relation import Relation, _other_axis, _toplex_name_sets
 
 DEFAULT_SIZE_CAP = 5_000_000
 
@@ -31,12 +36,13 @@ class ChainComplexGF2:
     """Simplices by dimension plus the boundary maps between them.
 
     `simplices_by_dim[k]` is the sorted list of k-simplices as ascending
-    vertex-index tuples; the vertices in use are numbered in vertex order,
-    so `simplices_by_dim[0][i]` is `(i,)`.  `boundary[k]` holds the GF(2)
-    boundary map from k-chains to (k-1)-chains as one column per k-simplex,
-    in `simplices_by_dim[k]` order: the ascending tuple of the indices into
-    `simplices_by_dim[k-1]` of its k+1 faces, which for an edge is the edge
-    itself.  `boundary[0]` is one empty tuple per vertex (the zero map).
+    vertex-index tuples; the vertices in use are numbered in vertex order
+    (row order for a Relation), so `simplices_by_dim[0][i]` is `(i,)`.
+    `boundary[k]` holds the GF(2) boundary map from k-chains to
+    (k-1)-chains as one column per k-simplex, in `simplices_by_dim[k]`
+    order: the ascending tuple of the indices into `simplices_by_dim[k-1]`
+    of its k+1 faces, which for an edge is the edge itself.  `boundary[0]`
+    is one empty tuple per vertex (the zero map).
     """
 
     simplices_by_dim: list = field(default_factory=list)
@@ -46,42 +52,64 @@ class ChainComplexGF2:
         return tuple(len(s) for s in self.simplices_by_dim)
 
 
+def _vertex_tuples(toplexes):
+    """Each toplex as the ascending tuple of its vertex indices, with the
+    vertices in use numbered in vertex order, and the number of those
+    vertices."""
+    if isinstance(toplexes, Relation):
+        # every row meets a column, and column tuples are ascending
+        return toplexes.cols, toplexes.nrows
+    order, tops = _toplex_name_sets(toplexes)
+    used = set().union(*tops)
+    index = {v: i for i, v in enumerate(v for v in order if v in used)}
+    vertex = index.__getitem__
+    return [tuple(sorted(map(vertex, t))) for t in tops], len(index)
+
+
 def enumerate_simplices(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP) -> ChainComplexGF2:
     """All simplices of the complex generated by `toplexes`, up to max_dim+1.
 
-    Going one dimension above max_dim makes the Betti number at max_dim
-    exact; no level above the largest toplex is built, since it would be
-    empty.  `max_dim` defaults to the dimension of the largest toplex (0
-    without toplexes).  Raises SizeCapError when the deduplicated simplex
-    count would exceed `size_cap`.
+    `toplexes` is a Relation, whose columns are the toplexes and whose rows
+    are the vertices in row order, or a ToplexList or iterable of vertex-name
+    collections, which is converted to vertex-index tuples once.  Going one
+    dimension above max_dim makes the Betti number at max_dim exact; no
+    level above the largest toplex is built, since it would be empty.
+    `max_dim` defaults to the dimension of the largest toplex (0 without
+    toplexes).  Every vertex numbered is in use, so the vertices are listed
+    from their count; each level above is built in bulk from chunks of
+    toplexes whose face counts, summed, fit in the room left under
+    `size_cap` (a chunk holds at least one toplex), so the sets never hold
+    more than `size_cap` plus one toplex's faces.  Raises SizeCapError when
+    the deduplicated simplex count would exceed `size_cap`.
     """
-    order, tops = _toplex_name_sets(toplexes)
-    top_dim = max(map(len, tops), default=0) - 1
+    cols, total = _vertex_tuples(toplexes)
+    top_dim = max(map(len, cols), default=0) - 1
     if max_dim is None:
         max_dim = max(top_dim, 0)
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
-    # number only the vertices in use, so vertex i is simplices_by_dim[0][i]
-    used = set().union(*tops)
-    index = {v: i for i, v in enumerate(v for v in order if v in used)}
-    top_k = min(max_dim + 1, top_dim)
-    levels = [set() for _ in range(top_k + 1)]
-    total = 0
-    vertex = index.__getitem__
-    for t in tops:
-        vs = sorted(map(vertex, t))
-        for k in range(min(len(vs), top_k + 1)):
-            if math.comb(len(vs), k + 1) > size_cap:
+    if total > size_cap:
+        raise SizeCapError(f"simplex count exceeds cap {size_cap}")
+    levels = [list(zip(range(total)))] if cols else []
+    for k in range(1, min(max_dim + 1, top_dim) + 1):
+        # bounds[q] - bounds[p] bounds the k-faces of toplexes p..q-1
+        bounds = list(accumulate(map(comb, map(len, cols), repeat(k + 1)), initial=0))
+        level = set()
+        p = 0
+        while p < len(cols):
+            q = max(bisect_right(bounds, bounds[p] + size_cap - total) - 1, p + 1)
+            if bounds[q] - bounds[p] > size_cap:
                 raise SizeCapError(f"simplex count exceeds cap {size_cap}")
-            level = levels[k]
             before = len(level)
-            level.update(combinations(vs, k + 1))
+            level.update(chain.from_iterable(map(combinations, cols[p:q], repeat(k + 1))))
             total += len(level) - before
             if total > size_cap:
                 raise SizeCapError(f"simplex count exceeds cap {size_cap}")
+            p = q
+        levels.append(level)
     # sort in place, so each set is freed before the next one is listed
-    for k, level in enumerate(levels):
-        levels[k] = sorted(level)
+    for k in range(1, len(levels)):
+        levels[k] = sorted(levels[k])
     boundary = [[()] * len(levels[0])] if levels else []
     if len(levels) > 1:
         # an edge's endpoints are its faces' indices
@@ -146,7 +174,9 @@ def rank_gf2(columns, n) -> int:
 
 
 def betti_gf2(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP):
-    """Mod-2 Betti numbers (beta_0, ..., beta_max_dim).
+    """Mod-2 Betti numbers (beta_0, ..., beta_max_dim) of the complex
+    generated by `toplexes`, a Relation or vertex-name collections as for
+    `enumerate_simplices`.
 
     beta_k = dim ker boundary_k - rank boundary_{k+1}.  `max_dim` defaults
     to the dimension of the largest toplex.  d_1 is ranked on its columns

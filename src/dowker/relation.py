@@ -349,16 +349,22 @@ class Relation:
             if not raw.strip():
                 raise ParseError("empty row", line=n)
             try:
-                idx = [int(t) for t in raw.split()]
+                idx = list(map(int, raw.split()))
             except ValueError:
                 raise ParseError("row line must list column indices", line=n) from None
-            if any(not 0 <= c < ncols for c in idx):
+            ascending = sorted(set(idx))
+            if ascending[0] < 0 or ascending[-1] >= ncols:
                 raise ParseError("column index out of range", line=n)
-            if idx != sorted(set(idx)):
+            if idx != ascending:
                 raise ParseError("column indices must be strictly ascending", line=n)
             rows.append(idx)
+        # the rows are checked above, so only the labels and the columns remain
+        if len(set(row_labels)) != nrows:
+            raise ParseError("duplicate row labels")
+        if len(set(col_labels)) != ncols:
+            raise ParseError("duplicate column labels")
         try:
-            return cls(row_labels, col_labels, rows)
+            return cls._build(row_labels, col_labels, rows, _other_axis(rows, ncols))
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
 

@@ -169,6 +169,31 @@ def test_reduce_betti_mismatch_exits_2(tmp_path, capsys, monkeypatch):
     assert "betti: CHANGED" in capsys.readouterr().out
 
 
+def test_oracle_takes_the_relation_itself(tmp_path, capsys, monkeypatch):
+    # betti and reduce --check-betti hand the oracle the relation's own column
+    # tuples: no label tuples are made on the way
+    seen = []
+
+    def recording(tops, *args, **kwargs):
+        seen.append(type(tops))
+        return betti_gf2(tops, *args, **kwargs)
+
+    def refused(self):
+        raise AssertionError("toplexes() called")
+
+    monkeypatch.setattr(cli, "betti_gf2", recording)
+    monkeypatch.setattr(Relation, "toplexes", refused)
+    src = gen_file(tmp_path, "t.toplex", "torus", "--m", "4", "--n", "5")
+    rel = tmp_path / "t.rel"
+    assert cli.main(["reduce", "--input", src, "--format", "toplex", "--check-betti",
+                     "--output", str(rel)]) == 0
+    assert "betti: preserved" in capsys.readouterr().out
+    for args in (["--input", src], ["--input", str(rel), "--format", "rel"]):
+        assert cli.main(["betti", *args]) == 0
+        assert capsys.readouterr().out.strip() == "1 2 1"
+    assert seen == [Relation] * 4
+
+
 # ----------------------------------------------------------------------
 # betti
 

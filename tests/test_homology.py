@@ -1,18 +1,18 @@
 """The GF(2) homology oracle: enumeration, boundary maps, rank, Betti."""
 
 import random
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 
-from dowker import (SizeCapError, ToplexList, betti_gf2, enumerate_simplices,
-                    gen_simplex_boundary, gen_sphere_cube, gen_sphere_uv,
-                    gen_torus_grid, rank_gf2)
+from dowker import (Relation, SizeCapError, ToplexList, betti_gf2,
+                    enumerate_simplices, gen_simplex_boundary, gen_sphere_cube,
+                    gen_sphere_uv, gen_torus_grid, rank_gf2)
 from dowker import homology
 from dowker.relation import _other_axis
 from _util import (FAN_TOPLEXES, betti_dense_reference, fan_relation,
                    random_relation, random_toplex_list, rank_by_rowspace,
-                   simplices_of_columns)
+                   simplices_of_columns, with_repeats)
 
 
 def test_single_triangle_counts():
@@ -214,3 +214,95 @@ def test_betti_of_relation_complex():
     # 6 vertices, 9 edges, 2 triangles, connected, no 2-cycle
     r = fan_relation()
     assert betti_gf2(r.toplexes(), 2) == (1, 2, 0)
+
+
+def named(cc, names):
+    """Each level's simplices, each with its boundary's faces, as vertex-name
+    sets: the complex independent of how its vertices are numbered."""
+    levels = [[frozenset(names[i] for i in s) for s in level]
+              for level in cc.simplices_by_dim]
+    return [{s: frozenset(levels[k - 1][i] for i in col) if k else frozenset()
+             for s, col in zip(levels[k], cc.boundary[k])}
+            for k in range(len(levels))]
+
+
+def test_relation_and_name_input_agree():
+    # random relations, with duplicate and contained columns too, and fixtures
+    rng = random.Random(71)
+    relations = [random_relation(rng) for _ in range(60)]
+    relations += [with_repeats(rng, random_relation(rng)) for _ in range(60)]
+    relations += [Relation.from_toplexes(t) for t in
+                  (gen_torus_grid(4, 5), gen_sphere_uv(6, 5), gen_sphere_cube())]
+    for r in relations:
+        names = r.toplexes()
+        # names number the vertices in first-appearance order, a relation in
+        # row order; in row order the two forms are the same complex exactly
+        order = tuple(dict.fromkeys(chain.from_iterable(names)))
+        in_row_order = ToplexList(names, r.row_labels)
+        for max_dim in (0, 1, 2, 4, None):
+            cc = enumerate_simplices(r, max_dim)
+            assert cc == enumerate_simplices(in_row_order, max_dim)
+            by_names = enumerate_simplices(names, max_dim)
+            assert named(by_names, order) == named(cc, r.row_labels)
+            if order == r.row_labels:
+                assert by_names == cc
+            assert betti_gf2(r, max_dim) == betti_gf2(names, max_dim)
+
+
+@pytest.fixture
+def chunks(monkeypatch):
+    """Every chunk of toplexes whose faces `enumerate_simplices` lists, as
+    the list of each toplex's faces."""
+    seen = []
+
+    class recording:
+        @staticmethod
+        def from_iterable(iterables):
+            chunk = [list(faces) for faces in iterables]
+            seen.append(chunk)
+            return chain.from_iterable(chunk)
+
+    monkeypatch.setattr(homology, "chain", recording)
+    return seen
+
+
+def test_size_cap_is_exact_at_chunk_boundaries(chunks):
+    # on a torus each level's face-count bound is about twice its real count,
+    # so a cap near the total cuts levels into chunks; the vertices are
+    # listed without chunks, from their count
+    torus = gen_torus_grid(4, 6)
+    for tops in (Relation.from_toplexes(torus), torus):
+        full = enumerate_simplices(tops, 2)
+        total = sum(full.counts())
+        for cap in range(1, total + 2):
+            del chunks[:]
+            if cap < total:
+                with pytest.raises(SizeCapError):
+                    enumerate_simplices(tops, 2, size_cap=cap)
+            else:
+                assert enumerate_simplices(tops, 2, size_cap=cap) == full
+            # a chunk of two or more toplexes fits its faces in the room left
+            # beside the vertices and the faces listed so far, so the sets
+            # never hold more than the cap plus one toplex's faces
+            listed = set()
+            for chunk in chunks:
+                faces = sum(map(len, chunk))
+                room = cap - full.counts()[0] - len(listed)
+                assert len(chunk) == 1 or faces <= room
+                listed.update(chain.from_iterable(chunk))
+            if cap == total:
+                assert len(chunks) > 2
+        # without a cap in reach, each level above the vertices is one chunk
+        del chunks[:]
+        assert enumerate_simplices(tops, 2) == full and len(chunks) == 2
+
+
+def test_size_cap_refuses_a_toplex_before_listing_more_faces_than_the_cap(chunks):
+    simplex = [tuple(range(12))]
+    total = 2 ** 12 - 1
+    for cap in range(1, total + 1, 7):
+        del chunks[:]
+        with pytest.raises(SizeCapError):
+            enumerate_simplices(simplex, 11, size_cap=cap)
+        assert all(sum(map(len, chunk)) <= cap for chunk in chunks)
+    assert sum(enumerate_simplices(simplex, 11, size_cap=total).counts()) == total

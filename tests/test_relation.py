@@ -447,3 +447,29 @@ def test_text_bad_sizes_and_indices():
         Relation.from_text("1 2\na\np q\n1 0\n")
     with pytest.raises(ParseError):
         Relation.from_text("2 1\na b\np\n0\n")  # missing row line
+
+
+def test_text_label_and_column_errors():
+    # rows are checked as they are parsed; labels and columns once after
+    cases = {"2 1\na a\np\n0\n0\n": "duplicate row labels",
+             "1 2\na\np p\n0 1\n": "duplicate column labels",
+             "2 2\na b\np q\n0\n0\n": "column 'q' has no incident row"}
+    for text, message in cases.items():
+        with pytest.raises(ParseError) as info:
+            Relation.from_text(text)
+        assert str(info.value) == message and info.value.line is None
+    # a row both out of range and out of order is reported as out of range
+    for row in ("5 0", "0 -1", "1 1 2"):
+        with pytest.raises(ParseError, match="line 4: column index out of range"):
+            Relation.from_text(f"1 2\na\np q\n{row}\n")
+    with pytest.raises(ParseError, match="line 4: .* strictly ascending"):
+        Relation.from_text("1 2\na\np q\n1 1\n")
+
+
+def test_text_builds_both_orientations():
+    rng = random.Random(37)
+    for _ in range(25):
+        r = with_repeats(rng, random_relation(rng))
+        parsed = Relation.from_text(r.to_text())
+        assert (parsed.rows, parsed.cols) == (r.rows, r.cols)
+        assert all(type(c) is int for row in parsed.rows for c in row)
