@@ -3,11 +3,14 @@
 A row is dominated when its column set is contained in another row's; deleting
 it does not change the homotopy type of the complex.  Alternating one pass of
 row removals and one of column removals (the same scan on the other axis)
-until neither removes anything yields the core.  A relation whose core is 1x1
-is strong collapsible, hence contractible; a larger core is inconclusive.
+until neither removes anything yields the core.  After the first pass on each
+axis, a pass re-tests only the members whose sets the pass before it shrank
+(`relation._collapse`); the core, the whole-relation test and the reducer's
+pair test all run that one fixpoint.  A relation whose core is 1x1 is strong
+collapsible, hence contractible; a larger core is inconclusive.
 """
 
-from .relation import Relation, _Draft, _dominator, _exhaust
+from .relation import Relation, _collapse, _Draft, _dominator
 
 
 def find_dominated_row(r: Relation):
@@ -17,26 +20,11 @@ def find_dominated_row(r: Relation):
     maximal.
     """
     draft = _Draft.of(r)
-    everything = range(r.nrows)
-    for i in everything:
-        j = _dominator(draft.rows, draft.cols, i, everything)
+    for i in range(r.nrows):
+        j = _dominator(draft.rows, draft.cols, i)
         if j is not None:
             return (i, j)
     return None
-
-
-def _core(r):
-    """A draft of r, a relation or a draft, with row and column domination
-    removal run to the fixpoint, and its live row and column id sets."""
-    draft = _Draft.of(r)
-    rows = {i for i, row in enumerate(draft.rows) if row}
-    cols = {c for c, col in enumerate(draft.cols) if col}
-    while True:
-        size = len(rows) + len(cols)
-        _exhaust(rows, draft.rows, draft.cols)
-        _exhaust(cols, draft.cols, draft.rows)
-        if len(rows) + len(cols) == size:
-            return draft, rows, cols
 
 
 def collapse_core(r: Relation) -> Relation:
@@ -45,19 +33,32 @@ def collapse_core(r: Relation) -> Relation:
     The core has no dominated row and no dominated column, and the same mod-2
     Betti numbers as the input.
     """
-    return _core(r)[0].freeze()
+    draft = _Draft.of(r)
+    _collapse(draft.rows, draft.cols, set(range(r.nrows)), set(range(r.ncols)))
+    return draft.freeze()
 
 
-def is_strong_collapsible(r) -> bool:
+def is_strong_collapsible(r, cols=None) -> bool:
     """True when the core of r, a relation or a draft, is a single vertex in
     a single toplex.
 
-    True implies the complex is contractible; False is inconclusive.  A
-    draft's dead slots are not part of it, and r is left unchanged.
+    With column ids `cols`, the union of the stars on them is tested: only
+    their live columns' row sets and those rows' column sets within `cols`
+    are copied, keyed by r's own ids, with nothing renumbered.  Without, all
+    of r; a draft's dead slots are not part of it.  True implies the complex
+    is contractible; False is inconclusive.  r is left unchanged.
     """
-    if not r.rows:
+    if cols is None:
+        cols = range(len(r.cols))
+    elif cols and not 0 <= min(cols) <= max(cols) < len(r.cols):
+        raise ValueError("column index out of range")
+    cols = {c for c in cols if r.cols[c]}
+    if not cols:
         raise ValueError("empty relation")
+    col_sets = {c: set(r.cols[c]) for c in cols}
+    rows = set().union(*col_sets.values())
+    row_sets = {i: cols.intersection(r.rows[i]) for i in rows}
     # removal keeps every live row and column non-empty, so the live counts
     # are the core's shape
-    _, rows, cols = _core(r)
+    _collapse(row_sets, col_sets, rows, cols)
     return len(rows) == len(cols) == 1

@@ -11,8 +11,9 @@ scoped there.  Each step removes two rows and adds one, preserving the mod-2
 Betti numbers whenever the tested subcomplex really was contractible.
 
 All of this edits one mutable working draft: each tested union of stars is
-restricted from it and collapsed as a draft, and a relation is built only
-for the result and for the snapshots an `on_step` hook asks for.
+collapsed from a copy of just those stars, keyed by the draft's own ids, and
+a relation is built only for the result and for the snapshots an `on_step`
+hook asks for.
 
 `reduce` makes one pass and does not revisit pairs: rows the cursor has
 passed are never reconsidered, even though a later merge can make a pair that
@@ -23,6 +24,7 @@ may shrink it further.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .collapse import is_strong_collapsible
@@ -60,8 +62,11 @@ class ReductionStats:
     `comparison_budget` is the pair-test bound computed on the input;
     `delta_max_history` / `epsilon_max_history` sample the largest star
     vertex/toplex count over live vertices, once before any step and once
-    after each step.  They are kept per merge: only the rows in the cone
-    row's star can change either count, so only those are recounted.
+    after each step.  They are kept per merge by the step equations that
+    `verify_step_equations` audits: the cone row's counts come from the
+    StepReport, a row whose star held both merged rows loses one star
+    vertex, a row loses the columns the clean-up removed from it, and no
+    other count changes, so no star is recounted.
     """
 
     rows_before: int = 0
@@ -125,23 +130,26 @@ def _merge(d, xi, xj, z, ncols):
     The cone row takes the next index and the union of the two rows'
     columns.  Columns among those that the merge made dominated are dropped;
     nothing else can be affected.  `ncols` is the draft's live column count
-    before the merge.  Returns the step's StepReport.
+    before the merge.  Returns the step's StepReport, the rows other than the
+    pair in both merged rows' stars, and how many columns the clean-up
+    removed from each other row that lost one.
     """
     union = d.rows[xi] | d.rows[xj]
-    delta_z = len(_star_rows(d, xi) | _star_rows(d, xj))
+    star_i, star_j = _star_rows(d, xi), _star_rows(d, xj)
     pair = (d.row_labels[xi], d.row_labels[xj])
     _drop(d.rows, d.cols, xi)
     _drop(d.rows, d.cols, xj)
     zi = d.add_row(z, union)
-    merged = [frozenset(d.cols[c]) for c in union]
-    kept = {frozenset(d.cols[c]) for c in _exhaust(union, d.cols, d.rows)}
+    gone = _exhaust(union, d.cols, d.rows)
+    kept = {frozenset(d.cols[c]) for c in union}
     # a removed column is a duplicate when its row set equals a kept one's
-    dups = sum(m in kept for m in merged) - len(kept)
-    removed = len(merged) - len(kept)
-    return StepReport(pair=pair, z_label=z,
-                      faces_absorbed=removed - dups, duplicates_merged=dups,
-                      delta_z=delta_z, epsilon_z=len(d.rows[zi]),
-                      cols_before=ncols, cols_after=ncols - removed)
+    dups = sum(frozenset(g) in kept for g in gone)
+    rep = StepReport(pair=pair, z_label=z,
+                     faces_absorbed=len(gone) - dups, duplicates_merged=dups,
+                     delta_z=len(star_i | star_j), epsilon_z=len(d.rows[zi]),
+                     cols_before=ncols, cols_after=ncols - len(gone))
+    return (rep, (star_i & star_j) - {xi, xj},
+            Counter(k for g in gone for k in g if k != zi))
 
 
 def reduction_step(r: Relation, xi: int, xj: int):
@@ -158,7 +166,7 @@ def reduction_step(r: Relation, xi: int, xj: int):
     if xi == xj:
         raise ValueError("need two distinct rows")
     d = _Draft.of(r)
-    report = _merge(d, xi, xj, f"z{_fresh_z(r.row_labels)}", r.ncols)
+    report = _merge(d, xi, xj, f"z{_fresh_z(r.row_labels)}", r.ncols)[0]
     return d.freeze(), report
 
 
@@ -199,10 +207,10 @@ def reduce(r: Relation, *, on_step=None):
     input must be column irreducible.  Every merge and every pair test
     works on one mutable draft of the relation, whose indices stay fixed: a
     merged row's slot goes dead and the cone row takes a new slot at the
-    tail, and each pair's union of closed stars is restricted and collapsed
-    as a draft of its own.  After a successful merge the cursor moves on to
-    the next live slot and candidates are re-derived; cone rows are
-    processed when the cursor reaches them.  A relation is built for the
+    tail, and each pair's union of closed stars is collapsed from a copy of
+    those stars alone, under the draft's ids.  After a successful merge the
+    cursor moves on to the next live slot and candidates are re-derived;
+    cone rows are processed when the cursor reaches them.  A relation is built for the
     result and, only when `on_step(before, after, report)` is given, once
     after each merge: `before` is the input for the first step and the
     previous step's `after` for each later one.
@@ -227,12 +235,12 @@ def reduce(r: Relation, *, on_step=None):
     while cursor < len(d.rows):
         # a dead slot has an empty set and so no candidates: the cursor passes it
         for j in candidate_vertices(d, cursor):
-            ok = is_strong_collapsible(_Draft.of(d, d.rows[cursor] | d.rows[j]))
+            ok = is_strong_collapsible(d, d.rows[cursor] | d.rows[j])
             stats.contractibility_tests += 1
             stats.tested_pairs.append((d.row_labels[cursor], d.row_labels[j], ok))
             if not ok:
                 continue
-            rep = _merge(d, cursor, j, f"z{z}", ncols)
+            rep, both, lost = _merge(d, cursor, j, f"z{z}", ncols)
             z += 1
             ncols = rep.cols_after
             log.append(rep)
@@ -242,13 +250,16 @@ def reduce(r: Relation, *, on_step=None):
             for k in (cursor, j):
                 delta.set(k, 0)
                 epsilon.set(k, 0)
-            # a row that shared a column with xi or xj, or lost a column,
-            # now shares a kept union column with the cone row (a removed
-            # column lies inside a kept one), so the cone row's star holds
-            # every row whose counts can have changed
-            for k in _star_rows(d, len(d.rows) - 1):
-                delta.set(k, len(_star_rows(d, k)))
-                epsilon.set(k, len(d.rows[k]))
+            # the step equations: the cone row's counts are the report's, a
+            # row whose star held both merged rows loses one star vertex, a
+            # row loses the columns the clean-up removed from it, and no
+            # other count changes
+            delta.set(len(d.rows) - 1, rep.delta_z - 1)
+            epsilon.set(len(d.rows) - 1, rep.epsilon_z)
+            for k in both:
+                delta.set(k, delta.values[k] - 1)
+            for k, n in lost.items():
+                epsilon.set(k, epsilon.values[k] - n)
             stats.delta_max_history.append(delta.top)
             stats.epsilon_max_history.append(epsilon.top)
             if on_step is not None:

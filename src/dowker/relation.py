@@ -34,8 +34,18 @@ def _other_axis(lists, n):
     return out
 
 
-def _dominator(sets, other, i, within):
-    """First member of `within` that dominates member i, or None.
+def _smallest(other, s):
+    """The smallest other[b] over b in the non-empty set s."""
+    it = iter(s)
+    smallest = other[next(it)]
+    for b in it:
+        if len(other[b]) < len(smallest):
+            smallest = other[b]
+    return smallest
+
+
+def _dominator(sets, other, i):
+    """First member that dominates member i, or None.
 
     k dominates i when sets[i] is contained in sets[k] and the sets differ
     or k < i (equal sets keep the lowest index); sets[i] must be non-empty.
@@ -45,17 +55,23 @@ def _dominator(sets, other, i, within):
     sizes, not the axis length.
     """
     s = sets[i]
-    it = iter(s)
-    smallest = other[next(it)]
-    for b in it:
-        if len(other[b]) < len(smallest):
-            smallest = other[b]
     n = len(s)
-    for k in sorted(smallest):
+    for k in sorted(_smallest(other, s)):
         # a superset differs exactly when it is larger
-        if k != i and k in within and s <= sets[k] and (k < i or len(sets[k]) != n):
+        if k != i and s <= sets[k] and (k < i or len(sets[k]) != n):
             return k
     return None
+
+
+def _dominated(sets, other, i, within):
+    """Whether a member of `within` dominates member i: `_dominator`'s rule,
+    with the smallest candidate set scanned unsorted up to the first hit."""
+    s = sets[i]
+    n = len(s)
+    for k in _smallest(other, s):
+        if k != i and k in within and s <= sets[k] and (k < i or len(sets[k]) != n):
+            return True
+    return False
 
 
 _DEAD = frozenset()
@@ -64,15 +80,18 @@ _DEAD = frozenset()
 def _drop(sets_a, sets_b, i):
     """Remove member i of axis a in place: remove it from the sets of axis b
     and give it the shared empty set, so a dead slot keeps no set of its
-    own."""
-    for b in sets_a[i]:
+    own.  Returns the set it had."""
+    s = sets_a[i]
+    for b in s:
         sets_b[b].discard(i)
     sets_a[i] = _DEAD
+    return s
 
 
-def _exhaust(live, sets_a, sets_b):
-    """Remove, in place, the dominated members of axis a among the set
-    `live`, drop them from `live` too, and return it.
+def _exhaust(live, sets_a, sets_b, todo=None):
+    """Remove, in place, the dominated members of axis a among `todo` (by
+    default every member of the set `live`), drop them from `live` too, and
+    return the sets the removed members had.
 
     A member goes away when its set is strictly contained in another live
     member's, or equals the set of a lower-indexed one (duplicates keep the
@@ -82,11 +101,33 @@ def _exhaust(live, sets_a, sets_b):
     """
     # a removal shrinks sets on axis b only, so no earlier member becomes
     # dominated, and one ascending pass removes what a fixed-set scan would
-    for i in sorted(live):
-        if _dominator(sets_a, sets_b, i, live) is not None:
+    removed = []
+    for i in sorted(live if todo is None else todo):
+        if _dominated(sets_a, sets_b, i, live):
             live.discard(i)
-            _drop(sets_a, sets_b, i)
-    return live
+            removed.append(_drop(sets_a, sets_b, i))
+    return removed
+
+
+def _collapse(row_sets, col_sets, rows, cols):
+    """Alternate row and column domination removal, in place, until a column
+    pass removes nothing; `rows` and `cols` are the live ids and keep the
+    survivors.
+
+    The first pass on each axis tests every live member; after that, a pass
+    tests only the members whose sets the pass just before it shrank.  A
+    removal on one axis only shrinks sets on the other, so a member whose
+    set did not change cannot have become dominated, and the same members
+    go in the same order as under full rescans.
+    """
+    # a removed row's columns are live, so the first update leaves `cols` as is
+    rows_todo, cols_todo = rows, cols
+    while True:
+        cols_todo.update(*_exhaust(rows, row_sets, col_sets, rows_todo))
+        removed = _exhaust(cols, col_sets, row_sets, cols_todo)
+        if not removed:
+            return
+        rows_todo, cols_todo = set().union(*removed), set()
 
 
 class Relation:
@@ -293,8 +334,8 @@ class Relation:
     def is_column_irreducible(self):
         draft = _Draft.of(self)
         everything = range(self.ncols)
-        return all(_dominator(draft.cols, draft.rows, j, everything) is None
-                   for j in everything)
+        return not any(_dominated(draft.cols, draft.rows, j, everything)
+                       for j in everything)
 
     # ------------------------------------------------------------------
     # text format
@@ -391,9 +432,9 @@ class _Draft:
         orientations are read, and r is left unchanged.
 
         With column ids `cols`, only those of them that are live and the
-        rows that meet them, renumbered in ascending index order; for the
-        union of some rows' columns, that is the union of their closed
-        stars.  Without, every slot keeps its index, dead ones included.
+        rows that meet them, renumbered in ascending index order, which is
+        what `restrict_to_columns` freezes.  Without, every slot keeps its
+        index, dead ones included.
         """
         if cols is None:
             return cls(list(r.row_labels), r.col_labels,
@@ -485,5 +526,7 @@ def _maximal_toplexes(toplexes, order=None):
     index = {v: i for i, v in enumerate(order)}
     cols = [tuple(sorted(map(index.__getitem__, t))) for t in tops]
     rows = [set(row) for row in _other_axis(cols, len(order))]
-    keep = sorted(_exhaust(set(range(len(cols))), [set(col) for col in cols], rows))
+    keep = set(range(len(cols)))
+    _exhaust(keep, [set(col) for col in cols], rows)
+    keep = sorted(keep)
     return order, [tops[j] for j in keep], [cols[j] for j in keep]

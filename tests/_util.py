@@ -39,6 +39,20 @@ def fan_relation():
     return Relation.from_toplexes(FAN_TOPLEXES)
 
 
+def disk_relation(m, n):
+    """Relation of an m x n vertex grid without wrap-around, each of its
+    (m-1)(n-1) cells split into two triangles: a disk."""
+    def v(i, j):
+        return f"g{i}_{j}"
+
+    tris = []
+    for i in range(m - 1):
+        for j in range(n - 1):
+            tris += [(v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                     (v(i, j), v(i + 1, j + 1), v(i, j + 1))]
+    return Relation.from_toplexes(tris)
+
+
 def simplices_of_columns(column_vertex_sets):
     """Every non-empty subset of every toplex, deduplicated."""
     out = set()

@@ -5,10 +5,11 @@ import random
 import pytest
 
 import dowker.reducer
+from dowker import relation as relation_module
 from dowker import (Relation, betti_gf2, collapse_core, find_dominated_row,
                     gen_torus_grid, is_strong_collapsible, reduce)
 from dowker.relation import _Draft
-from _util import (core_labels_reference, fan_relation, first_dominators,
+from _util import (core_labels_reference, disk_relation, fan_relation, first_dominators,
                    random_irreducible_relation, random_relation, with_repeats)
 
 
@@ -76,6 +77,15 @@ def test_empty_relation_rejected():
         is_strong_collapsible(Relation((), (), ()))
 
 
+def test_pair_test_rejects_column_ids_out_of_range():
+    r = fan_relation()
+    for cols in ({-1}, {0, r.ncols}):
+        with pytest.raises(ValueError, match="column index out of range"):
+            is_strong_collapsible(r, cols)
+    with pytest.raises(ValueError):
+        is_strong_collapsible(r, set())
+
+
 def test_core_idempotent_and_undominated():
     rng = random.Random(31)
     for _ in range(60):
@@ -120,11 +130,46 @@ def test_domination_matches_pairwise_reference():
         assert (core.row_labels, core.col_labels) == core_labels_reference(r)
 
 
+def test_core_matches_the_rescanning_reference():
+    # the worklist re-tests only changed members; the reference rescans
+    # everything after each single removal, so both must leave the same
+    # labels, also under the duplicate tie rule on both axes
+    rng = random.Random(137)
+    inputs = [disk_relation(5, 6), fan_relation().add_row("apex", range(6))]
+    inputs += [with_repeats(rng, random_relation(rng)) for _ in range(100)]
+    for r in inputs:
+        for rel in (r, r.transpose()):
+            core = collapse_core(rel)
+            assert (core.row_labels, core.col_labels) == core_labels_reference(rel)
+
+
+def test_core_domination_tests_do_not_grow_per_member(monkeypatch):
+    # a disk collapses from its boundary inward, about one layer per pass, so
+    # rescanning every live member per pass would make the tests per member
+    # grow as the square root of the size, about 3x from 400 to 3600 rows
+    calls = []
+    dominated = relation_module._dominated
+
+    def counting(sets, other, i, within):
+        calls.append(i)
+        return dominated(sets, other, i, within)
+
+    monkeypatch.setattr(relation_module, "_dominated", counting)
+    per_member = []
+    for m in (20, 60):
+        r = disk_relation(m, m)
+        calls.clear()
+        assert collapse_core(r).shape == (1, 1)
+        per_member.append(len(calls) / (r.nrows + r.ncols))
+    assert per_member[1] / per_member[0] < 1.5
+
+
 def test_restricted_draft_verdict_matches_the_restricted_relation(monkeypatch):
     # on every working draft of the reducer, dead slots and cone rows
     # included: a draft restricted to a pair's stars, or to random ids that
-    # may be dead, gets the verdict of the same restriction of the frozen
-    # relation, and neither draft is changed by the test
+    # may be dead, and the test of those ids on the working draft itself get
+    # the verdict of the same restriction of the frozen relation, and no
+    # draft is changed by the test
     rng = random.Random(131)
     candidates = dowker.reducer.candidate_vertices
     seen = {"verdicts": [], "dead": 0, "cone": 0}
@@ -146,9 +191,13 @@ def test_restricted_draft_verdict_matches_the_restricted_relation(monkeypatch):
             if not picked:
                 with pytest.raises(ValueError):
                     is_strong_collapsible(sub)
+                with pytest.raises(ValueError):
+                    is_strong_collapsible(d, cols)
                 continue
             got = is_strong_collapsible(sub)
             assert got == is_strong_collapsible(frozen.restrict_to_columns(picked).relation)
+            assert is_strong_collapsible(d, cols) == got
+            assert sets(d) == before
             assert sets(sub) == kept
             seen["verdicts"].append(got)
         assert is_strong_collapsible(d) == is_strong_collapsible(frozen)

@@ -248,8 +248,8 @@ def test_reduce_is_deterministic():
 
 def test_callbacks_do_not_change_the_result(monkeypatch):
     # a whole-relation snapshot is frozen from the working draft once after
-    # each merge, and only for on_step; each pair is restricted and tested as
-    # a draft, so the final freeze is the only other one
+    # each merge, and only for on_step; each pair is tested on a copy of its
+    # stars that is never frozen, so the final freeze is the only other one
     freezes = []
     freeze = relation_module._Draft.freeze
 
@@ -369,6 +369,45 @@ def test_histories_match_star_size_reference():
             assert (stats.delta_max_seen, stats.epsilon_max_seen) \
                 == tuple(max(hist) for hist in zip(*expected))
             r = out
+
+
+def test_star_sizes_per_slot_match_a_recount(monkeypatch):
+    # the step equations update each slot's counts, not only the maxima:
+    # after every step, each live slot's star vertex and toplex counts must
+    # equal a recount on the relation the step leaves, and a dead slot's 0
+    made = []
+    running_max = dowker.reducer._RunningMax
+
+    def capturing(values):
+        made.append(running_max(values))
+        return made[-1]
+
+    monkeypatch.setattr(dowker.reducer, "_RunningMax", capturing)
+    rng = random.Random(139)
+    inputs = [random_irreducible_relation(rng) for _ in range(300)]
+    inputs += [Relation.from_toplexes(gen_torus_grid(m, n)) for m, n in ((4, 4), (12, 16))]
+    steps = 0
+    for r in inputs:
+        for _ in range(2):  # the second pass starts on z<n> row labels
+            slots = list(r.row_labels)
+
+            def check(before, after, rep):
+                slots.append(rep.z_label)
+                delta, epsilon = made
+                pos = {label: i for i, label in enumerate(after.row_labels)}
+                for k, label in enumerate(slots):
+                    i = pos.get(label)
+                    if i is None:
+                        assert delta.values[k] == epsilon.values[k] == 0
+                    else:
+                        star = {v for c in after.row(i) for v in after.col(c)}
+                        assert (delta.values[k], epsilon.values[k]) \
+                            == (len(star), len(after.row(i)))
+
+            made.clear()
+            r, stats, _ = reduce(r, on_step=check)
+            steps += stats.steps_applied
+    assert steps > 1000
 
 
 def test_history_upkeep_does_not_grow_with_row_count(monkeypatch):
