@@ -71,8 +71,10 @@ def cmd_reduce(args):
     if args.check_betti:
         betti_after = betti_gf2(reduced, args.max_dim, size_cap=cap)
     if args.output:
+        # serialise first: a label to_text refuses must not empty the target
+        text = reduced.to_text()
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(reduced.to_text())
+            fh.write(text)
     if args.log:
         with open(args.log, "w", encoding="utf-8") as fh:
             fh.write(format_step_log(reports))

@@ -45,10 +45,6 @@ class ToplexList:
     def __repr__(self):
         return f"ToplexList({len(self.toplexes)} toplexes, {len(self.vertex_names)} vertices)"
 
-    @property
-    def max_dimension(self):
-        return max((len(t) for t in self.toplexes), default=1) - 1
-
     def to_text(self):
         """One toplex per line, vertex names whitespace-separated."""
         return "".join(" ".join(str(v) for v in t) + "\n" for t in self.toplexes)

@@ -10,10 +10,11 @@ only pairs inside the new row's columns can be affected, so the clean-up is
 scoped there.  Each step removes two rows and adds one, preserving the mod-2
 Betti numbers whenever the tested subcomplex really was contractible.
 
-All of this edits one mutable working draft: each tested union of stars is
-collapsed from a copy of just those stars, keyed by the draft's own ids, and
-a relation is built only for the result and for the snapshots an `on_step`
-hook asks for.
+All of this edits one mutable working draft.  The pass is a stream,
+`_steps`: it merges pairs on the draft in place and yields each step's report
+once its merge is applied; `reduce` runs it to the end and builds one
+relation, the result.  Each tested union of stars is collapsed from a copy of
+just those stars, keyed by the draft's own ids.
 
 `reduce` makes one pass and does not revisit pairs: rows the cursor has
 passed are never reconsidered, even though a later merge can make a pair that
@@ -59,14 +60,16 @@ class StepReport:
 class ReductionStats:
     """Per-run counters and size tracking.
 
-    `comparison_budget` is the pair-test bound computed on the input;
-    `delta_max_history` / `epsilon_max_history` sample the largest star
-    vertex/toplex count over live vertices, once before any step and once
-    after each step.  They are kept per merge by the step equations that
-    `verify_step_equations` audits: the cone row's counts come from the
-    StepReport, a row whose star held both merged rows loses one star
-    vertex, a row loses the columns the clean-up removed from it, and no
-    other count changes, so no star is recounted.
+    `_steps` records each pair test and history entry as it happens, and
+    `reduce` fills in the rest once the stream ends.  `comparison_budget` is
+    the pair-test bound computed on the input; `delta_max_history` /
+    `epsilon_max_history` sample the largest star vertex/toplex count over
+    live vertices, once before any step and once after each step.  They are
+    kept per merge by the step equations that `verify_step_equations`
+    audits: the cone row's counts come from the StepReport, a row whose star
+    held both merged rows loses one star vertex, a row loses the columns the
+    clean-up removed from it, and no other count changes, so no star is
+    recounted.
     """
 
     rows_before: int = 0
@@ -78,8 +81,6 @@ class ReductionStats:
     comparison_budget: int = 0
     delta_max_seen: int = 0
     epsilon_max_seen: int = 0
-    faces_absorbed_total: int = 0
-    duplicates_merged_total: int = 0
     delta_max_history: list = field(default_factory=list)
     epsilon_max_history: list = field(default_factory=list)
     tested_pairs: list = field(default_factory=list)
@@ -200,40 +201,30 @@ class _RunningMax:
             self.top -= 1
 
 
-def reduce(r: Relation, *, on_step=None):
-    """Run the single-pass reduction to exhaustion.
+def _steps(d, stats):
+    """Merge pairs of the draft `d` in place, in one pass of the cursor,
+    and yield each merge's StepReport once it is applied.
 
-    Returns (reduced relation, ReductionStats, list of StepReport).  The
-    input must be column irreducible.  Every merge and every pair test
-    works on one mutable draft of the relation, whose indices stay fixed: a
-    merged row's slot goes dead and the cone row takes a new slot at the
-    tail, and each pair's union of closed stars is collapsed from a copy of
-    those stars alone, under the draft's ids.  After a successful merge the
-    cursor moves on to the next live slot and candidates are re-derived;
-    cone rows are processed when the cursor reaches them.  A relation is built for the
-    result and, only when `on_step(before, after, report)` is given, once
-    after each merge: `before` is the input for the first step and the
-    previous step's `after` for each later one.
+    The cursor walks the slots in ascending order and tests the cursor
+    row's candidates in turn; on the first success the pair is merged and
+    candidates are re-derived, otherwise the cursor moves on.  A dead slot
+    has no candidates and a cone row is processed when the cursor reaches
+    it.  Each test and each star-size maximum goes into `stats` as it
+    happens.  The pass starts from the draft alone, so it can run again on
+    a draft an earlier pass left, dead slots and all.
     """
-    stats = ReductionStats(rows_before=r.nrows, cols_before=r.ncols,
-                           comparison_budget=comparison_budget(r))
-    log = []
-    d = _Draft.of(r)
     # star vertex and toplex count per slot; a dead slot counts 0
-    delta = _RunningMax(len(_star_rows(d, i)) for i in range(r.nrows))
+    delta = _RunningMax(len(_star_rows(d, i)) for i in range(len(d.rows)))
     epsilon = _RunningMax(map(len, d.rows))
     stats.delta_max_history.append(delta.top)
     stats.epsilon_max_history.append(epsilon.top)
-    ncols = r.ncols
+    ncols = sum(1 for c in d.cols if c)
+    # a dead slot's label is below the last cone label, which is live, and
     # the last cone label always survives into the next step, so counting
-    # up gives the labels a fresh scan of the row labels would
-    z = _fresh_z(r.row_labels)
-    # a column-irreducible input has no dead slot, so it equals a fresh
-    # freeze of the draft
-    before = r
+    # up gives the labels a fresh scan of the live row labels would
+    z = _fresh_z(d.row_labels)
     cursor = 0
     while cursor < len(d.rows):
-        # a dead slot has an empty set and so no candidates: the cursor passes it
         for j in candidate_vertices(d, cursor):
             ok = is_strong_collapsible(d, d.rows[cursor] | d.rows[j])
             stats.contractibility_tests += 1
@@ -243,10 +234,6 @@ def reduce(r: Relation, *, on_step=None):
             rep, both, lost = _merge(d, cursor, j, f"z{z}", ncols)
             z += 1
             ncols = rep.cols_after
-            log.append(rep)
-            stats.steps_applied += 1
-            stats.faces_absorbed_total += rep.faces_absorbed
-            stats.duplicates_merged_total += rep.duplicates_merged
             for k in (cursor, j):
                 delta.set(k, 0)
                 epsilon.set(k, 0)
@@ -262,18 +249,32 @@ def reduce(r: Relation, *, on_step=None):
                 epsilon.set(k, epsilon.values[k] - n)
             stats.delta_max_history.append(delta.top)
             stats.epsilon_max_history.append(epsilon.top)
-            if on_step is not None:
-                after = d.freeze()
-                on_step(before, after, rep)
-                before = after
+            yield rep
             break
         else:
             cursor += 1
+
+
+def reduce(r: Relation):
+    """Run the single-pass reduction to exhaustion.
+
+    Returns (reduced relation, ReductionStats, list of StepReport).  The
+    input must be column irreducible.  `_steps` merges pairs on one mutable
+    draft of r, whose indices stay fixed: a merged row's slot goes dead and
+    the cone row takes a new slot at the tail, and each pair's union of
+    closed stars is collapsed from a copy of those stars alone, under the
+    draft's ids.  The draft is frozen once, into the one relation a run
+    builds.
+    """
+    stats = ReductionStats(rows_before=r.nrows, cols_before=r.ncols,
+                           comparison_budget=comparison_budget(r))
+    d = _Draft.of(r)
+    log = list(_steps(d, stats))
     cur = d.freeze()
-    stats.rows_after = cur.nrows
-    stats.cols_after = cur.ncols
-    stats.delta_max_seen = max(stats.delta_max_history, default=0)
-    stats.epsilon_max_seen = max(stats.epsilon_max_history, default=0)
+    stats.rows_after, stats.cols_after = cur.shape
+    stats.steps_applied = len(log)
+    stats.delta_max_seen = max(stats.delta_max_history)
+    stats.epsilon_max_seen = max(stats.epsilon_max_history)
     return cur, stats, log
 
 

@@ -316,19 +316,11 @@ class Relation:
             return self
         return Relation._build(self.col_labels, self.row_labels, self.cols, self.rows)
 
-    def make_column_irreducible(self, restrict_to=None):
-        """Remove columns whose row set is contained in another's.
-
-        With `restrict_to` given, only pairs with both members inside that
-        column set are compared (enough to restore irreducibility after a
-        pair merge); without it the result is fully column irreducible.
-        Exact duplicates keep the lowest column index.
-        """
-        candidates = range(self.ncols) if restrict_to is None else sorted(set(restrict_to))
-        if candidates and (candidates[0] < 0 or candidates[-1] >= self.ncols):
-            raise ValueError("column index out of range")
+    def make_column_irreducible(self):
+        """Remove columns whose row set is contained in another's; exact
+        duplicates keep the lowest column index."""
         draft = _Draft.of(self)
-        _exhaust(set(candidates), draft.cols, draft.rows)
+        _exhaust(set(range(self.ncols)), draft.cols, draft.rows)
         return draft.freeze()
 
     def is_column_irreducible(self):

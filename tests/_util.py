@@ -9,6 +9,8 @@ implementations.
 from itertools import combinations
 
 from dowker import Relation, reduction_step, verify_step_equations
+from dowker.reducer import ReductionStats, _steps
+from dowker.relation import _Draft
 
 # the running example: two triangles sharing an edge, with pendant edges
 FAN_TOPLEXES = [("x1", "x2"), ("x1", "x3"), ("x2", "x3", "x4"),
@@ -179,6 +181,19 @@ def replay_and_verify(initial, reports):
         results.append(rep2 == rep and verify_step_equations(cur, nxt, rep2))
         cur = nxt
     return cur, results
+
+
+def step_snapshots(r, stats=None):
+    """The reducer's merge stream on a fresh draft of r, with the draft
+    frozen after each merge: yields (before, after, report), where `before`
+    is r for the first merge and the previous `after` for each later one.
+    The stream records its tests and histories in `stats` when given."""
+    d = _Draft.of(r)
+    before = r
+    for rep in _steps(d, ReductionStats() if stats is None else stats):
+        after = d.freeze()
+        yield before, after, rep
+        before = after
 
 
 def edge_use_counts(toplexes):

@@ -155,6 +155,19 @@ def test_reduce_outputs_are_byte_identical(tmp_path, capsys):
     assert reports[0].splitlines()[:5] == reports[1].splitlines()[:5]  # all but time
 
 
+def test_reduce_output_refused_keeps_the_earlier_file(tmp_path, capsys):
+    # the reduced relation keeps the label #b, which the text format cannot
+    # hold; the target must not be emptied before that is known
+    src = write(tmp_path, "hash.toplex", "a #b\nc #b\na c\n")
+    out = tmp_path / "out.rel"
+    earlier = fan_relation().to_text()
+    out.write_text(earlier)
+    assert cli.main(["reduce", "--input", src, "--format", "toplex",
+                     "--output", str(out)]) == 1
+    assert "'#b' cannot be written as a text token" in capsys.readouterr().err
+    assert out.read_text() == earlier
+
+
 def test_reduce_betti_mismatch_exits_2(tmp_path, capsys, monkeypatch):
     calls = []
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from itertools import islice
 
 import pytest
 
@@ -10,8 +11,11 @@ from dowker import (Relation, betti_gf2, candidate_vertices, comparison_budget,
                     gen_torus_grid, reduce, reduction_step, verify_step_equations)
 import dowker.reducer
 from dowker import relation as relation_module
+from dowker.reducer import ReductionStats, _steps
+from dowker.relation import _Draft
 from _util import (FAN_MERGED_DENSE, complex_of, fan_relation, first_dominators,
-                   random_irreducible_relation, replay_and_verify, star_size_maxima)
+                   random_irreducible_relation, replay_and_verify, star_size_maxima,
+                   step_snapshots)
 
 
 # ----------------------------------------------------------------------
@@ -179,27 +183,26 @@ def test_audit_rejects_tampered_reports():
 def test_single_toplex_reduces_to_point_with_oracle_checks():
     r = Relation.from_toplexes([("a", "b", "c")])
     seen = []
-
-    def watch(before, after, rep):
+    for before, after, rep in step_snapshots(r):
         # the oracle certifies every step on its own snapshots
         assert betti_gf2(before.toplexes(), 2) == betti_gf2(after.toplexes(), 2)
         seen.append(betti_gf2(after.toplexes(), 2))
-
-    out, stats, log = reduce(r, on_step=watch)
+    out, stats, log = reduce(r)
     assert out.shape == (1, 1)
     assert stats.steps_applied == 2
     assert seen == [(1, 0, 0), (1, 0, 0)]
 
 
-def test_on_step_before_is_the_previous_after():
+def test_stream_before_is_the_previous_after():
     # the first step's before is the input and each later one the previous
-    # step's after; each pair is the step the report describes
+    # step's after; each pair is the step the report describes, and the
+    # stream yields the steps reduce logs
     rng = random.Random(97)
     inputs = [random_irreducible_relation(rng) for _ in range(60)]
     inputs.append(Relation.from_toplexes(gen_torus_grid(4, 4)))
     for r in inputs:
-        calls = []
-        out, stats, log = reduce(r, on_step=lambda b, a, rep: calls.append((b, a, rep)))
+        calls = list(step_snapshots(r))
+        out, stats, log = reduce(r)
         assert [rep for _, _, rep in calls] == log
         afters = [a for _, a, _ in calls]
         assert [b for b, _, _ in calls] == ([r] + afters)[:len(calls)]
@@ -247,9 +250,9 @@ def test_reduce_is_deterministic():
 
 
 def test_callbacks_do_not_change_the_result(monkeypatch):
-    # a whole-relation snapshot is frozen from the working draft once after
-    # each merge, and only for on_step; each pair is tested on a copy of its
-    # stars that is never frozen, so the final freeze is the only other one
+    # freezing the draft after each merge the stream yields changes neither
+    # the steps nor the result; reduce freezes the draft once, since each
+    # pair is tested on a copy of its stars that is never frozen
     freezes = []
     freeze = relation_module._Draft.freeze
 
@@ -262,18 +265,22 @@ def test_callbacks_do_not_change_the_result(monkeypatch):
     more_tests_than_steps = 0
     for _ in range(15):
         r = random_irreducible_relation(rng)
-        results = []
-        for kwargs in ({}, {"on_step": lambda *args: None}):
-            freezes.clear()
-            out, stats, log = reduce(r, **kwargs)
-            results.append((out, stats, log))
-            assert len(freezes) == 1 + (stats.steps_applied if kwargs else 0)
+        freezes.clear()
+        out, stats, log = reduce(r)
+        assert len(freezes) == 1
+        streamed = ReductionStats()
+        calls = list(step_snapshots(r, streamed))
+        assert [rep for _, _, rep in calls] == log
+        assert (calls[-1][1] if calls else r) == out
+        assert (streamed.contractibility_tests, streamed.tested_pairs,
+                streamed.delta_max_history, streamed.epsilon_max_history) \
+            == (stats.contractibility_tests, stats.tested_pairs,
+                stats.delta_max_history, stats.epsilon_max_history)
         more_tests_than_steps += stats.contractibility_tests > stats.steps_applied
-        assert results[0] == results[1]
     assert more_tests_than_steps
 
 
-def test_reduce_builds_one_relation_without_on_step(monkeypatch):
+def test_reduce_builds_one_relation(monkeypatch):
     built = []
     build = Relation._build.__func__
 
@@ -287,11 +294,8 @@ def test_reduce_builds_one_relation_without_on_step(monkeypatch):
     inputs.append(Relation.from_toplexes(gen_torus_grid(6, 8)))
     for r in inputs:
         built.clear()
-        out, stats, log = reduce(r)
+        reduce(r)
         assert len(built) == 1
-        built.clear()
-        reduce(r, on_step=lambda *args: None)
-        assert len(built) == 1 + stats.steps_applied
 
 
 def test_second_pass_replays_with_counted_cone_labels():
@@ -321,9 +325,7 @@ def test_each_step_keeps_columns_irreducible_and_shrinking():
     rng = random.Random(73)
     for _ in range(20):
         r = random_irreducible_relation(rng)
-        states = []
-        reduce(r, on_step=lambda b, a, rep: states.append((a, rep)))
-        for after, rep in states:
+        for _, after, rep in step_snapshots(r):
             assert after.is_column_irreducible()
             assert rep.cols_after <= rep.cols_before
             assert rep.cols_before - rep.cols_after \
@@ -362,8 +364,8 @@ def test_histories_match_star_size_reference():
     inputs += [Relation.from_toplexes(gen_torus_grid(m, n)) for m, n in ((4, 4), (12, 16))]
     for r in inputs:
         for _ in range(2):  # the second pass starts on z<n> row labels
-            afters = []
-            out, stats, log = reduce(r, on_step=lambda b, a, rep: afters.append(a))
+            afters = [a for _, a, _ in step_snapshots(r)]
+            out, stats, log = reduce(r)
             expected = [star_size_maxima(rel) for rel in [r] + afters]
             assert list(zip(stats.delta_max_history, stats.epsilon_max_history)) == expected
             assert (stats.delta_max_seen, stats.epsilon_max_seen) \
@@ -390,8 +392,9 @@ def test_star_sizes_per_slot_match_a_recount(monkeypatch):
     for r in inputs:
         for _ in range(2):  # the second pass starts on z<n> row labels
             slots = list(r.row_labels)
-
-            def check(before, after, rep):
+            made.clear()
+            after = r
+            for _, after, rep in step_snapshots(r):
                 slots.append(rep.z_label)
                 delta, epsilon = made
                 pos = {label: i for i, label in enumerate(after.row_labels)}
@@ -403,10 +406,8 @@ def test_star_sizes_per_slot_match_a_recount(monkeypatch):
                         star = {v for c in after.row(i) for v in after.col(c)}
                         assert (delta.values[k], epsilon.values[k]) \
                             == (len(star), len(after.row(i)))
-
-            made.clear()
-            r, stats, _ = reduce(r, on_step=check)
-            steps += stats.steps_applied
+                steps += 1
+            r = after
     assert steps > 1000
 
 
@@ -448,6 +449,42 @@ def test_second_pass_can_shrink_further():
         twice, _, _ = reduce(once)
         assert (once.shape, twice.shape) == (once_shape, twice_shape)
         assert betti_gf2(twice.toplexes(), 3) == betti_gf2(draws[k].toplexes(), 3)
+
+
+def test_a_second_pass_on_the_same_draft_matches_reduce_of_its_freeze():
+    # the stream starts its counts, cone labels and live column count from
+    # the draft, so a pass over a draft an earlier pass left, dead slots and
+    # all, is the pass reduce makes on that draft's freeze
+    rng = random.Random(20260809)
+    inputs = [random_irreducible_relation(rng) for _ in range(300)]
+    inputs.append(Relation.from_toplexes(gen_torus_grid(12, 16)))
+    merged_again = []
+    for k, r in enumerate(inputs):
+        d = _Draft.of(r)
+        list(_steps(d, ReductionStats()))
+        out, stats, log = reduce(d.freeze())
+        again = ReductionStats()
+        assert list(_steps(d, again)) == log
+        assert again.tested_pairs == stats.tested_pairs
+        assert (again.delta_max_history, again.epsilon_max_history) \
+            == (stats.delta_max_history, stats.epsilon_max_history)
+        assert d.freeze() == out
+        if log:
+            merged_again.append(k)
+    assert merged_again == [112, 162, 188]
+
+
+def test_a_stream_stopped_early_leaves_the_replayed_prefix():
+    # after k reports the draft holds exactly the first k logged merges
+    r = Relation.from_toplexes(gen_torus_grid(4, 4))
+    _, _, log = reduce(r)
+    assert log
+    for k in range(len(log) + 1):
+        d = _Draft.of(r)
+        assert list(islice(_steps(d, ReductionStats()), k)) == log[:k]
+        final, results = replay_and_verify(r, log[:k])
+        assert all(results)
+        assert d.freeze() == final
 
 
 def test_degenerate_inputs():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dowker import ParseError, Relation, ToplexList
+from dowker import ParseError, Relation, ToplexList, reduction_step
 from dowker import relation as relation_module
 from _util import (FAN_DENSE, FAN_MERGED_DENSE, FAN_STAR_DENSE, FAN_TOPLEXES,
                    closed_star, complex_of, fan_relation, first_dominators,
@@ -318,9 +318,9 @@ def test_duplicate_keeps_lower_index():
 
 
 def test_scoped_cleanup_leaves_fan_merge_unchanged():
+    # merging x3 and x4 leaves no column of the fan dominated
     rpp = fan_relation().add_row("z", {1, 2, 3, 4}).remove_rows(["x3", "x4"])
-    out = rpp.make_column_irreducible(restrict_to={1, 2, 3, 4})
-    assert out == rpp
+    assert rpp.make_column_irreducible() == rpp
 
 
 def test_full_cleanup_postcondition():
@@ -337,7 +337,7 @@ def test_full_cleanup_postcondition():
 
 def test_scoped_cleanup_matches_full_cleanup_after_merge():
     # on a column-irreducible relation, cleaning only the merged row's
-    # columns restores full irreducibility
+    # columns, as the pair-merge step does, restores full irreducibility
     rng = random.Random(11)
     for _ in range(80):
         r = random_irreducible_relation(rng)
@@ -345,11 +345,11 @@ def test_scoped_cleanup_matches_full_cleanup_after_merge():
             continue
         xi, xj = sorted(rng.sample(range(r.nrows), 2))
         union = set(r.row(xi)) | set(r.row(xj))
-        merged = r.add_row("zz", union).remove_rows(
+        stepped, rep = reduction_step(r, xi, xj)
+        merged = r.add_row(rep.z_label, union).remove_rows(
             [r.row_labels[xi], r.row_labels[xj]])
         assert merged.ncols == r.ncols
-        assert merged.make_column_irreducible(restrict_to=union) \
-            == merged.make_column_irreducible()
+        assert stepped == merged.make_column_irreducible()
 
 
 def test_column_cleanup_matches_pairwise_reference():
@@ -365,12 +365,20 @@ def test_column_cleanup_matches_pairwise_reference():
             dom = first_dominators(sets, restrict)
             kept = [j for j in range(r.ncols) if dom.get(j) is None]
             pos = {j: k for k, j in enumerate(kept)}
-            out = r.make_column_irreducible(restrict)
+            if restrict is None:
+                out = r.make_column_irreducible()
+                assert out.is_column_irreducible()
+            else:
+                # the scoped clean-up: only members of `restrict` are
+                # compared, on a draft in place
+                d = relation_module._Draft.of(r)
+                live = set(restrict)
+                relation_module._exhaust(live, d.cols, d.rows)
+                assert live == {j for j in restrict if dom[j] is None}
+                out = d.freeze()
             assert out == Relation(r.row_labels, [r.col_labels[j] for j in kept],
                                    [[pos[c] for c in r.row(i) if c in pos]
                                     for i in range(r.nrows)])
-            if restrict is None:
-                assert out.is_column_irreducible()
 
 
 def test_extract_rebuild_identity():
