@@ -61,6 +61,11 @@ def cmd_reduce(args):
         # toplex and OFF input went through from_toplexes, which keeps only
         # maximal toplexes
         relation = relation.make_column_irreducible()
+    for target in (args.output, args.log):
+        if target:
+            # a target that cannot be opened fails before the run; appending
+            # nothing keeps an existing file's bytes (a missing one is created)
+            open(target, "a", encoding="utf-8").close()
     cap = _size_cap()
     betti_before = betti_after = None
     if args.check_betti:

@@ -10,15 +10,17 @@ generators used as regression fixtures.
 from __future__ import annotations
 
 from .errors import ParseError
-from .relation import Relation, _maximal_toplexes, _other_axis
+from .relation import Relation, _maximal, _maximal_toplexes, _other_axis
 
 
 class ToplexList:
     """Ordered list of toplexes with a stable vertex order.
 
     Normalization drops duplicate toplexes and toplexes set-contained in
-    another, keeping the earliest occurrence.  `vertex_names` is the union of
-    all input toplexes in first-appearance order (or the explicit order given).
+    another, keeping the earliest occurrence; every list, parsed, generated
+    or given, goes through the one kernel `relation._maximal`.
+    `vertex_names` is the union of all input toplexes in first-appearance
+    order, dropped ones included (or the explicit order given).
     `vertex_indices` holds each toplex's ascending vertex indices into
     `vertex_names`, so `Relation.from_toplexes` need not normalise the list
     again.
@@ -29,6 +31,16 @@ class ToplexList:
         self.toplexes = tuple(tops)
         self.vertex_indices = tuple(cols)
         self.vertex_names = vertex_names
+
+    @classmethod
+    def _of(cls, vertex_names, toplexes, vertex_indices):
+        """Trusted constructor from a normalised list, its ascending index
+        tuples and its vertex order; nothing is validated again."""
+        self = object.__new__(cls)
+        self.toplexes = tuple(toplexes)
+        self.vertex_indices = tuple(vertex_indices)
+        self.vertex_names = tuple(vertex_names)
+        return self
 
     def __len__(self):
         return len(self.toplexes)
@@ -55,19 +67,31 @@ def parse_toplex_file(text) -> ToplexList:
 
     Each non-comment line is one toplex as whitespace-separated vertex names;
     `#` lines are comments.  Blank lines and repeated vertices within a line
-    are rejected with the offending line number.
+    are rejected with the offending line number.  Names are numbered as they
+    are read, in first-appearance order, and each line is checked once; the
+    ascending index tuples go to the one normalisation kernel
+    (`relation._maximal`), and the kept toplexes make the ToplexList without
+    validating the names again.
     """
+    ids = {}
     tops = []
+    cols = []
     for n, raw in enumerate(text.splitlines(), 1):
-        if raw.lstrip().startswith("#"):
-            continue
         names = raw.split()
         if not names:
             raise ParseError("blank line in toplex file", line=n)
-        if len(set(names)) != len(names):
+        if names[0][0] == "#":
+            continue
+        col = sorted([ids.setdefault(v, len(ids)) for v in names])
+        if len(set(col)) != len(names):
             raise ParseError("vertex repeated within a toplex", line=n)
         tops.append(tuple(names))
-    return ToplexList(tops)
+        cols.append(tuple(col))
+    keep = _maximal(cols, len(ids))
+    if len(keep) < len(cols):
+        tops = [tops[j] for j in keep]
+        cols = [cols[j] for j in keep]
+    return ToplexList._of(ids, tops, cols)
 
 
 def parse_off(text) -> ToplexList:

@@ -15,7 +15,9 @@ ints over the graph's components.  The boundary of an edge is a vertex pair,
 and a (d-1)-simplex of a d-dimensional (pseudo)manifold lies in at most two
 d-simplices, so ranking d_1 by its columns and each higher map by its
 transpose leaves no heavy column in d_1 or in the top map; on a surface there
-are none at all.
+are none at all.  The transpose is read from the face tuples as each face's
+first and second coface in two int lists, with a dict only for faces that
+have more.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import accumulate, chain, combinations, repeat
 from math import comb
 
 from .errors import SizeCapError
-from .relation import Relation, _other_axis, _toplex_name_sets
+from .relation import Relation, _toplex_name_sets
 
 DEFAULT_SIZE_CAP = 5_000_000
 
@@ -128,20 +130,16 @@ def rank_gf2(columns, n) -> int:
     modified.
 
     Columns with one or two entries are edges of a graph on the coordinates
-    plus a ground node n (a single entry joins ground), and their rank is the
-    number of unions that join two components.  Their span is every vector
-    with an even number of entries in each component without ground, so a
-    heavier column reduces, modulo that span, to the int with bit j set when
-    it has an odd number of entries in the j-th such component; those ints
-    are ranked by lead-bit elimination.
+    plus a ground node n (a single entry joins ground, and so does an entry
+    n, which is how `_transposed_rank` passes single entries), and their
+    rank is the number of unions that join two components; `find` (path
+    halving) is inlined in that loop.  Their span is every vector with an
+    even number of entries in each component without ground, so a heavier
+    column reduces, modulo that span, to the int with bit j set when it has
+    an odd number of entries in the j-th such component; those ints are
+    ranked by lead-bit elimination.
     """
     parent = list(range(n + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        return a
-
     rank = 0
     heavy = []
     for c in columns:
@@ -149,11 +147,21 @@ def rank_gf2(columns, n) -> int:
         if size > 2:
             heavy.append(c)
         elif size:
-            a = find(c[0])
-            b = find(c[1] if size == 2 else n)
+            a = c[0]
+            b = c[1] if size == 2 else n
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
             if a != b:
                 parent[a] = b
                 rank += 1
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
     ground = find(n)
     bit = {}
     lead = {}
@@ -173,6 +181,37 @@ def rank_gf2(columns, n) -> int:
     return rank + len(lead)
 
 
+def _transposed_rank(columns, n) -> int:
+    """`rank_gf2(columns, n)` computed by `rank_gf2` on the transpose, whose
+    column f holds the columns that have entry f; the transpose is never
+    built as one list per coordinate.
+
+    Each coordinate's first and second column go in two int lists, with
+    the ground node len(columns) standing for none, and only a coordinate
+    in three or more columns goes in a dict, as a heavy column.  Every
+    other coordinate is then the pair of its two lists' entries: an edge,
+    an edge to ground for one column, and ground to ground, which joins
+    nothing, for none.
+    """
+    ground = len(columns)
+    first = [ground] * n
+    second = [ground] * n
+    more = {}
+    for j, c in enumerate(columns):
+        for f in c:
+            if first[f] == ground:
+                first[f] = j
+            elif second[f] == ground:
+                second[f] = j
+            elif f in more:
+                more[f].append(j)
+            else:
+                more[f] = [first[f], second[f], j]
+    for f in more:
+        first[f] = second[f] = ground
+    return rank_gf2(chain(zip(first, second), more.values()), ground)
+
+
 def betti_gf2(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP):
     """Mod-2 Betti numbers (beta_0, ..., beta_max_dim) of the complex
     generated by `toplexes`, a Relation or vertex-name collections as for
@@ -181,9 +220,11 @@ def betti_gf2(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP):
     beta_k = dim ker boundary_k - rank boundary_{k+1}.  `max_dim` defaults
     to the dimension of the largest toplex.  d_1 is ranked on its columns
     (vertex pairs) and each higher map on its transpose, the cofaces of each
-    face, which has the same rank.  Above the largest toplex every Betti
-    number is 0; the result holds max_dim + 1 numbers, so SizeCapError is
-    raised when that exceeds `size_cap`.
+    face, which has the same rank; `_transposed_rank` reads each face's
+    cofaces straight from `boundary[k]`, so no list per face is built.
+    Above the largest toplex every Betti number is 0; the result holds
+    max_dim + 1 numbers, so SizeCapError is raised when that exceeds
+    `size_cap`.
     """
     if max_dim is not None and max_dim + 1 > size_cap:
         raise SizeCapError(f"{max_dim + 1} Betti numbers exceed cap {size_cap}")
@@ -196,7 +237,6 @@ def betti_gf2(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP):
     if n > 1:
         ranks[1] = rank_gf2(cc.boundary[1], len(simplices[0]))
     for k in range(2, n):
-        ranks[k] = rank_gf2(_other_axis(cc.boundary[k], len(simplices[k - 1])),
-                            len(simplices[k]))
+        ranks[k] = _transposed_rank(cc.boundary[k], len(simplices[k - 1]))
     betti = [len(simplices[k]) - ranks[k] - ranks[k + 1] for k in range(n)][:max_dim + 1]
     return tuple(betti) + (0,) * (max_dim + 1 - len(betti))

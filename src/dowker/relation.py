@@ -179,12 +179,12 @@ class Relation:
         self.col_labels = tuple(col_labels)
         self.rows = tuple(map(tuple, rows))
         self.cols = tuple(map(tuple, cols))
-        for label, row in zip(self.row_labels, self.rows):
-            if not row:
-                raise ValueError(f"row {label!r} has no incident column")
-        for label, col in zip(self.col_labels, self.cols):
-            if not col:
-                raise ValueError(f"column {label!r} has no incident row")
+        if not all(self.rows):
+            label = self.row_labels[self.rows.index(())]
+            raise ValueError(f"row {label!r} has no incident column")
+        if not all(self.cols):
+            label = self.col_labels[self.cols.index(())]
+            raise ValueError(f"column {label!r} has no incident row")
 
     # ------------------------------------------------------------------
     # basic access
@@ -259,9 +259,8 @@ class Relation:
             # a ToplexList was normalised when it was built
             order = toplexes.vertex_names
         rows = _other_axis(cols, len(order))
-        for label, row in zip(order, rows):
-            if not row:
-                raise ValueError(f"vertex {label!r} belongs to no toplex")
+        if not all(rows):
+            raise ValueError(f"vertex {order[rows.index([])]!r} belongs to no toplex")
         return cls._build(order, [f"t{j}" for j in range(len(cols))], rows, cols)
 
     # ------------------------------------------------------------------
@@ -508,17 +507,39 @@ def _toplex_name_sets(toplexes, order=None):
     return order, tops
 
 
-def _maximal_toplexes(toplexes, order=None):
-    """`_toplex_name_sets` without duplicate and set-contained toplexes.
+def _maximal(cols, n):
+    """Ascending positions of the toplexes to keep among `cols`, ascending
+    index tuples over n vertices: the earliest of equal ones, and none that
+    is strictly contained in another.
 
-    The earliest occurrence is kept.  Also returns each kept toplex's
+    Exact duplicates go in one dict pass.  After that, a toplex can only be
+    strictly contained in a larger one, so only the toplexes smaller than
+    the largest are tested, and the per-toplex and per-vertex sets are built
+    only when there are such toplexes.
+    """
+    # the last value stored for a key, walking backwards, is its earliest position
+    first = dict(zip(reversed(cols), range(len(cols) - 1, -1, -1)))
+    keep = range(len(cols)) if len(first) == len(cols) else sorted(first.values())
+    largest = max(map(len, cols), default=0)
+    if min(map(len, cols), default=0) == largest:
+        return keep
+    todo = [j for j in keep if len(cols[j]) < largest]
+    live = set(keep)
+    _exhaust(live, [set(col) for col in cols],
+             [set(row) for row in _other_axis(cols, n)], todo)
+    return sorted(live)
+
+
+def _maximal_toplexes(toplexes, order=None):
+    """`_toplex_name_sets` without duplicate and set-contained toplexes,
+    dropped by `_maximal` on the toplexes' ascending index tuples.
+
+    The earliest occurrence is kept, and the vertex order still holds the
+    vertices of dropped toplexes.  Also returns each kept toplex's
     ascending vertex indices into the vertex order.
     """
     order, tops = _toplex_name_sets(toplexes, order)
     index = {v: i for i, v in enumerate(order)}
     cols = [tuple(sorted(map(index.__getitem__, t))) for t in tops]
-    rows = [set(row) for row in _other_axis(cols, len(order))]
-    keep = set(range(len(cols)))
-    _exhaust(keep, [set(col) for col in cols], rows)
-    keep = sorted(keep)
+    keep = _maximal(cols, len(order))
     return order, [tops[j] for j in keep], [cols[j] for j in keep]

@@ -168,6 +168,37 @@ def test_reduce_output_refused_keeps_the_earlier_file(tmp_path, capsys):
     assert out.read_text() == earlier
 
 
+def test_reduce_unopenable_target_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    # a --log that cannot be opened, or an --output in a missing directory,
+    # exits 1 before reduce runs, and an existing --output keeps its bytes
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "reduce", recording)
+    src = write(tmp_path, "fan.toplex", FAN_TEXT)
+    out = tmp_path / "out.rel"
+    earlier = b"earlier\r\nbytes"
+    out.write_bytes(earlier)
+    missing = tmp_path / "missing"
+    for extra in (["--output", str(out), "--log", str(missing / "x.log")],
+                  ["--output", str(missing / "o.rel"), "--log", str(tmp_path / "x.log")],
+                  ["--output", str(out), "--log", str(tmp_path)]):
+        assert cli.main(["reduce", "--input", src, "--format", "toplex", "--check-betti",
+                         *extra]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
+        assert out.read_bytes() == earlier
+    assert not missing.exists()
+    # with both targets writable the run goes ahead and replaces the output
+    assert cli.main(["reduce", "--input", src, "--format", "toplex",
+                     "--output", str(out), "--log", str(tmp_path / "x.log")]) == 0
+    assert len(calls) == 1
+    assert out.read_text() == reduce(fan_relation())[0].to_text()
+
+
 def test_reduce_betti_mismatch_exits_2(tmp_path, capsys, monkeypatch):
     calls = []
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dowker import relation
 from dowker import (ParseError, Relation, ToplexList, betti_gf2,
                     enumerate_simplices, gen_simplex_boundary, gen_sphere_cube,
                     gen_sphere_uv, gen_torus_grid, parse_off,
@@ -63,6 +64,74 @@ def test_parse_blank_line_rejected():
 def test_parse_duplicate_vertex_rejected():
     with pytest.raises(ParseError, match="line 3"):
         parse_toplex_file("a b\nc d\ne e\n")
+
+
+def random_toplex_file(rng):
+    """Seeded toplex file text with comment lines, duplicate lines (some
+    reordered), equal or mixed toplex sizes, and sometimes a first line that
+    a later toplex contains, so its vertices are first seen in a dropped
+    toplex."""
+    nv = rng.randint(2, 10)
+    sizes = [rng.randint(1, min(5, nv))] if rng.random() < 0.4 else range(1, min(5, nv) + 1)
+    lines = [rng.sample([f"v{i}" for i in range(nv)], rng.choice(sizes))
+             for _ in range(rng.randint(1, 15))]
+    lines += [rng.sample(t, len(t)) for t in rng.sample(lines, len(lines) // 3)]
+    rng.shuffle(lines)
+    if rng.random() < 0.3:
+        # a vertex named only here and in a later, larger toplex
+        lines.insert(0, ["new"])
+        lines.append(["new", *lines[-1]])
+    text = [" ".join(t) for t in lines]
+    for _ in range(rng.randint(0, 3)):
+        text.insert(rng.randint(0, len(text)), rng.choice(["# note", "  #x y", "#"]))
+    return "\n".join(text) + "\n"
+
+
+def test_parse_matches_toplex_list_of_the_lines():
+    rng = random.Random(71)
+    dropped_first = 0
+    for _ in range(500):
+        text = random_toplex_file(rng)
+        lines = [tuple(raw.split()) for raw in text.splitlines()
+                 if not raw.lstrip().startswith("#")]
+        dom = first_dominators([frozenset(t) for t in lines])
+        names = tuple(dict.fromkeys(v for t in lines for v in t))
+        index = {v: i for i, v in enumerate(names)}
+        kept = tuple(lines[i] for i in dom if dom[i] is None)
+        # the first line's vertices come first in the order, kept or not
+        dropped_first += dom[0] is not None
+        got, old = parse_toplex_file(text), ToplexList(lines)
+        assert got.toplexes == old.toplexes == kept
+        assert got.vertex_names == old.vertex_names == names
+        assert (got.vertex_indices == old.vertex_indices
+                == tuple(tuple(sorted(map(index.__getitem__, t))) for t in kept))
+    assert dropped_first > 50
+
+
+def test_domination_tests_only_for_toplexes_below_the_largest(monkeypatch):
+    calls = []
+    real = relation._dominated
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    torus = gen_torus_grid(20, 30).to_text()
+    monkeypatch.setattr(relation, "_dominated", counting)
+    # equal sizes: duplicate removal alone, even with every line twice
+    assert len(parse_toplex_file(torus + torus)) == 1200
+    assert calls == []
+    rng = random.Random(72)
+    for _ in range(200):
+        text = random_toplex_file(rng)
+        lines = [raw.split() for raw in text.splitlines()
+                 if not raw.lstrip().startswith("#")]
+        largest = max(map(len, lines))
+        smaller = sum(len(t) < largest for t in lines)
+        calls.clear()
+        parse_toplex_file(text)
+        assert len(calls) <= smaller
+        assert bool(calls) == bool(smaller)
 
 
 def test_toplex_text_round_trip():

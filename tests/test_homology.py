@@ -125,6 +125,35 @@ def test_rank_matches_transpose_and_oracle():
             assert rank_gf2(transpose, len(cols)) == expect
 
 
+def test_transposed_rank_matches_rank_of_the_transpose():
+    rng = random.Random(19)
+    heavy = 0
+    for _ in range(300):
+        r = random_relation(rng)
+        for rel in (r, with_repeats(rng, r)):
+            cc = enumerate_simplices(rel)
+            levels = cc.simplices_by_dim
+            for k in range(1, len(levels)):
+                n, m = len(levels[k - 1]), len(levels[k])
+                transpose = _other_axis(cc.boundary[k], n)
+                heavy += any(len(col) > 2 for col in transpose)
+                assert (homology._transposed_rank(cc.boundary[k], n)
+                        == rank_gf2(transpose, m))
+    assert heavy > 100
+
+
+def test_edge_in_three_triangles():
+    # a tetrahedron boundary plus a triangle on its edge ab: a sphere with a
+    # disk glued along an arc, so ab is a heavy column of d_2's transpose
+    tops = [("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d"), ("b", "c", "d"),
+            ("a", "b", "e")]
+    cc = enumerate_simplices(tops)
+    cofaces = _other_axis(cc.boundary[2], len(cc.simplices_by_dim[1]))
+    assert sorted(map(len, cofaces)) == [1, 1, 2, 2, 2, 2, 2, 3]
+    assert betti_gf2(tops) == betti_dense_reference(tops, 2) == (1, 0, 1)
+    assert betti_gf2(Relation.from_toplexes(tops)) == (1, 0, 1)
+
+
 def test_betti_point():
     assert betti_gf2([("a",)], 2) == (1, 0, 0)
 
