@@ -88,10 +88,7 @@ def parse_toplex_file(text) -> ToplexList:
         tops.append(tuple(names))
         cols.append(tuple(col))
     keep = _maximal(cols, len(ids))
-    if len(keep) < len(cols):
-        tops = [tops[j] for j in keep]
-        cols = [cols[j] for j in keep]
-    return ToplexList._of(ids, tops, cols)
+    return ToplexList._of(ids, [tops[j] for j in keep], [cols[j] for j in keep])
 
 
 def parse_off(text) -> ToplexList:
