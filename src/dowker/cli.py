@@ -64,8 +64,11 @@ def cmd_reduce(args):
     for target in (args.output, args.log):
         if target:
             # a target that cannot be opened fails before the run; appending
-            # nothing keeps an existing file's bytes (a missing one is created)
+            # nothing keeps an existing file's bytes, and a new one goes again
+            new = not os.path.lexists(target)
             open(target, "a", encoding="utf-8").close()
+            if new:
+                os.remove(target)
     cap = _size_cap()
     betti_before = betti_after = None
     if args.check_betti:

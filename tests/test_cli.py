@@ -183,15 +183,25 @@ def test_reduce_unopenable_target_fails_before_the_run(tmp_path, capsys, monkeyp
     earlier = b"earlier\r\nbytes"
     out.write_bytes(earlier)
     missing = tmp_path / "missing"
+    new = tmp_path / "new.rel"
     for extra in (["--output", str(out), "--log", str(missing / "x.log")],
                   ["--output", str(missing / "o.rel"), "--log", str(tmp_path / "x.log")],
-                  ["--output", str(out), "--log", str(tmp_path)]):
+                  ["--output", str(out), "--log", str(tmp_path)],
+                  ["--output", str(new), "--log", str(missing / "x.log")]):
         assert cli.main(["reduce", "--input", src, "--format", "toplex", "--check-betti",
                          *extra]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert calls == []
         assert out.read_bytes() == earlier
-    assert not missing.exists()
+    # the check creates nothing, so a run that fails later leaves no new file
+    assert not missing.exists() and not new.exists()
+    assert not (tmp_path / "x.log").exists()
+    hashed = write(tmp_path, "hash.toplex", "a #b\nc #b\na c\n")
+    assert cli.main(["reduce", "--input", hashed, "--format", "toplex",
+                     "--output", str(new)]) == 1
+    assert "cannot be written" in capsys.readouterr().err
+    assert not new.exists()
+    calls.clear()
     # with both targets writable the run goes ahead and replaces the output
     assert cli.main(["reduce", "--input", src, "--format", "toplex",
                      "--output", str(out), "--log", str(tmp_path / "x.log")]) == 0
