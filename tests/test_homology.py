@@ -142,7 +142,7 @@ def test_transposed_rank_matches_rank_of_the_transpose():
     assert heavy > 100
 
 
-def test_edge_in_three_triangles():
+def test_faces_in_three_or_more_triangles():
     # a tetrahedron boundary plus a triangle on its edge ab: a sphere with a
     # disk glued along an arc, so ab is a heavy column of d_2's transpose
     tops = [("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d"), ("b", "c", "d"),
@@ -152,6 +152,12 @@ def test_edge_in_three_triangles():
     assert sorted(map(len, cofaces)) == [1, 1, 2, 2, 2, 2, 2, 3]
     assert betti_gf2(tops) == betti_dense_reference(tops, 2) == (1, 0, 1)
     assert betti_gf2(Relation.from_toplexes(tops)) == (1, 0, 1)
+    # the boundaries of abce and abdf share only the edge ab, whose first two
+    # cofaces, abc and abd, lie on different spheres: joining them as if ab
+    # had two cofaces would merge the spheres' 2-cycles
+    tops = [("a", "b", "c"), ("a", "b", "d"), ("a", "b", "e"), ("a", "b", "f"),
+            ("a", "c", "e"), ("b", "c", "e"), ("a", "d", "f"), ("b", "d", "f")]
+    assert betti_gf2(tops) == betti_dense_reference(tops, 2) == (1, 0, 2)
 
 
 def test_betti_point():
