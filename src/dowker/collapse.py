@@ -6,8 +6,13 @@ row removals and one of column removals (the same scan on the other axis)
 until neither removes anything yields the core.  After the first pass on each
 axis, a pass re-tests only the members whose sets the pass before it shrank
 (`relation._collapse`); the core, the whole-relation test and the reducer's
-pair test all run that one fixpoint.  A relation whose core is 1x1 is strong
-collapsible, hence contractible; a larger core is inconclusive.
+pair test all run that one fixpoint.  The pair test goes through
+`is_strong_collapsible` with the rows in both stars and the pair itself: it
+drops first the rows that lie in one star only, since within the union such
+a row lies only in toplexes that hold one of the pair, which dominates it,
+and the strong-collapse core is unique up to isomorphism.  A relation whose
+core is 1x1 is strong collapsible, hence contractible; a larger core is
+inconclusive.
 """
 
 from .relation import Relation, _collapse, _Draft, _dominator
@@ -38,24 +43,27 @@ def collapse_core(r: Relation) -> Relation:
     return draft.freeze()
 
 
-def is_strong_collapsible(r, cols=None) -> bool:
+def is_strong_collapsible(r, cols=None, rows=None) -> bool:
     """True when the core of r, a relation or a draft, is a single vertex in
     a single toplex.
 
     With column ids `cols`, the union of the stars on them is tested: only
     their live columns' row sets and those rows' column sets within `cols`
     are copied, keyed by r's own ids, with nothing renumbered.  Without, all
-    of r; a draft's dead slots are not part of it.  True implies the complex
-    is contractible; False is inconclusive.  r is left unchanged.
+    of r; a draft's dead slots are not part of it.  With a set of row ids
+    `rows`, only those rows are copied, which is the full subcomplex on
+    them; a column left with none of them goes too.  True implies the
+    complex is contractible; False is inconclusive.  r is left unchanged.
     """
     if cols is None:
         cols = range(len(r.cols))
     elif cols and not 0 <= min(cols) <= max(cols) < len(r.cols):
         raise ValueError("column index out of range")
-    cols = {c for c in cols if r.cols[c]}
-    if not cols:
+    keep = set if rows is None else rows.intersection
+    col_sets = {c: s for c in cols if (s := keep(r.cols[c]))}
+    if not col_sets:
         raise ValueError("empty relation")
-    col_sets = {c: set(r.cols[c]) for c in cols}
+    cols = set(col_sets)
     rows = set().union(*col_sets.values())
     row_sets = {i: cols.intersection(r.rows[i]) for i in rows}
     # removal keeps every live row and column non-empty, so the live counts

@@ -68,6 +68,11 @@ def _vertex_tuples(toplexes):
     return [tuple(sorted(map(vertex, t))) for t in tops], len(index)
 
 
+def _faces(toplexes, k):
+    """The k-faces of each of `toplexes`, vertex-index tuples, in turn."""
+    return chain.from_iterable(map(combinations, toplexes, repeat(k + 1)))
+
+
 def enumerate_simplices(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP) -> ChainComplexGF2:
     """All simplices of the complex generated by `toplexes`, up to max_dim+1.
 
@@ -103,7 +108,7 @@ def enumerate_simplices(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP) -> Ch
             if bounds[q] - bounds[p] > size_cap:
                 raise SizeCapError(f"simplex count exceeds cap {size_cap}")
             before = len(level)
-            level.update(chain.from_iterable(map(combinations, cols[p:q], repeat(k + 1))))
+            level.update(_faces(cols[p:q], k))
             total += len(level) - before
             if total > size_cap:
                 raise SizeCapError(f"simplex count exceeds cap {size_cap}")

@@ -13,8 +13,14 @@ Betti numbers whenever the tested subcomplex really was contractible.
 All of this edits one mutable working draft.  The pass is a stream,
 `_steps`: it merges pairs on the draft in place and yields each step's report
 once its merge is applied; `reduce` runs it to the end and builds one
-relation, the result.  Each tested union of stars is collapsed from a copy of
-just those stars, keyed by the draft's own ids.
+relation, the result.  Each cursor row's star rows and each partner's are
+built once per visit and shared by the pair test and the merge, and the
+two-hop partners are listed only once every one-hop test has failed.  The
+pair test collapses a copy, keyed by the draft's own ids, of the two rows'
+columns restricted to the rows in both stars and the pair itself: a row in
+one star alone is dominated by one of the pair there, and since a
+strong-collapse core is unique up to isomorphism, leaving it out first does
+not change the verdict.
 
 `reduce` makes one pass and does not revisit pairs: rows the cursor has
 passed are never reconsidered, even though a later merge can make a pair that
@@ -98,18 +104,45 @@ def _two_hop_rows(r, one):
     return set().union(*[r.cols[c] for c in cols])
 
 
+def _partners(r, x, one):
+    """Merge partners for row x, whose star rows are `one`, in test order,
+    as a generator.
+
+    Rows of `one` with index greater than x come first, then the other such
+    rows two column hops away; ascending index within each class.  The
+    two-hop rows are listed only when the next partner is asked for after
+    the last one-hop row, so a stream that merges with a one-hop partner
+    never lists them.
+    """
+    yield from sorted([i for i in one if i > x])
+    yield from sorted([i for i in _two_hop_rows(r, one) - one if i > x])
+
+
 def candidate_vertices(r: Relation, x: int):
     """Merge partners for row x, in test order.
 
     All rows with index greater than x whose closed star meets the closed
     star of x, rows sharing a column with x first, then the remaining
-    two-hop rows; ascending index within each class.
+    two-hop rows; ascending index within each class.  This is the list of
+    what `_partners` yields from the star rows of x.
     """
     if not 0 <= x < len(r.rows):
         raise ValueError("row index out of range")
-    one = _star_rows(r, x)
-    two = _two_hop_rows(r, one)
-    return sorted([i for i in one if i > x]) + sorted([i for i in two - one if i > x])
+    return list(_partners(r, x, _star_rows(r, x)))
+
+
+def _pair_collapsible(d, x, y, sx, sy):
+    """Whether the union of the closed stars of rows x and y of draft `d`,
+    whose star rows are `sx` and `sy`, is strong collapsible; `d` is left
+    unchanged.
+
+    `is_strong_collapsible` tests the columns of x and y with only the rows
+    in both stars, and x and y, kept.  A row in the star of x alone lies,
+    within the union, only in columns that hold x, so x dominates it (and
+    likewise for y); a strong-collapse core is unique up to isomorphism, so
+    dropping those rows first gives the verdict of the whole union.
+    """
+    return is_strong_collapsible(d, d.rows[x] | d.rows[y], (sx & sy) | {x, y})
 
 
 def comparison_budget(r: Relation) -> int:
@@ -125,8 +158,9 @@ def _fresh_z(labels):
     return max((int(m.group(1)) + 1 for m in found if m), default=0)
 
 
-def _merge(d, xi, xj, z, ncols):
-    """Replace rows xi and xj of draft `d` by the cone row `z`, in place.
+def _merge(d, xi, xj, star_i, star_j, z, ncols):
+    """Replace rows xi and xj of draft `d`, whose star rows are `star_i` and
+    `star_j`, by the cone row `z`, in place.
 
     The cone row takes the next index and the union of the two rows'
     columns.  Columns among those that the merge made dominated are dropped;
@@ -136,7 +170,6 @@ def _merge(d, xi, xj, z, ncols):
     removed from each other row that lost one.
     """
     union = d.rows[xi] | d.rows[xj]
-    star_i, star_j = _star_rows(d, xi), _star_rows(d, xj)
     pair = (d.row_labels[xi], d.row_labels[xj])
     _drop(d.rows, d.cols, xi)
     _drop(d.rows, d.cols, xj)
@@ -167,7 +200,8 @@ def reduction_step(r: Relation, xi: int, xj: int):
     if xi == xj:
         raise ValueError("need two distinct rows")
     d = _Draft.of(r)
-    report = _merge(d, xi, xj, f"z{_fresh_z(r.row_labels)}", r.ncols)[0]
+    report = _merge(d, xi, xj, _star_rows(d, xi), _star_rows(d, xj),
+                    f"z{_fresh_z(r.row_labels)}", r.ncols)[0]
     return d.freeze(), report
 
 
@@ -205,13 +239,16 @@ def _steps(d, stats):
     """Merge pairs of the draft `d` in place, in one pass of the cursor,
     and yield each merge's StepReport once it is applied.
 
-    The cursor walks the slots in ascending order and tests the cursor
-    row's candidates in turn; on the first success the pair is merged and
-    candidates are re-derived, otherwise the cursor moves on.  A dead slot
-    has no candidates and a cone row is processed when the cursor reaches
-    it.  Each test and each star-size maximum goes into `stats` as it
-    happens.  The pass starts from the draft alone, so it can run again on
-    a draft an earlier pass left, dead slots and all.
+    The cursor walks the slots in ascending order.  At a live slot it builds
+    the cursor row's star rows once and tests the partners `_partners` gives
+    in turn, building each partner's star rows once; the pair test and the
+    merge both use those two sets.  On the first success the pair is merged,
+    which leaves the cursor's slot dead, and the cursor moves on, as it does
+    when every test fails; a dead slot is passed over, and a cone row is
+    processed when the cursor reaches it.  Each test and each star-size
+    maximum goes into `stats` as it happens.  The pass starts from the draft
+    alone, so it can run again on a draft an earlier pass left, dead slots
+    and all.
     """
     # star vertex and toplex count per slot; a dead slot counts 0
     delta = _RunningMax(len(_star_rows(d, i)) for i in range(len(d.rows)))
@@ -225,34 +262,36 @@ def _steps(d, stats):
     z = _fresh_z(d.row_labels)
     cursor = 0
     while cursor < len(d.rows):
-        for j in candidate_vertices(d, cursor):
-            ok = is_strong_collapsible(d, d.rows[cursor] | d.rows[j])
-            stats.contractibility_tests += 1
-            stats.tested_pairs.append((d.row_labels[cursor], d.row_labels[j], ok))
-            if not ok:
-                continue
-            rep, both, lost = _merge(d, cursor, j, f"z{z}", ncols)
-            z += 1
-            ncols = rep.cols_after
-            for k in (cursor, j):
-                delta.set(k, 0)
-                epsilon.set(k, 0)
-            # the step equations: the cone row's counts are the report's, a
-            # row whose star held both merged rows loses one star vertex, a
-            # row loses the columns the clean-up removed from it, and no
-            # other count changes
-            delta.set(len(d.rows) - 1, rep.delta_z - 1)
-            epsilon.set(len(d.rows) - 1, rep.epsilon_z)
-            for k in both:
-                delta.set(k, delta.values[k] - 1)
-            for k, n in lost.items():
-                epsilon.set(k, epsilon.values[k] - n)
-            stats.delta_max_history.append(delta.top)
-            stats.epsilon_max_history.append(epsilon.top)
-            yield rep
-            break
-        else:
-            cursor += 1
+        if d.rows[cursor]:
+            sx = _star_rows(d, cursor)
+            for j in _partners(d, cursor, sx):
+                sy = _star_rows(d, j)
+                ok = _pair_collapsible(d, cursor, j, sx, sy)
+                stats.contractibility_tests += 1
+                stats.tested_pairs.append((d.row_labels[cursor], d.row_labels[j], ok))
+                if not ok:
+                    continue
+                rep, both, lost = _merge(d, cursor, j, sx, sy, f"z{z}", ncols)
+                z += 1
+                ncols = rep.cols_after
+                for k in (cursor, j):
+                    delta.set(k, 0)
+                    epsilon.set(k, 0)
+                # the step equations: the cone row's counts are the report's,
+                # a row whose star held both merged rows loses one star
+                # vertex, a row loses the columns the clean-up removed from
+                # it, and no other count changes
+                delta.set(len(d.rows) - 1, rep.delta_z - 1)
+                epsilon.set(len(d.rows) - 1, rep.epsilon_z)
+                for k in both:
+                    delta.set(k, delta.values[k] - 1)
+                for k, n in lost.items():
+                    epsilon.set(k, epsilon.values[k] - n)
+                stats.delta_max_history.append(delta.top)
+                stats.epsilon_max_history.append(epsilon.top)
+                yield rep
+                break
+        cursor += 1
 
 
 def reduce(r: Relation):

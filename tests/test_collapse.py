@@ -86,6 +86,33 @@ def test_pair_test_rejects_column_ids_out_of_range():
         is_strong_collapsible(r, set())
 
 
+def test_picked_rows_give_the_full_subcomplex_on_them():
+    # with picked rows, the verdict is that of the relation the picked
+    # columns span once every other row is deleted: a column left with no
+    # picked row is the empty face and goes, as does a picked row outside
+    # every picked column
+    rng = random.Random(151)
+    verdicts = set()
+    for _ in range(400):
+        r = random_relation(rng)
+        cols = set(rng.sample(range(r.ncols), rng.randint(1, r.ncols)))
+        rows = set(rng.sample(range(r.nrows), rng.randint(0, r.nrows)))
+        assert is_strong_collapsible(r, cols, set(range(r.nrows))) \
+            == is_strong_collapsible(r, cols)
+        faces = [f for f in ([i for i in r.col(c) if i in rows] for c in sorted(cols)) if f]
+        if not faces:
+            with pytest.raises(ValueError, match="empty relation"):
+                is_strong_collapsible(r, cols, rows)
+            continue
+        used = sorted(set().union(*faces))
+        full = Relation(used, range(len(faces)),
+                        [[k for k, f in enumerate(faces) if i in f] for i in used])
+        got = is_strong_collapsible(r, cols, rows)
+        assert got == is_strong_collapsible(full)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def test_core_idempotent_and_undominated():
     rng = random.Random(31)
     for _ in range(60):
@@ -171,14 +198,14 @@ def test_restricted_draft_verdict_matches_the_restricted_relation(monkeypatch):
     # the verdict of the same restriction of the frozen relation, and no
     # draft is changed by the test
     rng = random.Random(131)
-    candidates = dowker.reducer.candidate_vertices
+    partners = dowker.reducer._partners
     seen = {"verdicts": [], "dead": 0, "cone": 0}
 
     def sets(d):
         return [set(row) for row in d.rows], [set(col) for col in d.cols]
 
-    def checking(d, x):
-        out = candidates(d, x)
+    def checking(d, x, one):
+        out = list(partners(d, x, one))
         frozen = d.freeze()
         pos = {c: k for k, c in enumerate(c for c, col in enumerate(d.cols) if col)}
         before = sets(d)
@@ -209,7 +236,7 @@ def test_restricted_draft_verdict_matches_the_restricted_relation(monkeypatch):
     inputs = [random_irreducible_relation(rng) for _ in range(300)]
     inputs.append(Relation.from_toplexes(gen_torus_grid(4, 6)))
     expected = [reduce(r) for r in inputs]
-    monkeypatch.setattr(dowker.reducer, "candidate_vertices", checking)
+    monkeypatch.setattr(dowker.reducer, "_partners", checking)
     assert [reduce(r) for r in inputs] == expected
     assert set(seen["verdicts"]) == {True, False}
     assert seen["dead"] > 300 and seen["cone"] > 300

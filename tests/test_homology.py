@@ -289,15 +289,14 @@ def chunks(monkeypatch):
     """Every chunk of toplexes whose faces `enumerate_simplices` lists, as
     the list of each toplex's faces."""
     seen = []
+    faces = homology._faces
 
-    class recording:
-        @staticmethod
-        def from_iterable(iterables):
-            chunk = [list(faces) for faces in iterables]
-            seen.append(chunk)
-            return chain.from_iterable(chunk)
+    def recording(toplexes, k):
+        chunk = [list(faces([t], k)) for t in toplexes]
+        seen.append(chunk)
+        return chain.from_iterable(chunk)
 
-    monkeypatch.setattr(homology, "chain", recording)
+    monkeypatch.setattr(homology, "_faces", recording)
     return seen
 
 

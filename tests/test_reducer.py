@@ -8,14 +8,16 @@ import pytest
 
 from dowker import (Relation, betti_gf2, candidate_vertices, comparison_budget,
                     format_step_log, gen_simplex_boundary, gen_sphere_cube,
-                    gen_torus_grid, reduce, reduction_step, verify_step_equations)
+                    gen_torus_grid, is_strong_collapsible, reduce, reduction_step,
+                    verify_step_equations)
 import dowker.reducer
+from dowker import collapse as collapse_module
 from dowker import relation as relation_module
-from dowker.reducer import ReductionStats, _steps
+from dowker.reducer import ReductionStats, _star_rows, _steps
 from dowker.relation import _Draft
 from _util import (FAN_MERGED_DENSE, complex_of, fan_relation, first_dominators,
                    random_irreducible_relation, replay_and_verify, star_size_maxima,
-                   step_snapshots)
+                   step_snapshots, with_repeats)
 
 
 # ----------------------------------------------------------------------
@@ -43,6 +45,114 @@ def test_isolated_vertex_has_no_candidates():
 def test_full_simplex_candidates_all_one_hop():
     r = Relation.from_toplexes([("a", "b", "c", "d")])
     assert candidate_vertices(r, 0) == [1, 2, 3]
+
+
+# ----------------------------------------------------------------------
+# the pair test and the partners the stream lists
+
+def test_pair_test_matches_the_test_of_the_union_of_stars():
+    # the pair test drops the rows that lie in one star only; on every
+    # ordered pair of live rows of each input, with and without repeated
+    # rows and columns, and of each draft the stream leaves, dead slots and
+    # cone rows included, it must give the verdict of the whole union and
+    # leave the draft as it is
+    pair_test = dowker.reducer._pair_collapsible
+    rng = random.Random(157)
+    draws = [random_irreducible_relation(rng) for _ in range(300)]
+    drafts = []
+    for r in draws:
+        for rel in (r, with_repeats(rng, r)):
+            drafts.append(_Draft.of(rel))
+        d = _Draft.of(r)
+        for _ in _steps(d, ReductionStats()):
+            drafts.append(_Draft.of(d))
+    verdicts = set()
+    for d in drafts:
+        before = ([set(row) for row in d.rows], [set(col) for col in d.cols])
+        live = [i for i, row in enumerate(d.rows) if row]
+        for x in live:
+            for y in live:
+                if x == y:
+                    continue
+                got = pair_test(d, x, y, _star_rows(d, x), _star_rows(d, y))
+                assert got == is_strong_collapsible(d, d.rows[x] | d.rows[y])
+                verdicts.add(got)
+        assert ([set(row) for row in d.rows], [set(col) for col in d.cols]) == before
+    assert verdicts == {True, False}
+    assert sum(not all(d.rows) for d in drafts) > 300
+
+
+def test_two_hop_partners_are_listed_for_few_cursor_rows_on_a_torus(monkeypatch):
+    # on a torus the first one-hop partner nearly always merges, so listing
+    # the two-hop rows of every live cursor row, rather than only once every
+    # one-hop test has failed, would be mostly waste
+    listed = []
+    two_hop = dowker.reducer._two_hop_rows
+
+    def counting(r, one):
+        listed.append(bool(one))
+        return two_hop(r, one)
+
+    monkeypatch.setattr(dowker.reducer, "_two_hop_rows", counting)
+    d = _Draft.of(Relation.from_toplexes(gen_torus_grid(20, 30)))
+    steps = len(list(_steps(d, ReductionStats())))
+    assert steps > 500
+    assert sum(listed) < steps / 10
+
+
+def test_the_stream_tests_a_prefix_of_the_candidate_list(monkeypatch):
+    # the partners come lazily, but in the candidate order on the draft as
+    # it stands at the cursor visit: one-hop rows, then two-hop rows, each
+    # ascending; all of them are tested unless one merges
+    visits = []
+    partners = dowker.reducer._partners
+
+    def recording(d, x, one):
+        assert one == {k for c in d.rows[x] for k in d.cols[c]}
+        two = {k for i in one for c in d.rows[i] for k in d.cols[c]} - one
+        expected = sorted(k for k in one if k > x) + sorted(k for k in two if k > x)
+        got = []
+        visits.append((expected, got))
+        for j in partners(d, x, one):
+            got.append(j)
+            yield j
+
+    monkeypatch.setattr(dowker.reducer, "_partners", recording)
+    rng = random.Random(163)
+    inputs = [random_irreducible_relation(rng) for _ in range(100)]
+    inputs += [Relation.from_toplexes(gen_torus_grid(12, 16)),
+               Relation.from_toplexes(gen_simplex_boundary(6))]
+    for r in inputs:
+        visits.clear()
+        stats = ReductionStats()
+        steps = len(list(_steps(_Draft.of(r), stats)))
+        tested = iter(stats.tested_pairs)
+        merged = 0
+        for expected, got in visits:
+            assert got == expected[:len(got)]
+            ok = [ok for _, _, ok in islice(tested, len(got))]
+            assert not any(ok[:-1])
+            merged += bool(ok) and ok[-1]
+            assert got == expected or ok[-1]
+        assert next(tested, None) is None and merged == steps
+
+
+def test_pair_test_collapses_few_rows_on_a_torus(monkeypatch):
+    # a union of two adjacent torus stars has about 9 rows, but only the
+    # rows in both stars and the pair itself need collapsing
+    sizes = []
+    collapse = collapse_module._collapse
+
+    def recording(row_sets, col_sets, rows, cols):
+        sizes.append(len(rows))
+        return collapse(row_sets, col_sets, rows, cols)
+
+    monkeypatch.setattr(collapse_module, "_collapse", recording)
+    d = _Draft.of(Relation.from_toplexes(gen_torus_grid(20, 30)))
+    stats = ReductionStats()
+    list(_steps(d, stats))
+    assert len(sizes) == stats.contractibility_tests > 500
+    assert sum(sizes) / len(sizes) <= 5
 
 
 # ----------------------------------------------------------------------
