@@ -6,13 +6,19 @@ row removals and one of column removals (the same scan on the other axis)
 until neither removes anything yields the core.  After the first pass on each
 axis, a pass re-tests only the members whose sets the pass before it shrank
 (`relation._collapse`); the core, the whole-relation test and the reducer's
-pair test all run that one fixpoint.  The pair test goes through
-`is_strong_collapsible` with the rows in both stars and the pair itself: it
-drops first the rows that lie in one star only, since within the union such
-a row lies only in toplexes that hold one of the pair, which dominates it,
-and the strong-collapse core is unique up to isomorphism.  A relation whose
-core is 1x1 is strong collapsible, hence contractible; a larger core is
-inconclusive.
+pair test all run that one fixpoint.  `collapse_core` starts with the rows,
+since the labels it keeps depend on the order.  `is_strong_collapsible`
+starts with the columns: in the pair tests on a torus, a first row pass
+removes nothing.  Either order gives the same verdict.  A dominated column
+is a face of another toplex, so removing it leaves the complex as it is; a
+dominated row is a dominated vertex, and removing it is a strong collapse.
+So both orders end at the complex's strong-collapse core, which is unique
+up to isomorphism (Barmak & Minian 2012).  The pair test goes through
+`is_strong_collapsible` with the rows in both stars and the pair itself:
+it drops first the rows that lie in one star only, since within the union
+such a row lies only in toplexes that hold one of the pair, which
+dominates it.  A relation whose core is 1x1 is strong collapsible, hence
+contractible; a larger core is inconclusive.
 """
 
 from .relation import Relation, _collapse, _Draft, _dominator
@@ -52,8 +58,10 @@ def is_strong_collapsible(r, cols=None, rows=None) -> bool:
     are copied, keyed by r's own ids, with nothing renumbered.  Without, all
     of r; a draft's dead slots are not part of it.  With a set of row ids
     `rows`, only those rows are copied, which is the full subcomplex on
-    them; a column left with none of them goes too.  True implies the
-    complex is contractible; False is inconclusive.  r is left unchanged.
+    them; a column left with none of them goes too.  The copy is collapsed
+    columns first, which gives the verdict rows first would (see the module
+    docstring).  True implies the complex is contractible; False is
+    inconclusive.  r is left unchanged.
     """
     if cols is None:
         cols = range(len(r.cols))
@@ -68,5 +76,5 @@ def is_strong_collapsible(r, cols=None, rows=None) -> bool:
     row_sets = {i: cols.intersection(r.rows[i]) for i in rows}
     # removal keeps every live row and column non-empty, so the live counts
     # are the core's shape
-    _collapse(row_sets, col_sets, rows, cols)
+    _collapse(col_sets, row_sets, cols, rows)
     return len(rows) == len(cols) == 1

@@ -13,14 +13,15 @@ Betti numbers whenever the tested subcomplex really was contractible.
 All of this edits one mutable working draft.  The pass is a stream,
 `_steps`: it merges pairs on the draft in place and yields each step's report
 once its merge is applied; `reduce` runs it to the end and builds one
-relation, the result.  Each cursor row's star rows and each partner's are
-built once per visit and shared by the pair test and the merge, and the
-two-hop partners are listed only once every one-hop test has failed.  The
-pair test collapses a copy, keyed by the draft's own ids, of the two rows'
-columns restricted to the rows in both stars and the pair itself: a row in
-one star alone is dominated by one of the pair there, and since a
-strong-collapse core is unique up to isomorphism, leaving it out first does
-not change the verdict.
+relation, the result.  Each input row's star rows are listed once, for the
+comparison budget and the starting star sizes.  Each cursor row's star rows
+and each partner's are built once per visit and shared by the pair test and
+the merge, and the two-hop partners are listed only once every one-hop test
+has failed.  The pair test collapses a copy, keyed by the draft's own ids,
+of the two rows' columns restricted to the rows in both stars and the pair
+itself: a row in one star alone is dominated by one of the pair there, and
+since a strong-collapse core is unique up to isomorphism, leaving it out
+first does not change the verdict.
 
 `reduce` makes one pass and does not revisit pairs: rows the cursor has
 passed are never reconsidered, even though a later merge can make a pair that
@@ -31,7 +32,6 @@ may shrink it further.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .collapse import is_strong_collapsible
@@ -70,12 +70,13 @@ class ReductionStats:
     `reduce` fills in the rest once the stream ends.  `comparison_budget` is
     the pair-test bound computed on the input; `delta_max_history` /
     `epsilon_max_history` sample the largest star vertex/toplex count over
-    live vertices, once before any step and once after each step.  They are
-    kept per merge by the step equations that `verify_step_equations`
-    audits: the cone row's counts come from the StepReport, a row whose star
-    held both merged rows loses one star vertex, a row loses the columns the
-    clean-up removed from it, and no other count changes, so no star is
-    recounted.
+    live vertices, once before any step and once after each step.  The
+    starting counts come from the star rows `reduce` lists once per input
+    row.  After that they are kept per merge by the step equations that
+    `verify_step_equations` audits: the cone row's counts come from the
+    StepReport, a row whose star held both merged rows loses one star
+    vertex, a row the clean-up removed columns from keeps the size of its
+    own column set, and no other count changes, so no star is recounted.
     """
 
     rows_before: int = 0
@@ -145,11 +146,25 @@ def _pair_collapsible(d, x, y, sx, sy):
     return is_strong_collapsible(d, d.rows[x] | d.rows[y], (sx & sy) | {x, y})
 
 
+def _budget(stars):
+    """Half the sum over rows of their two-hop neighbor counts, from the
+    star rows `stars[i]` of each row i: the rows within two column hops of
+    row i are the union of the stars of its star rows."""
+    return sum(len(set().union(*[stars[k] for k in s])) - 1 for s in stars) // 2
+
+
+def _stars(r):
+    """The star rows of every row of the relation r, as lists.
+
+    Lists, not tuples: CPython keeps freed tuples of up to 19 items on a
+    free list, which would hold their memory after `reduce` drops them."""
+    return [list(_star_rows(r, i)) for i in range(r.nrows)]
+
+
 def comparison_budget(r: Relation) -> int:
     """Bound on pair tests: half the sum over vertices of their two-hop
-    neighbor counts."""
-    return sum(len(_two_hop_rows(r, _star_rows(r, i))) - 1
-               for i in range(r.nrows)) // 2
+    neighbor counts, read from every row's star rows."""
+    return _budget(_stars(r))
 
 
 def _fresh_z(labels):
@@ -166,8 +181,8 @@ def _merge(d, xi, xj, star_i, star_j, z, ncols):
     columns.  Columns among those that the merge made dominated are dropped;
     nothing else can be affected.  `ncols` is the draft's live column count
     before the merge.  Returns the step's StepReport, the rows other than the
-    pair in both merged rows' stars, and how many columns the clean-up
-    removed from each other row that lost one.
+    pair in both merged rows' stars, and the set of rows other than the cone
+    row that the clean-up removed a column from.
     """
     union = d.rows[xi] | d.rows[xj]
     pair = (d.row_labels[xi], d.row_labels[xj])
@@ -175,15 +190,14 @@ def _merge(d, xi, xj, star_i, star_j, z, ncols):
     _drop(d.rows, d.cols, xj)
     zi = d.add_row(z, union)
     gone = _exhaust(union, d.cols, d.rows)
-    kept = {frozenset(d.cols[c]) for c in union}
-    # a removed column is a duplicate when its row set equals a kept one's
-    dups = sum(frozenset(g) in kept for g in gone)
+    # `union` now holds the kept columns; a removed column is a duplicate
+    # when its row set equals a kept one's
+    dups = sum(any(g == d.cols[c] for c in union) for g in gone)
     rep = StepReport(pair=pair, z_label=z,
                      faces_absorbed=len(gone) - dups, duplicates_merged=dups,
                      delta_z=len(star_i | star_j), epsilon_z=len(d.rows[zi]),
                      cols_before=ncols, cols_after=ncols - len(gone))
-    return (rep, (star_i & star_j) - {xi, xj},
-            Counter(k for g in gone for k in g if k != zi))
+    return rep, (star_i & star_j) - {xi, xj}, set().union(*gone) - {zi}
 
 
 def reduction_step(r: Relation, xi: int, xj: int):
@@ -209,8 +223,8 @@ class _RunningMax:
     """The maximum of a per-slot value list under point updates.
 
     `count[v]` is the number of slots holding v.  `top` rises to a larger
-    value at once and walks down past values that no slot holds, so no
-    update rescans the slots.
+    value at once and, only when no slot holds it any more, walks down past
+    values that no slot holds, so no update rescans the slots.
     """
 
     def __init__(self, values):
@@ -222,20 +236,26 @@ class _RunningMax:
 
     def set(self, k, v):
         """Give slot k the value v; k may be the next new slot."""
-        if k == len(self.values):
-            self.values.append(0)
-            self.count[0] += 1
-        self.count[self.values[k]] -= 1
-        if v >= len(self.count):
-            self.count.extend([0] * (v + 1 - len(self.count)))
-        self.count[v] += 1
-        self.values[k] = v
-        self.top = max(self.top, v)
-        while self.top and not self.count[self.top]:
-            self.top -= 1
+        values, count = self.values, self.count
+        if k == len(values):
+            values.append(0)
+            count[0] += 1
+        old = values[k]
+        count[old] -= 1
+        if v >= len(count):
+            count.extend([0] * (v + 1 - len(count)))
+        count[v] += 1
+        values[k] = v
+        if v > self.top:
+            self.top = v
+        elif old == self.top and not count[old]:
+            top = old
+            while top and not count[top]:
+                top -= 1
+            self.top = top
 
 
-def _steps(d, stats):
+def _steps(d, stats, sizes=None):
     """Merge pairs of the draft `d` in place, in one pass of the cursor,
     and yield each merge's StepReport once it is applied.
 
@@ -246,12 +266,15 @@ def _steps(d, stats):
     which leaves the cursor's slot dead, and the cursor moves on, as it does
     when every test fails; a dead slot is passed over, and a cone row is
     processed when the cursor reaches it.  Each test and each star-size
-    maximum goes into `stats` as it happens.  The pass starts from the draft
-    alone, so it can run again on a draft an earlier pass left, dead slots
-    and all.
+    maximum goes into `stats` as it happens.  `sizes` gives each slot's star
+    row count at the start, as `reduce` has them from its star pass; without
+    it the pass counts them on the draft, so it can run again on a draft an
+    earlier pass left, dead slots and all.
     """
     # star vertex and toplex count per slot; a dead slot counts 0
-    delta = _RunningMax(len(_star_rows(d, i)) for i in range(len(d.rows)))
+    if sizes is None:
+        sizes = [len(_star_rows(d, i)) for i in range(len(d.rows))]
+    delta = _RunningMax(sizes)
     epsilon = _RunningMax(map(len, d.rows))
     stats.delta_max_history.append(delta.top)
     stats.epsilon_max_history.append(epsilon.top)
@@ -279,14 +302,14 @@ def _steps(d, stats):
                     epsilon.set(k, 0)
                 # the step equations: the cone row's counts are the report's,
                 # a row whose star held both merged rows loses one star
-                # vertex, a row loses the columns the clean-up removed from
-                # it, and no other count changes
+                # vertex, a row that lost columns to the clean-up holds the
+                # rest, and no other count changes
                 delta.set(len(d.rows) - 1, rep.delta_z - 1)
                 epsilon.set(len(d.rows) - 1, rep.epsilon_z)
                 for k in both:
                     delta.set(k, delta.values[k] - 1)
-                for k, n in lost.items():
-                    epsilon.set(k, epsilon.values[k] - n)
+                for k in lost:
+                    epsilon.set(k, len(d.rows[k]))
                 stats.delta_max_history.append(delta.top)
                 stats.epsilon_max_history.append(epsilon.top)
                 yield rep
@@ -298,17 +321,22 @@ def reduce(r: Relation):
     """Run the single-pass reduction to exhaustion.
 
     Returns (reduced relation, ReductionStats, list of StepReport).  The
-    input must be column irreducible.  `_steps` merges pairs on one mutable
-    draft of r, whose indices stay fixed: a merged row's slot goes dead and
-    the cone row takes a new slot at the tail, and each pair's union of
-    closed stars is collapsed from a copy of those stars alone, under the
-    draft's ids.  The draft is frozen once, into the one relation a run
-    builds.
+    input must be column irreducible.  Each input row's star rows are
+    listed once, on r; the comparison budget and the stream's starting star
+    sizes both come from that list, which is dropped before the stream
+    starts.  `_steps` merges pairs on one mutable draft of r, whose indices
+    stay fixed: a merged row's slot goes dead and the cone row takes a new
+    slot at the tail, and each pair's union of closed stars is collapsed
+    from a copy of those stars alone, under the draft's ids.  The draft is
+    frozen once, into the one relation a run builds.
     """
+    stars = _stars(r)
     stats = ReductionStats(rows_before=r.nrows, cols_before=r.ncols,
-                           comparison_budget=comparison_budget(r))
+                           comparison_budget=_budget(stars))
+    sizes = list(map(len, stars))
+    del stars
     d = _Draft.of(r)
-    log = list(_steps(d, stats))
+    log = list(_steps(d, stats, sizes))
     cur = d.freeze()
     stats.rows_after, stats.cols_after = cur.shape
     stats.steps_applied = len(log)

@@ -112,7 +112,8 @@ def _exhaust(live, sets_a, sets_b, todo=None):
 def _collapse(row_sets, col_sets, rows, cols):
     """Alternate row and column domination removal, in place, until a column
     pass removes nothing; `rows` and `cols` are the live ids and keep the
-    survivors.
+    survivors.  Given the column axis first, the roles swap: it starts with
+    the columns and stops when a row pass removes nothing.
 
     The first pass on each axis tests every live member; after that, a pass
     tests only the members whose sets the pass just before it shrank.  A

@@ -113,6 +113,34 @@ def test_picked_rows_give_the_full_subcomplex_on_them():
     assert verdicts == {True, False}
 
 
+def test_collapsing_columns_first_keeps_every_verdict():
+    # the test collapses columns first and collapse_core rows first; a
+    # dominated column is a face of another toplex, so removing it leaves
+    # the complex as it is, and both orders reach its strong-collapse core,
+    # which is unique up to isomorphism; the transpose's complex has the
+    # same core shape, transposed
+    rng = random.Random(167)
+    verdicts = set()
+    for _ in range(300):
+        r = random_irreducible_relation(rng)
+        for rel in (r, with_repeats(rng, r)):
+            got = is_strong_collapsible(rel)
+            assert is_strong_collapsible(rel.transpose()) == got
+            assert (collapse_core(rel).shape == (1, 1)) == got
+            cols = set(rng.sample(range(rel.ncols), rng.randint(1, rel.ncols)))
+            sub = rel.restrict_to_columns(cols)
+            rows = set(rng.sample(sub.parent_rows, rng.randint(1, len(sub.parent_rows))))
+            full = sub.relation.remove_rows(
+                [rel.row_labels[i] for i in sub.parent_rows if i not in rows])
+            for picked, whole in ((None, sub.relation), (rows, full)):
+                got = is_strong_collapsible(rel, cols, picked)
+                assert is_strong_collapsible(whole) == got
+                assert is_strong_collapsible(whole.transpose()) == got
+                assert (collapse_core(whole).shape == (1, 1)) == got
+                verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def test_core_idempotent_and_undominated():
     rng = random.Random(31)
     for _ in range(60):
