@@ -115,7 +115,7 @@ def parse_off(text) -> ToplexList:
         raise ParseError("not a valid OFF header", line=n)
     n, counts = next_line("counts line")
     parts = counts.split()
-    if len(parts) < 2 or not all(p.lstrip("-").isdigit() for p in parts):
+    if len(parts) < 2 or not all(p.removeprefix("-").isdecimal() for p in parts):
         raise ParseError("counts line must be '<vertices> <faces> [<edges>]'", line=n)
     n_verts, n_faces = int(parts[0]), int(parts[1])
     if n_verts < 0 or n_faces < 0:

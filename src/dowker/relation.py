@@ -10,10 +10,14 @@ run on their natural axis without transposing the whole matrix, and their
 cost follows the ones of the matrix, not its width.
 
 Relation values are immutable once constructed; every operation returns a new
-value, which makes sharing across threads safe without locking.  Operations
-that add, remove or select rows or columns edit a private mutable draft in
-place and renumber the survivors once, when the draft is frozen into a new
-value.
+value, which makes sharing across threads safe without locking.  One
+function, `_freeze`, renumbers: it turns the live rows and columns of a
+relation or a draft, or only a selection of its columns, into a new value.
+Restriction and column clean-up call it on the relation itself, and clean-up
+selects the maximal columns with `_maximal`, the kernel that normalises
+every toplex list, so neither edits a draft.  Operations that add or remove
+rows edit a private mutable draft in place and renumber the survivors once,
+when the draft is frozen.
 """
 
 from __future__ import annotations
@@ -44,31 +48,20 @@ def _smallest(other, s):
     return smallest
 
 
-def _dominator(sets, other, i):
-    """First member that dominates member i, or None.
+def _dominated(sets, other, i, within):
+    """Whether a member of `within` dominates member i.
 
     k dominates i when sets[i] is contained in sets[k] and the sets differ
     or k < i (equal sets keep the lowest index); sets[i] must be non-empty.
     `other` is the other orientation of `sets`, so every superset of sets[i]
     lies in other[b] for each b in sets[i]: the candidates come from the
-    smallest of those, in ascending order, and the cost follows the set
-    sizes, not the axis length.
+    smallest of those, scanned unsorted up to the first hit, and the cost
+    follows the set sizes, not the axis length.
     """
     s = sets[i]
     n = len(s)
-    for k in sorted(_smallest(other, s)):
-        # a superset differs exactly when it is larger
-        if k != i and s <= sets[k] and (k < i or len(sets[k]) != n):
-            return k
-    return None
-
-
-def _dominated(sets, other, i, within):
-    """Whether a member of `within` dominates member i: `_dominator`'s rule,
-    with the smallest candidate set scanned unsorted up to the first hit."""
-    s = sets[i]
-    n = len(s)
     for k in _smallest(other, s):
+        # a superset differs exactly when it is larger
         if k != i and k in within and s <= sets[k] and (k < i or len(sets[k]) != n):
             return True
     return False
@@ -272,7 +265,8 @@ class Relation:
 
         When `cols` is the union of the column sets of a vertex set A, the
         complex of the result is exactly the union of the closed stars of A.
-        Only the selection is copied into a draft, and that draft is frozen.
+        Only the selection is read, and it is renumbered straight into the
+        result, with no draft.
         """
         cols = sorted(set(cols))
         if not cols:
@@ -280,7 +274,7 @@ class Relation:
         if cols[0] < 0 or cols[-1] >= self.ncols:
             raise ValueError("column index out of range")
         rows = sorted(set().union(*(self.cols[c] for c in cols)))
-        return SubRelation(tuple(rows), tuple(cols), _Draft.of(self, cols).freeze())
+        return SubRelation(tuple(rows), tuple(cols), _freeze(self, cols))
 
     def add_row(self, label, cols):
         """New relation with a row appended at the end (highest index)."""
@@ -319,15 +313,10 @@ class Relation:
     def make_column_irreducible(self):
         """Remove columns whose row set is contained in another's; exact
         duplicates keep the lowest column index."""
-        draft = _Draft.of(self)
-        _exhaust(set(range(self.ncols)), draft.cols, draft.rows)
-        return draft.freeze()
+        return _freeze(self, _maximal(self.cols, self.nrows))
 
     def is_column_irreducible(self):
-        draft = _Draft.of(self)
-        everything = range(self.ncols)
-        return not any(_dominated(draft.cols, draft.rows, j, everything)
-                       for j in everything)
+        return len(_maximal(self.cols, self.nrows)) == self.ncols
 
     # ------------------------------------------------------------------
     # text format
@@ -361,7 +350,7 @@ class Relation:
             raise ParseError("expected a size line and two label lines")
         n_size, size_line = lines[0]
         parts = size_line.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        if len(parts) != 2 or not all(p.isdecimal() for p in parts):
             raise ParseError("size line must be '<rows> <cols>'", line=n_size)
         nrows, ncols = int(parts[0]), int(parts[1])
         n_row, row_line = lines[1]
@@ -402,6 +391,24 @@ class Relation:
             raise ParseError(str(exc)) from exc
 
 
+def _freeze(r, cols=None):
+    """The live rows and columns of r, a relation or a draft, renumbered in
+    ascending index order, as a Relation; r is left unchanged.
+
+    With column ids `cols`, only the live ones among them and the rows that
+    meet them.
+    """
+    keep = [c for c in (range(len(r.cols)) if cols is None else sorted(cols)) if r.cols[c]]
+    # a live column holds only live rows, and every live row meets a live column
+    rows = sorted(set().union(*[r.cols[c] for c in keep]))
+    col_pos = {c: k for k, c in enumerate(keep)}
+    row_pos = {i: k for k, i in enumerate(rows)}
+    return Relation._build(
+        [r.row_labels[i] for i in rows], [r.col_labels[c] for c in keep],
+        [sorted(col_pos[c] for c in r.rows[i] if c in col_pos) for i in rows],
+        [sorted(map(row_pos.__getitem__, r.cols[c])) for c in keep])
+
+
 @dataclass(slots=True)
 class _Draft:
     """Mutable incidence over stable indices: one set of column ids per row
@@ -409,8 +416,8 @@ class _Draft:
 
     A member dropped with `_drop` keeps its index with an empty set, and a
     new row takes the next index, so edits never renumber anything;
-    `freeze` renumbers the live members once.  `_Draft.of` makes every
-    draft.
+    `freeze`, which is `_freeze`, renumbers the live members once.
+    `_Draft.of` makes every draft.
     """
 
     row_labels: list
@@ -419,25 +426,12 @@ class _Draft:
     cols: list
 
     @classmethod
-    def of(cls, r, cols=None):
-        """A draft of r, a relation or a draft; only its labels and its two
-        orientations are read, and r is left unchanged.
-
-        With column ids `cols`, only those of them that are live and the
-        rows that meet them, renumbered in ascending index order, which is
-        what `restrict_to_columns` freezes.  Without, every slot keeps its
-        index, dead ones included.
-        """
-        if cols is None:
-            return cls(list(r.row_labels), r.col_labels,
-                       [set(row) for row in r.rows], [set(col) for col in r.cols])
-        keep = [c for c in sorted(cols) if r.cols[c]]
-        rows = sorted(set().union(*[r.cols[c] for c in keep]))
-        col_pos = {c: k for k, c in enumerate(keep)}
-        row_pos = {i: k for k, i in enumerate(rows)}
-        return cls([r.row_labels[i] for i in rows], tuple(r.col_labels[c] for c in keep),
-                   [{col_pos[c] for c in r.rows[i] if c in col_pos} for i in rows],
-                   [set(map(row_pos.__getitem__, r.cols[c])) for c in keep])
+    def of(cls, r):
+        """A draft of the whole of r, a relation or a draft; only its labels
+        and its two orientations are read, and r is left unchanged.  Every
+        slot keeps its index, dead ones included."""
+        return cls(list(r.row_labels), r.col_labels,
+                   [set(row) for row in r.rows], [set(col) for col in r.cols])
 
     def add_row(self, label, cols):
         """Append a row incident to the live column ids `cols`; returns its
@@ -449,18 +443,7 @@ class _Draft:
         self.rows.append(set(cols))
         return k
 
-    def freeze(self):
-        """The live rows and columns, renumbered in ascending index order, as
-        a Relation."""
-        keep = [c for c, col in enumerate(self.cols) if col]
-        rows = [i for i, row in enumerate(self.rows) if row]
-        # a live row holds only live columns and a live column only live rows
-        col_pos = {c: k for k, c in enumerate(keep)}
-        row_pos = {i: k for k, i in enumerate(rows)}
-        return Relation._build(
-            [self.row_labels[i] for i in rows], [self.col_labels[c] for c in keep],
-            [sorted(map(col_pos.__getitem__, self.rows[i])) for i in rows],
-            [sorted(map(row_pos.__getitem__, self.cols[c])) for c in keep])
+    freeze = _freeze
 
 
 @dataclass(frozen=True)
@@ -511,7 +494,8 @@ def _toplex_name_sets(toplexes, order=None):
 def _maximal(cols, n):
     """Ascending positions of the toplexes to keep among `cols`, ascending
     index tuples over n vertices: the earliest of equal ones, and none that
-    is strictly contained in another.
+    is strictly contained in another.  A relation's own `cols` and `nrows`
+    serve as well, which is how its column clean-up and its test run.
 
     Exact duplicates go in one dict pass.  After that, a toplex can only be
     strictly contained in a larger one, so only the toplexes smaller than

@@ -8,7 +8,7 @@ import dowker.reducer
 from dowker import relation as relation_module
 from dowker import (Relation, betti_gf2, collapse_core, find_dominated_row,
                     gen_torus_grid, is_strong_collapsible, reduce)
-from dowker.relation import _Draft
+from dowker.relation import _freeze
 from _util import (core_labels_reference, disk_relation, fan_relation, first_dominators,
                    random_irreducible_relation, random_relation, with_repeats)
 
@@ -221,10 +221,10 @@ def test_core_domination_tests_do_not_grow_per_member(monkeypatch):
 
 def test_restricted_draft_verdict_matches_the_restricted_relation(monkeypatch):
     # on every working draft of the reducer, dead slots and cone rows
-    # included: a draft restricted to a pair's stars, or to random ids that
-    # may be dead, and the test of those ids on the working draft itself get
-    # the verdict of the same restriction of the frozen relation, and no
-    # draft is changed by the test
+    # included: a draft frozen on a pair's stars, or on random ids that may
+    # be dead, and the test of those ids on the working draft itself get the
+    # verdict of the same restriction of the frozen relation, and no draft is
+    # changed by the test
     rng = random.Random(131)
     partners = dowker.reducer._partners
     seen = {"verdicts": [], "dead": 0, "cone": 0}
@@ -240,7 +240,7 @@ def test_restricted_draft_verdict_matches_the_restricted_relation(monkeypatch):
         picks = [d.rows[x] | d.rows[j] for j in out]
         picks.append(set(rng.sample(range(len(d.cols)), rng.randint(1, len(d.cols)))))
         for cols in picks:
-            sub = _Draft.of(d, cols)
+            sub = _freeze(d, cols)
             kept = sets(sub)
             picked = sorted(pos[c] for c in cols if c in pos)
             if not picked:

@@ -176,6 +176,10 @@ def test_off_errors():
         parse_off("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 9\n")
     with pytest.raises(ParseError, match="truncated"):
         parse_off("OFF\n4 4 6\n0 0 0\n")
+    # counts that pass a digit test but not int()
+    for counts in ("--5 1", "² 1"):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_off(f"OFF\n{counts}\n")
 
 
 # ----------------------------------------------------------------------

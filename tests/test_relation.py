@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dowker import ParseError, Relation, ToplexList, reduction_step
+from dowker import ParseError, Relation, ToplexList, gen_torus_grid, reduction_step
 from dowker import relation as relation_module
 from _util import (FAN_DENSE, FAN_MERGED_DENSE, FAN_STAR_DENSE, FAN_TOPLEXES,
                    closed_star, complex_of, fan_relation, first_dominators,
@@ -131,15 +131,15 @@ def dense_restriction(r, cols):
 
 
 def test_restriction_freezes_without_copying_the_relation(monkeypatch):
-    # the result equals a restriction built from the dense matrix, and the
-    # only draft made on the way is the one of the selection
+    # the result equals a restriction built from the dense matrix, and no
+    # draft is made on the way
     rng = random.Random(71)
     seen = []
     of = relation_module._Draft.of.__func__
 
-    def recording(cls, r, cols=None):
-        seen.append(cols)
-        return of(cls, r, cols)
+    def recording(cls, r):
+        seen.append(r)
+        return of(cls, r)
 
     monkeypatch.setattr(relation_module._Draft, "of", classmethod(recording))
     for _ in range(200):
@@ -148,17 +148,16 @@ def test_restriction_freezes_without_copying_the_relation(monkeypatch):
             r = with_repeats(rng, r)
         cols = sorted(rng.sample(range(r.ncols), rng.randint(1, r.ncols)))
         rows, expected = dense_restriction(r, cols)
-        seen.clear()
         sub = r.restrict_to_columns(cols + cols[:1])
         assert sub.relation == expected
         assert sub.parent_rows == rows and sub.parent_cols == tuple(cols)
-        assert len(seen) == 1 and sorted(seen[0]) == cols
+    assert seen == []
 
 
 def test_draft_restriction_skips_dead_slots():
-    # a draft with dropped rows and columns and an appended row, restricted
-    # to ids that include dead columns, equals the dense restriction of its
-    # freeze to the live ones, and holds no empty set
+    # a draft with dropped rows and columns and an appended row, frozen on
+    # ids that include dead columns, equals the dense restriction of its
+    # whole freeze to the live ones, and holds no empty row or column
     rng = random.Random(73)
     checked = 0
     for _ in range(300):
@@ -175,13 +174,13 @@ def test_draft_restriction_skips_dead_slots():
         frozen = d.freeze()
         cols = set(rng.sample(range(r.ncols), rng.randint(1, r.ncols)))
         picked = [k for k, c in enumerate(live) if c in cols]
-        sub = relation_module._Draft.of(d, cols)
+        sub = relation_module._freeze(d, cols)
         assert all(sub.rows) and all(sub.cols)
         if picked:
             checked += 1
-            assert sub.freeze() == dense_restriction(frozen, picked)[1]
+            assert sub == dense_restriction(frozen, picked)[1]
         else:
-            assert sub.rows == sub.cols == []
+            assert sub.shape == (0, 0)
     assert checked > 200
 
 
@@ -381,6 +380,36 @@ def test_column_cleanup_matches_pairwise_reference():
                                     for i in range(r.nrows)])
 
 
+def test_column_clean_up_copies_no_draft(monkeypatch):
+    # both the clean-up and the test select the maximal columns with
+    # `_maximal`, on the relation's own tuples; on toplexes of one size
+    # that makes no domination test at all
+    rng = random.Random(151)
+    seen = []
+    of = relation_module._Draft.of.__func__
+
+    def recording(cls, r):
+        seen.append(r)
+        return of(cls, r)
+
+    monkeypatch.setattr(relation_module._Draft, "of", classmethod(recording))
+    for _ in range(200):
+        r = with_repeats(rng, random_relation(rng))
+        r.make_column_irreducible()
+        r.is_column_irreducible()
+    assert seen == []
+    dominated = relation_module._dominated
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return dominated(*args)
+
+    monkeypatch.setattr(relation_module, "_dominated", counting)
+    assert Relation.from_toplexes(gen_torus_grid(6, 6)).is_column_irreducible()
+    assert calls == []
+
+
 def test_extract_rebuild_identity():
     rng = random.Random(13)
     for _ in range(40):
@@ -449,6 +478,9 @@ def test_text_empty_row_rejected_with_line_number():
 def test_text_bad_sizes_and_indices():
     with pytest.raises(ParseError):
         Relation.from_text("x y\na\np\n0\n")
+    # str.isdigit() holds for "²", which int() refuses
+    with pytest.raises(ParseError, match="line 1"):
+        Relation.from_text("² 1\na\np\n0\n")
     with pytest.raises(ParseError, match="line 4"):
         Relation.from_text("1 1\na\np\n7\n")
     with pytest.raises(ParseError, match="ascending"):
