@@ -1,9 +1,11 @@
 """Command-line front end: reduce, betti, gen, check.
 
 Exit codes: 0 success, 1 parse/parameter error, 2 Betti mismatch under
---check-betti, 3 simplex enumeration size cap exceeded.  The environment
-variable DOWKER_SIZE_CAP overrides the enumeration cap; a value that is not a
-positive integer is a parameter error.
+--check-betti, 3 size cap exceeded: by the simplex enumeration, or by the
+vertex-toplex incidence count of a `gen` fixture, worked out from its
+parameters before anything is built or written.  The environment variable
+DOWKER_SIZE_CAP overrides the cap for both; a value that is not a positive
+integer is a parameter error.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import sys
 import time
 
 from .collapse import collapse_core
-from .complexio import (gen_simplex_boundary, gen_sphere_cube, gen_sphere_uv,
-                        gen_torus_grid, parse_off, parse_toplex_file)
+from .complexio import (fixture_incidences, gen_simplex_boundary, gen_sphere_cube,
+                        gen_sphere_uv, gen_torus_grid, parse_off, parse_toplex_file)
 from .errors import ParseError, SizeCapError
 from .homology import DEFAULT_SIZE_CAP, betti_gf2
 from .reducer import format_step_log, reduce
@@ -135,17 +137,18 @@ def cmd_check(args):
 
 
 def cmd_gen(args):
-    if args.shape == "sphere-cube":
-        tops = gen_sphere_cube()
-    elif args.shape == "sphere-uv":
-        tops = gen_sphere_uv(args.slices, args.stacks)
-    elif args.shape == "torus":
-        tops = gen_torus_grid(args.m, args.n)
-    elif args.shape == "simplex-boundary":
-        tops = gen_simplex_boundary(args.n)
-    else:
-        raise ValueError(f"unknown shape {args.shape!r}")
-    text = tops.to_text()
+    gen, params = {
+        "sphere-cube": (gen_sphere_cube, ()),
+        "sphere-uv": (gen_sphere_uv, (args.slices, args.stacks)),
+        "torus": (gen_torus_grid, (args.m, args.n)),
+        "simplex-boundary": (gen_simplex_boundary, (args.n,)),
+    }[args.shape]
+    # checks the parameters first, then sizes the fixture without building it
+    incidences = fixture_incidences(args.shape, *params)
+    cap = _size_cap()
+    if incidences > cap:
+        raise SizeCapError(f"fixture's vertex-toplex incidence count exceeds cap {cap}")
+    text = gen(*params).to_text()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -10,37 +10,25 @@ generators used as regression fixtures.
 from __future__ import annotations
 
 from .errors import ParseError
-from .relation import Relation, _maximal, _maximal_toplexes, _other_axis
+from .relation import Relation, _normalise_toplexes, _other_axis
 
 
 class ToplexList:
     """Ordered list of toplexes with a stable vertex order.
 
-    Normalization drops duplicate toplexes and toplexes set-contained in
-    another, keeping the earliest occurrence; every list, parsed, generated
-    or given, goes through the one kernel `relation._maximal`.
-    `vertex_names` is the union of all input toplexes in first-appearance
-    order, dropped ones included (or the explicit order given).
-    `vertex_indices` holds each toplex's ascending vertex indices into
-    `vertex_names`, so `Relation.from_toplexes` need not normalise the list
-    again.
+    Every list, parsed, generated or given, is numbered, checked and
+    normalised by the one function `relation._normalise_toplexes`, which
+    drops duplicate toplexes and toplexes set-contained in another, keeping
+    the earliest occurrence.  `vertex_names` is the union of all input
+    toplexes in first-appearance order, dropped ones included (or the
+    explicit order given).  `vertex_indices` holds each toplex's ascending
+    vertex indices into `vertex_names`, so a ToplexList passed on to
+    `Relation.from_toplexes` or the homology oracle is used as it stands.
     """
 
     def __init__(self, toplexes, vertex_names=None):
-        vertex_names, tops, cols = _maximal_toplexes(list(toplexes), vertex_names)
-        self.toplexes = tuple(tops)
-        self.vertex_indices = tuple(cols)
-        self.vertex_names = vertex_names
-
-    @classmethod
-    def _of(cls, vertex_names, toplexes, vertex_indices):
-        """Trusted constructor from a normalised list, its ascending index
-        tuples and its vertex order; nothing is validated again."""
-        self = object.__new__(cls)
-        self.toplexes = tuple(toplexes)
-        self.vertex_indices = tuple(vertex_indices)
-        self.vertex_names = tuple(vertex_names)
-        return self
+        self.vertex_names, self.toplexes, self.vertex_indices = \
+            _normalise_toplexes(toplexes, vertex_names)
 
     def __len__(self):
         return len(self.toplexes)
@@ -67,28 +55,27 @@ def parse_toplex_file(text) -> ToplexList:
 
     Each non-comment line is one toplex as whitespace-separated vertex names;
     `#` lines are comments.  Blank lines and repeated vertices within a line
-    are rejected with the offending line number.  Names are numbered as they
-    are read, in first-appearance order, and each line is checked once; the
-    ascending index tuples go to the one normalisation kernel
-    (`relation._maximal`), and the kept toplexes make the ToplexList without
-    validating the names again.
+    are rejected with the offending line number.  The lines go to
+    `ToplexList` as they are read, so the one normaliser numbers and checks
+    each of them once, in first-appearance order; the line number it was
+    reading when it raised is the one reported.
     """
-    ids = {}
-    tops = []
-    cols = []
-    for n, raw in enumerate(text.splitlines(), 1):
-        names = raw.split()
-        if not names:
-            raise ParseError("blank line in toplex file", line=n)
-        if names[0][0] == "#":
-            continue
-        col = sorted([ids.setdefault(v, len(ids)) for v in names])
-        if len(set(col)) != len(names):
-            raise ParseError("vertex repeated within a toplex", line=n)
-        tops.append(tuple(names))
-        cols.append(tuple(col))
-    keep = _maximal(cols, len(ids))
-    return ToplexList._of(ids, [tops[j] for j in keep], [cols[j] for j in keep])
+    line, names = 0, None
+
+    def toplexes():
+        nonlocal line, names
+        for line, raw in enumerate(text.splitlines(), 1):
+            names = raw.split()
+            if not names or names[0][0] != "#":
+                yield names
+
+    try:
+        return ToplexList(toplexes())
+    except ValueError:
+        # a blank line is an empty toplex, and any other line read with no
+        # explicit order fails only on a repeated vertex
+        what = "vertex repeated within a toplex" if names else "blank line in toplex file"
+        raise ParseError(what, line=line) from None
 
 
 def parse_off(text) -> ToplexList:
@@ -179,6 +166,25 @@ def witness_relation(cover) -> Relation:
 # ----------------------------------------------------------------------
 # fixture generators
 
+def fixture_incidences(shape, *params):
+    """The vertex-toplex incidence count of the fixture `shape` generated
+    with `params`, from the parameters alone; each generator checks its
+    parameters here, so parameters it refuses raise ValueError.
+
+    A triangulated surface has three incidences per triangle, and the
+    boundary of an (n+1)-simplex n+2 facets of n+1 vertices each.
+    """
+    low, names, count = {
+        "sphere-cube": (0, "", lambda: 3 * 12),
+        "sphere-uv": (3, "slices and stacks", lambda s, t: 3 * 2 * s * (t - 1)),
+        "torus": (3, "m and n", lambda m, n: 3 * 2 * m * n),
+        "simplex-boundary": (1, "n", lambda n: (n + 2) * (n + 1)),
+    }[shape]
+    if min(params, default=low) < low:
+        raise ValueError(f"{names} must be >= {low}")
+    return count(*params)
+
+
 def gen_sphere_cube() -> ToplexList:
     """Cube surface, each square face split into two triangles.
 
@@ -198,8 +204,7 @@ def gen_sphere_uv(slices, stacks) -> ToplexList:
 
     slices*(stacks-1)+2 vertices and 2*slices*(stacks-1) triangles.
     """
-    if slices < 3 or stacks < 3:
-        raise ValueError("slices and stacks must be >= 3")
+    fixture_incidences("sphere-uv", slices, stacks)
     rings = stacks - 1
 
     def v(ring, j):
@@ -224,8 +229,7 @@ def gen_torus_grid(m, n) -> ToplexList:
 
     m*n vertices and 2*m*n triangles; a torus for all m, n >= 3.
     """
-    if m < 3 or n < 3:
-        raise ValueError("m and n must be >= 3")
+    fixture_incidences("torus", m, n)
 
     def v(i, j):
         return f"g{i % m}_{j % n}"
@@ -246,8 +250,7 @@ def gen_simplex_boundary(n) -> ToplexList:
     The worst case for the reducer: every pair's union of stars is the whole
     complex, which is not contractible.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    fixture_incidences("simplex-boundary", n)
     verts = [f"v{i}" for i in range(n + 2)]
     tops = [tuple(v for k, v in enumerate(verts) if k != omit)
             for omit in range(n + 2)]

@@ -5,7 +5,8 @@ lists, builds each boundary map as one ascending tuple of face indices per
 simplex, and computes Betti numbers by GF(2) rank.  Used to certify that
 reductions preserve the mod-2 Betti numbers.  The toplexes come as a Relation,
 whose ascending column tuples are used as they are, or as vertex-name
-collections, converted to index tuples once.  The vertices are listed from
+collections, numbered by the one toplex normaliser,
+`relation._normalise_toplexes`.  The vertices are listed from
 their count, and each level above them is built in bulk, a chunk of toplexes
 at a time, under the simplex cap.
 
@@ -28,7 +29,7 @@ from itertools import accumulate, chain, combinations, repeat
 from math import comb
 
 from .errors import SizeCapError
-from .relation import Relation, _toplex_name_sets
+from .relation import Relation, _normalise_toplexes
 
 DEFAULT_SIZE_CAP = 5_000_000
 
@@ -57,15 +58,21 @@ class ChainComplexGF2:
 def _vertex_tuples(toplexes):
     """Each toplex as the ascending tuple of its vertex indices, with the
     vertices in use numbered in vertex order, and the number of those
-    vertices."""
+    vertices.
+
+    Vertex-name toplexes go through `_normalise_toplexes`; only an explicit
+    order that holds names no toplex uses makes the tuples be renumbered,
+    to the vertices in use.
+    """
     if isinstance(toplexes, Relation):
         # every row meets a column, and column tuples are ascending
         return toplexes.cols, toplexes.nrows
-    order, tops = _toplex_name_sets(toplexes)
-    used = set().union(*tops)
-    index = {v: i for i, v in enumerate(v for v in order if v in used)}
-    vertex = index.__getitem__
-    return [tuple(sorted(map(vertex, t))) for t in tops], len(index)
+    order, _, cols = _normalise_toplexes(toplexes)
+    used = set().union(*cols)
+    if len(used) == len(order):
+        return cols, len(order)
+    pos = {v: k for k, v in enumerate(sorted(used))}
+    return [tuple(map(pos.__getitem__, c)) for c in cols], len(used)
 
 
 def _faces(toplexes, k):
@@ -78,7 +85,8 @@ def enumerate_simplices(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP) -> Ch
 
     `toplexes` is a Relation, whose columns are the toplexes and whose rows
     are the vertices in row order, or a ToplexList or iterable of vertex-name
-    collections, which is converted to vertex-index tuples once.  Going one
+    collections, which `_normalise_toplexes` numbers; names of an explicit
+    vertex order that no toplex uses are not vertices.  Going one
     dimension above max_dim makes the Betti number at max_dim exact; no
     level above the largest toplex is built, since it would be empty.
     `max_dim` defaults to the dimension of the largest toplex (0 without

@@ -37,15 +37,17 @@ from dataclasses import dataclass, field
 from .collapse import is_strong_collapsible
 from .relation import Relation, _Draft, _drop, _exhaust
 
-_Z_LABEL = re.compile(r"^z(\d+)$")
+_Z_LABEL = re.compile(r"^z([0-9]+)$")
 
 
 @dataclass(frozen=True)
 class StepReport:
     """Bookkeeping for one pair merge.
 
-    `delta_z` is the vertex count of the union-of-stars subcomplex that was
-    tested (the row count of its submatrix); `epsilon_z` is the toplex count
+    `delta_z` is the vertex count of the whole union of the merged rows'
+    closed stars, `len(star_i | star_j)`; the pair test copies only the
+    rows in both stars and the pair itself, so it is not the row count of
+    the tested submatrix.  `epsilon_z` is the toplex count
     of the new vertex's star after clean-up.  `faces_absorbed` counts columns
     removed because the merge turned them into a face of another toplex,
     `duplicates_merged` columns removed because two toplexes became the same
@@ -167,10 +169,22 @@ def comparison_budget(r: Relation) -> int:
     return _budget(_stars(r))
 
 
+def _successor(digits):
+    """The decimal digits of n + 1, where `digits` are those of n >= 0 with
+    no leading zero ("" for 0), worked out on the string: `int` refuses to
+    convert long digit strings."""
+    head = digits.rstrip("9")
+    carried = "0" * (len(digits) - len(head))
+    return (head[:-1] + chr(ord(head[-1]) + 1) if head else "1") + carried
+
+
 def _fresh_z(labels):
-    """The lowest n above every label of the form z<n>, so z<n> is fresh."""
+    """The decimal digits of the lowest n above every label of the form
+    z<n>, n in ASCII digits, so z<n> is fresh; with no leading zeros, a
+    longer digit string is the larger number."""
     found = (_Z_LABEL.match(str(l)) for l in labels)
-    return max((int(m.group(1)) + 1 for m in found if m), default=0)
+    digits = [m.group(1).lstrip("0") for m in found if m]
+    return _successor(max(digits, key=lambda d: (len(d), d))) if digits else "0"
 
 
 def _merge(d, xi, xj, star_i, star_j, z, ncols):
@@ -295,7 +309,7 @@ def _steps(d, stats, sizes=None):
                 if not ok:
                     continue
                 rep, both, lost = _merge(d, cursor, j, sx, sy, f"z{z}", ncols)
-                z += 1
+                z = _successor(z)
                 ncols = rep.cols_after
                 for k in (cursor, j):
                     delta.set(k, 0)

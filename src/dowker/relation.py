@@ -14,10 +14,15 @@ value, which makes sharing across threads safe without locking.  One
 function, `_freeze`, renumbers: it turns the live rows and columns of a
 relation or a draft, or only a selection of its columns, into a new value.
 Restriction and column clean-up call it on the relation itself, and clean-up
-selects the maximal columns with `_maximal`, the kernel that normalises
-every toplex list, so neither edits a draft.  Operations that add or remove
-rows edit a private mutable draft in place and renumber the survivors once,
-when the draft is frozen.
+selects the maximal columns with `_maximal`, so neither edits a draft.
+Operations that add or remove rows edit a private mutable draft in place and
+renumber the survivors once, when the draft is frozen.
+
+Vertex-name toplexes become index tuples in one function,
+`_normalise_toplexes`: it numbers the names in one pass, checks each toplex
+as it reads it, and keeps the maximal toplexes with the same `_maximal`.
+`ToplexList`, `parse_toplex_file`, `from_toplexes` and the homology oracle
+all go through it, and a ToplexList it has built is used as it stands.
 """
 
 from __future__ import annotations
@@ -246,12 +251,7 @@ class Relation:
         toplexes.  Duplicate and set-contained toplexes are dropped, keeping
         the earliest occurrence, so the result is column irreducible.
         """
-        cols = getattr(toplexes, "vertex_indices", None)
-        if cols is None:
-            order, _, cols = _maximal_toplexes(toplexes)
-        else:
-            # a ToplexList was normalised when it was built
-            order = toplexes.vertex_names
+        order, _, cols = _normalise_toplexes(toplexes)
         rows = _other_axis(cols, len(order))
         if not all(rows):
             raise ValueError(f"vertex {order[rows.index([])]!r} belongs to no toplex")
@@ -459,38 +459,6 @@ class SubRelation:
     relation: Relation
 
 
-def _toplex_name_sets(toplexes, order=None):
-    """Vertex order and per-toplex name tuples from a ToplexList or iterable.
-
-    An iterable takes the explicit `order` if given, first-appearance order
-    otherwise.
-    """
-    members = getattr(toplexes, "toplexes", None)
-    order = getattr(toplexes, "vertex_names", order)
-    if members is None:
-        members = list(toplexes)
-    tops = [tuple(t) for t in members]
-    for t in tops:
-        if not t:
-            raise ValueError("empty toplex")
-        if len(set(t)) != len(t):
-            raise ValueError(f"toplex {t!r} repeats a vertex")
-    if order is None:
-        seen = {}
-        for t in tops:
-            for v in t:
-                seen.setdefault(v, None)
-        order = tuple(seen)
-    else:
-        order = tuple(order)
-        if len(set(order)) != len(order):
-            raise ValueError("duplicate vertex names")
-        missing = {v for t in tops for v in t} - set(order)
-        if missing:
-            raise ValueError(f"toplex vertices missing from vertex order: {missing}")
-    return order, tops
-
-
 def _maximal(cols, n):
     """Ascending positions of the toplexes to keep among `cols`, ascending
     index tuples over n vertices: the earliest of equal ones, and none that
@@ -515,16 +483,38 @@ def _maximal(cols, n):
     return sorted(live)
 
 
-def _maximal_toplexes(toplexes, order=None):
-    """`_toplex_name_sets` without duplicate and set-contained toplexes,
-    dropped by `_maximal` on the toplexes' ascending index tuples.
+def _normalise_toplexes(toplexes, order=None):
+    """Vertex order, kept toplexes and their ascending vertex-index tuples,
+    from a ToplexList or an iterable of vertex-name collections; the one
+    place where vertex names are numbered and checked.
 
-    The earliest occurrence is kept, and the vertex order still holds the
-    vertices of dropped toplexes.  Also returns each kept toplex's
-    ascending vertex indices into the vertex order.
+    A ToplexList given with no `order` is returned as it stands.  Otherwise
+    names are numbered in one pass, in first-appearance order or in the
+    explicit `order`, and each toplex is checked as it is read: it must be
+    non-empty, repeat no vertex, and, under `order`, use only its names.
+    `_maximal` then drops duplicate and set-contained toplexes, keeping the
+    earliest; the vertex order still holds the vertices of dropped ones.
     """
-    order, tops = _toplex_name_sets(toplexes, order)
-    index = {v: i for i, v in enumerate(order)}
-    cols = [tuple(sorted(map(index.__getitem__, t))) for t in tops]
-    keep = _maximal(cols, len(order))
-    return order, [tops[j] for j in keep], [cols[j] for j in keep]
+    cols = getattr(toplexes, "vertex_indices", None)
+    if cols is not None and order is None:
+        return toplexes.vertex_names, toplexes.toplexes, cols
+    index = {}
+    if order is not None:
+        index = {v: i for i, v in enumerate(order)}
+        if len(index) != len(order):
+            raise ValueError("duplicate vertex names")
+    tops, cols = [], []
+    for t in toplexes:
+        t = tuple(t)
+        if not t:
+            raise ValueError("empty toplex")
+        if order is not None and set(t) - index.keys():
+            raise ValueError(f"toplex vertices missing from vertex order: {set(t) - index.keys()}")
+        # under an explicit order every name is already numbered
+        col = sorted([index.setdefault(v, len(index)) for v in t])
+        if len(set(col)) != len(t):
+            raise ValueError(f"toplex {t!r} repeats a vertex")
+        tops.append(t)
+        cols.append(tuple(col))
+    keep = _maximal(cols, len(index))
+    return tuple(index), tuple([tops[j] for j in keep]), tuple([cols[j] for j in keep])

@@ -442,6 +442,22 @@ def test_size_cap_exits_3(tmp_path, capsys, monkeypatch):
     assert "error:" in capsys.readouterr().err
 
 
+def test_gen_over_the_size_cap_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DOWKER_SIZE_CAP", "1000")
+    out = tmp_path / "x"
+    # 42 facets of 41 vertices: 1722 incidences
+    assert cli.main(["gen", "simplex-boundary", "--n", "40", "--output", str(out)]) == 3
+    assert "cap 1000" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(["gen", "torus", "--m", "20", "--n", "20", "--output", str(out)]) == 3
+    assert not out.exists()
+    # parameters are checked before the size
+    assert cli.main(["gen", "torus", "--m", "1", "--n", "1000000"]) == 1
+    # 32 facets of 31 vertices: 992 incidences, under the cap
+    assert cli.main(["gen", "simplex-boundary", "--n", "30", "--output", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 32
+
+
 def test_size_cap_rejects_bad_values(tmp_path, capsys, monkeypatch):
     src = write(tmp_path, "edge.toplex", "a b\n")
     for value in ("abc", "-5", "0"):

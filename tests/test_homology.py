@@ -232,16 +232,25 @@ def test_surface_maps_have_no_heavy_column():
 
 def test_betti_normalises_the_toplexes_once(monkeypatch):
     calls = []
-    real = homology._toplex_name_sets
+    real = homology._normalise_toplexes
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(homology, "_toplex_name_sets", counting)
+    monkeypatch.setattr(homology, "_normalise_toplexes", counting)
     assert betti_gf2(gen_torus_grid(4, 4)) == (1, 2, 1)
     assert betti_gf2(gen_torus_grid(4, 4), 1) == (1, 2)
     assert len(calls) == 2
+
+
+def test_unused_names_in_an_explicit_order_are_not_vertices():
+    # x and y name no toplex: the complex is one edge, with no isolated vertex
+    tops = ToplexList([("a", "b")], ["x", "a", "b", "y"])
+    assert betti_gf2(tops, 2) == (1, 0, 0)
+    assert enumerate_simplices(tops).counts() == (2, 1)
+    with pytest.raises(ValueError, match="belongs to no toplex"):
+        Relation.from_toplexes(tops)
 
 
 def test_betti_of_relation_complex():

@@ -310,6 +310,18 @@ def test_fresh_cone_labels_count_up():
     assert rep2.z_label == "z2"
 
 
+def test_cone_label_after_a_very_long_z_label():
+    # int() refuses a 5000-digit string, so the label is counted as digits
+    for digits, fresh in (("9" * 5000, "1" + "0" * 5000),
+                          ("1" * 5000, "1" * 4999 + "2"),
+                          ("0" * 4999 + "9", "10")):
+        r = Relation(["z" + digits, "a"], ["t0"], [[0], [0]])
+        out, stats, reports = reduce(r)
+        assert stats.steps_applied == 1
+        assert out.row_labels[0] not in r.row_labels
+        assert reports[0].z_label == out.row_labels[0] == "z" + fresh
+
+
 def test_step_classification_matches_pairwise_reference():
     # after substituting the cone vertex for the pair in the merged row's
     # columns, a dominated column is a duplicate when its vertex set equals a
