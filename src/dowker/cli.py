@@ -32,9 +32,16 @@ def _size_cap():
     cap = os.environ.get("DOWKER_SIZE_CAP")
     if not cap:
         return DEFAULT_SIZE_CAP
-    if not cap.strip().isdecimal() or int(cap) < 1:
+    digits = cap.strip()
+    value = 0
+    if digits.isdecimal():
+        # int() refuses strings of more than 4300 digits, so read 1000 at a time
+        for k in range(0, len(digits), 1000):
+            chunk = digits[k:k + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+    if value < 1:
         raise ValueError(f"DOWKER_SIZE_CAP must be a positive integer, got {cap!r}")
-    return int(cap)
+    return value
 
 
 def _numbers(values):

@@ -8,12 +8,17 @@ axis, a pass re-tests only the members whose sets the pass before it shrank
 (`relation._collapse`); the core, the whole-relation test and the reducer's
 pair test all run that one fixpoint.  `collapse_core` starts with the rows,
 since the labels it keeps depend on the order.  `is_strong_collapsible`
-starts with the columns: in the pair tests on a torus, a first row pass
-removes nothing.  Either order gives the same verdict.  A dominated column
-is a face of another toplex, so removing it leaves the complex as it is; a
-dominated row is a dominated vertex, and removing it is a strong collapse.
-So both orders end at the complex's strong-collapse core, which is unique
-up to isomorphism (Barmak & Minian 2012).  The pair test goes through
+starts with the columns, as one scan from the largest column down that
+keeps the distinct maximal ones, and goes on rows first from there.  A
+dominated column is a face of another toplex, so removing it leaves the
+complex as it is; a dominated row is a dominated vertex, and removing it is
+a strong collapse.  So both orders end at the complex's strong-collapse
+core, which is unique up to isomorphism (Barmak & Minian 2012), and give
+the same verdict.  When the maximal columns share a row, that row
+dominates every other one and the core is a single vertex in a single
+toplex: the complex is a cone, and the test stops there, before it copies
+any row.  On the reducer's pair tests on a torus, nearly every union of
+two stars is such a cone.  The pair test goes through
 `is_strong_collapsible` with the rows in both stars and the pair itself:
 it drops first the rows that lie in one star only, since within the union
 such a row lies only in toplexes that hold one of the pair, which
@@ -61,10 +66,15 @@ def is_strong_collapsible(r, cols=None, rows=None) -> bool:
     are copied, keyed by r's own ids, with nothing renumbered.  Without, all
     of r; a draft's dead slots are not part of it.  With a set of row ids
     `rows`, only those rows are copied, which is the full subcomplex on
-    them; a column left with none of them goes too.  The copy is collapsed
-    columns first, which gives the verdict rows first would (see the module
-    docstring).  True implies the complex is contractible; False is
-    inconclusive.  r is left unchanged.
+    them; a column left with none of them goes too.  The column pass is one
+    scan of the copied columns from the largest down: a column equal to a
+    kept one, or contained in a larger kept one, goes.  When the kept
+    columns share a row, the copy is a cone and the answer is True, with no
+    row set copied.  Otherwise the rows' sets within the kept columns are
+    copied and collapsed rows first, going on from the column pass rather
+    than starting over; this gives the verdict rows first from scratch
+    would (see the module docstring).  True implies the complex is
+    contractible; False is inconclusive.  r is left unchanged.
     """
     if cols is None:
         cols = range(len(r.cols))
@@ -74,10 +84,26 @@ def is_strong_collapsible(r, cols=None, rows=None) -> bool:
     col_sets = {c: s for c in cols if (s := keep(r.cols[c]))}
     if not col_sets:
         raise ValueError("empty relation")
-    cols = set(col_sets)
-    rows = set().union(*col_sets.values())
+    # the column pass, as one scan from the largest column down: a column
+    # goes when it lies in a larger kept one or equals a kept one
+    kept, sets, size, larger = {}, [], 0, 0
+    for c, s in sorted(col_sets.items(), key=lambda cs: len(cs[1]), reverse=True):
+        if len(s) != size:
+            size, larger = len(s), len(sets)
+        # sets[:larger] are the kept columns larger than s
+        if not any(map(s.issubset, sets[:larger])):
+            f = frozenset(s)
+            if f not in kept:
+                kept[f] = c
+                sets.append(s)
+    # a row in every kept column dominates every other row: a cone
+    if sets[-1].intersection(*sets[:-1]):
+        return True
+    cols = set(kept.values())
+    rows = set().union(*sets)
     row_sets = {i: cols.intersection(r.rows[i]) for i in rows}
     # removal keeps every live row and column non-empty, so the live counts
-    # are the core's shape
-    _collapse(col_sets, row_sets, cols, rows)
+    # are the core's shape; every kept column is maximal, so the first
+    # column pass tests only those the row pass shrinks
+    _collapse(row_sets, col_sets, rows, cols, set())
     return len(rows) == len(cols) == 1

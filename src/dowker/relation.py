@@ -107,20 +107,26 @@ def _exhaust(live, sets_a, sets_b, todo=None):
     return removed
 
 
-def _collapse(row_sets, col_sets, rows, cols):
+def _collapse(row_sets, col_sets, rows, cols, cols_todo=None):
     """Alternate row and column domination removal, in place, until a column
     pass removes nothing; `rows` and `cols` are the live ids and keep the
     survivors.  Given the column axis first, the roles swap: it starts with
     the columns and stops when a row pass removes nothing.
 
-    The first pass on each axis tests every live member; after that, a pass
-    tests only the members whose sets the pass just before it shrank.  A
-    removal on one axis only shrinks sets on the other, so a member whose
-    set did not change cannot have become dominated, and the same members
-    go in the same order as under full rescans.
+    The first row pass tests every live row, and the first column pass the
+    columns in `cols_todo` (by default every live column) and those the row
+    pass shrank; a caller whose live columns are all maximal passes an
+    empty set.  After that, a pass tests only the members whose sets the
+    pass just before it shrank.  A removal on one axis only shrinks sets on
+    the other, so a member whose set did not change cannot have become
+    dominated, and the same members go in the same order as under full
+    rescans.
     """
-    # a removed row's columns are live, so the first update leaves `cols` as is
-    rows_todo, cols_todo = rows, cols
+    rows_todo = rows
+    # by default the todo set is `cols` itself: a removed row's columns are
+    # live, so the first update leaves it as is
+    if cols_todo is None:
+        cols_todo = cols
     while True:
         cols_todo.update(*_exhaust(rows, row_sets, col_sets, rows_todo))
         removed = _exhaust(cols, col_sets, row_sets, cols_todo)

@@ -460,7 +460,19 @@ def test_gen_over_the_size_cap_exits_3_and_writes_nothing(tmp_path, capsys, monk
 
 def test_size_cap_rejects_bad_values(tmp_path, capsys, monkeypatch):
     src = write(tmp_path, "edge.toplex", "a b\n")
-    for value in ("abc", "-5", "0"):
+    for value in ("abc", "-5", "-1", "0", "0" * 5000):
         monkeypatch.setenv("DOWKER_SIZE_CAP", value)
         assert cli.main(["betti", "--input", src]) == 1
         assert "DOWKER_SIZE_CAP" in capsys.readouterr().err
+
+
+def test_size_cap_takes_a_cap_of_any_length(tmp_path, monkeypatch):
+    # int() refuses more than 4300 digits, which is no reason to refuse a cap
+    monkeypatch.setenv("DOWKER_SIZE_CAP", "1" * 5000)
+    assert cli._size_cap() == (10 ** 5000 - 1) // 9
+    out = tmp_path / "torus.toplex"
+    assert cli.main(["gen", "torus", "--m", "3", "--n", "3", "--output", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 18
+    # leading zeros and surrounding blanks, over a 1000-digit boundary
+    monkeypatch.setenv("DOWKER_SIZE_CAP", " " + "0" * 2999 + "17 ")
+    assert cli._size_cap() == 17

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import dowker.reducer
+from dowker import collapse as collapse_module
 from dowker import relation as relation_module
 from dowker import (Relation, betti_gf2, collapse_core, find_dominated_row,
                     gen_torus_grid, is_strong_collapsible, reduce)
@@ -139,6 +140,65 @@ def test_collapsing_columns_first_keeps_every_verdict():
                 assert (collapse_core(whole).shape == (1, 1)) == got
                 verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def test_cone_exit_and_fallback_match_the_core(monkeypatch):
+    # the test stops at a cone when its maximal columns share a row, and
+    # otherwise collapses those columns' rows; each way must give the verdict
+    # of the core, on whole relations, with rows and columns repeated, and on
+    # picked columns and rows, which span the full subcomplex on them
+    collapsed = []
+    collapse = collapse_module._collapse
+
+    def recording(*args):
+        collapsed.append(args)
+        return collapse(*args)
+
+    monkeypatch.setattr(collapse_module, "_collapse", recording)
+
+    def decide(r, cols=None, rows=None):
+        """The verdict, and whether the fallback collapse gave it."""
+        collapsed.clear()
+        return is_strong_collapsible(r, cols, rows), bool(collapsed)
+
+    def core_is_a_point(faces):
+        used = sorted(set().union(*faces))
+        full = Relation(used, range(len(faces)),
+                        [[k for k, f in enumerate(faces) if i in f] for i in used])
+        return collapse_core(full).shape == (1, 1)
+
+    rng = random.Random(173)
+    seen = {(fallback, verdict): 0 for fallback in (False, True) for verdict in (False, True)}
+    for _ in range(400):
+        r = random_relation(rng)
+        for rel in (r, with_repeats(rng, r)):
+            cols = set(rng.sample(range(rel.ncols), rng.randint(1, rel.ncols)))
+            rows = set(rng.sample(range(rel.nrows), rng.randint(1, rel.nrows)))
+            picked = [f for f in ([i for i in rel.col(c) if i in rows] for c in sorted(cols)) if f]
+            cases = [(decide(rel), collapse_core(rel).shape == (1, 1))]
+            if picked:
+                cases.append((decide(rel, cols, rows), core_is_a_point(picked)))
+            for (got, fallback), expected in cases:
+                assert got == expected
+                seen[fallback, got] += 1
+    assert seen[False, False] == 0
+    assert seen[False, True] >= 100
+    assert seen[True, False] + seen[True, True] >= 100
+    assert seen[True, False] and seen[True, True]
+
+    # a fan around a, tested on the columns of the pair x, y: the apex a is
+    # neither row of the pair
+    fan = Relation.from_toplexes([("a", "x", "p"), ("a", "p", "y"), ("a", "y", "q")])
+    x, y = fan.row_labels.index("x"), fan.row_labels.index("y")
+    assert decide(fan, set(fan.row(x) + fan.row(y))) == (True, False)
+    # duplicate maximal columns: p and q are both {a, b}
+    assert decide(Relation("abc", "pqs", [[0, 1], [0, 1, 2], [2]])) == (True, False)
+    # a circle with an edge twice, and a path with an edge twice
+    assert decide(Relation("abc", "pqst", [[0, 1, 3], [0, 1, 2], [2, 3]])) == (False, True)
+    assert decide(Relation("abcd", "pqrs", [[0], [0, 1, 2], [1, 2, 3], [3]])) == (True, True)
+    # a single column, whole and picked
+    single = Relation("ab", "p", [[0], [0]])
+    assert decide(single) == decide(single, {0}, {1}) == (True, False)
 
 
 def test_core_idempotent_and_undominated():

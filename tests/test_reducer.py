@@ -139,29 +139,35 @@ def test_the_stream_tests_a_prefix_of_the_candidate_list(monkeypatch):
 
 def test_pair_test_collapses_few_rows_on_a_torus(monkeypatch):
     # a union of two adjacent torus stars has about 9 rows, but only the
-    # rows in both stars and the pair itself need collapsing
-    sizes = []
+    # rows in both stars and the pair itself are copied, and once the
+    # dominated columns go, the kept columns of most unions share a row, a
+    # cone, so no row is copied or collapsed at all
+    handed = []
     collapse = collapse_module._collapse
+    pair_test = dowker.reducer._pair_collapsible
 
-    def recording(col_sets, row_sets, cols, rows):
-        # the pair test collapses columns first, so the column axis comes
-        # first and the row ids are the fourth argument
-        sizes.append(len(rows))
-        return collapse(col_sets, row_sets, cols, rows)
+    def recording(row_sets, col_sets, rows, *rest):
+        # the fallback collapses rows first, so the row ids come third
+        handed[-1].append(len(rows))
+        return collapse(row_sets, col_sets, rows, *rest)
+
+    def measured(d, x, y, sx, sy):
+        handed.append([])
+        return pair_test(d, x, y, sx, sy)
 
     monkeypatch.setattr(collapse_module, "_collapse", recording)
+    monkeypatch.setattr(dowker.reducer, "_pair_collapsible", measured)
     d = _Draft.of(Relation.from_toplexes(gen_torus_grid(20, 30)))
     stats = ReductionStats()
     list(_steps(d, stats))
-    assert len(sizes) == stats.contractibility_tests > 500
-    assert sum(sizes) / len(sizes) <= 5
+    assert len(handed) == stats.contractibility_tests > 500
+    assert sum(map(sum, handed)) / len(handed) <= 5
+    assert sum(not calls for calls in handed) >= 0.85 * len(handed)
 
 
-def test_pair_tests_on_a_torus_make_few_domination_checks(monkeypatch):
-    # in the union of two adjacent torus stars no row is dominated before a
-    # column goes, so a pair test that collapsed rows first would check each
-    # row for nothing: about 20.7 checks per test rows first, 16.6 columns
-    # first
+def _domination_checks_per_test(monkeypatch, r):
+    """The `_dominated` checks each pair test of one pass on r makes, and
+    the pass's stats."""
     checks = []
     per_test = []
     dominated = relation_module._dominated
@@ -180,9 +186,33 @@ def test_pair_tests_on_a_torus_make_few_domination_checks(monkeypatch):
     monkeypatch.setattr(relation_module, "_dominated", counting)
     monkeypatch.setattr(dowker.reducer, "_pair_collapsible", measured)
     stats = ReductionStats()
-    list(_steps(_Draft.of(Relation.from_toplexes(gen_torus_grid(20, 30))), stats))
-    assert len(per_test) == stats.contractibility_tests > 500
-    assert sum(per_test) / len(per_test) <= 18
+    list(_steps(_Draft.of(r), stats))
+    assert len(per_test) == stats.contractibility_tests
+    return per_test, stats
+
+
+def test_pair_tests_on_a_torus_make_few_domination_checks(monkeypatch):
+    # the column pass is a scan for the maximal columns, which makes no
+    # domination check, and a cone needs none either; a fixpoint that
+    # tested every column and then every row would make about 16.6 checks
+    # per test
+    per_test, stats = _domination_checks_per_test(
+        monkeypatch, Relation.from_toplexes(gen_torus_grid(20, 30)))
+    assert stats.contractibility_tests > 500
+    assert sum(per_test) / len(per_test) <= 2
+
+
+def test_pair_tests_on_a_simplex_boundary_check_each_row_once(monkeypatch):
+    # every union of two stars is the whole boundary of the 21-simplex: its
+    # 22 columns are distinct and maximal and share no row, so each test
+    # falls back to the fixpoint.  Its row pass removes nothing and shrinks
+    # no column, so a fixpoint that goes on from the maximal columns checks
+    # each of the 22 rows once; one that started over with a column pass
+    # would check 44 members
+    per_test, stats = _domination_checks_per_test(
+        monkeypatch, Relation.from_toplexes(gen_simplex_boundary(20)))
+    assert stats.steps_applied == 0 and stats.contractibility_tests == 22 * 21 // 2
+    assert max(per_test) <= 22
 
 
 def test_reduce_lists_two_hop_rows_for_few_rows_on_a_torus(monkeypatch):
