@@ -44,6 +44,13 @@ def _size_cap():
     return value
 
 
+def _decimal(n):
+    """The decimal digits of n >= 0, written 1000 at a time: str() refuses
+    ints of more than 4300 digits."""
+    high, low = divmod(n, 10 ** 1000)
+    return f"{_decimal(high)}{low:01000}" if high else str(low)
+
+
 def _numbers(values):
     """The values, space-separated.  A Betti tuple is as long as --max-dim
     asks, so they are formatted a chunk at a time, not one str per value at
@@ -154,7 +161,7 @@ def cmd_gen(args):
     incidences = fixture_incidences(args.shape, *params)
     cap = _size_cap()
     if incidences > cap:
-        raise SizeCapError(f"fixture's vertex-toplex incidence count exceeds cap {cap}")
+        raise SizeCapError(f"fixture's vertex-toplex incidence count exceeds cap {_decimal(cap)}")
     text = gen(*params).to_text()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

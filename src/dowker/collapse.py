@@ -26,24 +26,7 @@ dominates it.  A relation whose core is 1x1 is strong collapsible, hence
 contractible; a larger core is inconclusive.
 """
 
-from .relation import Relation, _collapse, _Draft, _dominated, _smallest
-
-
-def find_dominated_row(r: Relation):
-    """First (dominated, dominating) row index pair under the ascending scan.
-
-    The dominated row is the first that `relation._dominated` finds
-    dominated, and the dominating one the lowest of its candidates that
-    dominates it alone.  Equal rows report the higher index as dominated.
-    None when every row is maximal.
-    """
-    d = _Draft.of(r)
-    everything = range(r.nrows)
-    for i in everything:
-        if _dominated(d.rows, d.cols, i, everything):
-            return (i, min(k for k in _smallest(d.cols, d.rows[i])
-                           if _dominated(d.rows, d.cols, i, (k,))))
-    return None
+from .relation import Relation, _collapse, _Draft
 
 
 def collapse_core(r: Relation) -> Relation:

@@ -110,8 +110,7 @@ def _exhaust(live, sets_a, sets_b, todo=None):
 def _collapse(row_sets, col_sets, rows, cols, cols_todo=None):
     """Alternate row and column domination removal, in place, until a column
     pass removes nothing; `rows` and `cols` are the live ids and keep the
-    survivors.  Given the column axis first, the roles swap: it starts with
-    the columns and stops when a row pass removes nothing.
+    survivors.
 
     The first row pass tests every live row, and the first column pass the
     columns in `cols_todo` (by default every live column) and those the row

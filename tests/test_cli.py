@@ -466,13 +466,20 @@ def test_size_cap_rejects_bad_values(tmp_path, capsys, monkeypatch):
         assert "DOWKER_SIZE_CAP" in capsys.readouterr().err
 
 
-def test_size_cap_takes_a_cap_of_any_length(tmp_path, monkeypatch):
+def test_size_cap_takes_a_cap_of_any_length(tmp_path, capsys, monkeypatch):
     # int() refuses more than 4300 digits, which is no reason to refuse a cap
     monkeypatch.setenv("DOWKER_SIZE_CAP", "1" * 5000)
     assert cli._size_cap() == (10 ** 5000 - 1) // 9
     out = tmp_path / "torus.toplex"
     assert cli.main(["gen", "torus", "--m", "3", "--n", "3", "--output", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 18
+    # nor to refuse a fixture over it other than by exit code 3: str() refuses
+    # the cap too, so the message must not format it with str()
+    big = tmp_path / "big.toplex"
+    m = "1" + "0" * 3000
+    assert cli.main(["gen", "torus", "--m", m, "--n", m, "--output", str(big)]) == 3
+    assert f"exceeds cap {'1' * 5000}\n" in capsys.readouterr().err
+    assert not big.exists()
     # leading zeros and surrounding blanks, over a 1000-digit boundary
     monkeypatch.setenv("DOWKER_SIZE_CAP", " " + "0" * 2999 + "17 ")
     assert cli._size_cap() == 17

@@ -7,8 +7,8 @@ import pytest
 import dowker.reducer
 from dowker import collapse as collapse_module
 from dowker import relation as relation_module
-from dowker import (Relation, betti_gf2, collapse_core, find_dominated_row,
-                    gen_torus_grid, is_strong_collapsible, reduce)
+from dowker import (Relation, betti_gf2, collapse_core, gen_torus_grid,
+                    is_strong_collapsible, reduce)
 from dowker.relation import _freeze
 from _util import (core_labels_reference, disk_relation, fan_relation, first_dominators,
                    random_irreducible_relation, random_relation, with_repeats)
@@ -19,21 +19,29 @@ def tetra_boundary():
     return Relation.from_toplexes(gen_simplex_boundary(2))
 
 
+def has_dominated_row(r):
+    """Whether some row of r is dominated, by the pairwise definition."""
+    dom = first_dominators([set(r.row(i)) for i in range(r.nrows)])
+    return any(j is not None for j in dom.values())
+
+
 def test_fan_star_submatrix_has_dominated_row():
     r = fan_relation()
     sub = r.restrict_to_columns(set(r.row(2)) | set(r.row(3))).relation
-    pair = find_dominated_row(sub)
-    assert pair == (0, 2)  # x1's single column sits inside x3's
+    dom = first_dominators([set(sub.row(i)) for i in range(sub.nrows)])
+    # x1's single column sits inside x3's
+    assert dom[sub.row_index("x1")] == sub.row_index("x3")
 
 
 def test_identity_has_no_dominated_row():
     r = Relation(list("abcd"), list("pqrs"), [[0], [1], [2], [3]])
-    assert find_dominated_row(r) is None
+    assert not has_dominated_row(r)
 
 
 def test_repeated_row_reports_higher_index():
+    # equal rows keep the lower index
     r = Relation(["a", "b"], ["p"], [[0], [0]])
-    assert find_dominated_row(r) == (1, 0)
+    assert collapse_core(r).row_labels == ("a",)
 
 
 def test_fan_star_submatrix_collapses_to_point():
@@ -47,8 +55,8 @@ def test_fan_star_submatrix_collapses_to_point():
 def test_triangle_boundary_is_its_own_core():
     # exhaustive scan: no row or column comparable to another
     r = Relation(["a", "b", "c"], ["ab", "ac", "bc"], [[0, 1], [0, 2], [1, 2]])
-    assert find_dominated_row(r) is None
-    assert find_dominated_row(r.transpose()) is None
+    assert not has_dominated_row(r)
+    assert not has_dominated_row(r.transpose())
     assert collapse_core(r) == r
 
 
@@ -66,8 +74,8 @@ def test_full_simplex_is_collapsible():
 
 def test_tetra_boundary_not_collapsible():
     r = tetra_boundary()
-    assert find_dominated_row(r) is None
-    assert find_dominated_row(r.transpose()) is None
+    assert not has_dominated_row(r)
+    assert not has_dominated_row(r.transpose())
     core = collapse_core(r)
     assert core.shape == (4, 4)
     assert not is_strong_collapsible(r)
@@ -207,8 +215,8 @@ def test_core_idempotent_and_undominated():
         r = random_relation(rng)
         core = collapse_core(r)
         assert collapse_core(core) == core
-        assert find_dominated_row(core) is None
-        assert find_dominated_row(core.transpose()) is None
+        assert not has_dominated_row(core)
+        assert not has_dominated_row(core.transpose())
         assert core.nrows <= r.nrows and core.ncols <= r.ncols
 
 
@@ -237,10 +245,6 @@ def test_domination_matches_pairwise_reference():
         r = random_relation(rng)
         if n % 2:
             r = with_repeats(rng, r)
-        for rel in (r, r.transpose()):
-            dom = first_dominators([set(rel.row(i)) for i in range(rel.nrows)])
-            expected = next(((i, j) for i, j in dom.items() if j is not None), None)
-            assert find_dominated_row(rel) == expected
         core = collapse_core(r)
         assert (core.row_labels, core.col_labels) == core_labels_reference(r)
 

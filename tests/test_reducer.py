@@ -8,8 +8,7 @@ import pytest
 
 from dowker import (Relation, betti_gf2, candidate_vertices, comparison_budget,
                     format_step_log, gen_simplex_boundary, gen_sphere_cube,
-                    gen_torus_grid, is_strong_collapsible, reduce, reduction_step,
-                    verify_step_equations)
+                    gen_torus_grid, is_strong_collapsible, reduce, reduction_step)
 import dowker.reducer
 from dowker import collapse as collapse_module
 from dowker import relation as relation_module
@@ -17,7 +16,7 @@ from dowker.reducer import ReductionStats, _star_rows, _steps
 from dowker.relation import _Draft
 from _util import (FAN_MERGED_DENSE, complex_of, fan_relation, first_dominators,
                    random_irreducible_relation, replay_and_verify, star_size_maxima,
-                   step_snapshots, with_repeats)
+                   step_snapshots, verify_step_equations, with_repeats)
 
 
 # ----------------------------------------------------------------------
