@@ -6,9 +6,11 @@ away, ascending index within each class), tests whether the union of the two
 closed stars collapses to a point, and on the first success replaces the pair
 by one fresh cone vertex whose row is the union of the two rows.  Columns
 that became duplicated or absorbed by the merge are cleaned up immediately;
-only pairs inside the new row's columns can be affected, so the clean-up is
-scoped there.  Each step removes two rows and adds one, preserving the mod-2
-Betti numbers whenever the tested subcomplex really was contractible.
+only the new row's columns can be affected, and only by each other, so the
+clean-up is one scan of those columns for the maximal ones, the scan the
+pair test runs on its copy (`relation._keep_maximal`).  Each step removes
+two rows and adds one, preserving the mod-2 Betti numbers whenever the
+tested subcomplex really was contractible.
 
 All of this edits one mutable working draft.  The pass is a stream,
 `_steps`: it merges pairs on the draft in place and yields each step's report
@@ -21,9 +23,9 @@ has failed.  The pair test copies, keyed by the draft's own ids, the two
 rows' columns restricted to the rows in both stars and the pair itself: a
 row in one star alone is dominated by one of the pair there, and since a
 strong-collapse core is unique up to isomorphism, leaving it out first does
-not change the verdict.  It keeps the maximal columns in one scan, and when
-they share a row, a cone, as in nearly every test on a surface, it answers
-without copying a row; only otherwise does it collapse the copy.
+not change the verdict.  It keeps the maximal columns with the same scan,
+and when they share a row, a cone, as in nearly every test on a surface, it
+answers without copying a row; only otherwise does it collapse the copy.
 
 `reduce` makes one pass and does not revisit pairs: rows the cursor has
 passed are never reconsidered, even though a later merge can make a pair that
@@ -37,7 +39,7 @@ import re
 from dataclasses import dataclass, field
 
 from .collapse import is_strong_collapsible
-from .relation import Relation, _Draft, _drop, _exhaust
+from .relation import Relation, _Draft, _drop, _keep_maximal
 
 _Z_LABEL = re.compile(r"^z([0-9]+)$")
 
@@ -202,18 +204,22 @@ def _merge(d, xi, xj, star_i, star_j, z, ncols):
     before the merge.  Returns the step's StepReport, the rows other than the
     pair in both merged rows' stars, and the set of rows other than the cone
     row that the clean-up removed a column from.
+
+    The clean-up is the pair test's column scan, `_keep_maximal`, on the
+    cone row's columns in ascending order.  On a column-irreducible draft
+    that is enough: a column without the cone row is unchanged, so it lies
+    in no other, and a column with it lies only in columns with it.  Of
+    equal columns the lowest id stays.
     """
     union = d.rows[xi] | d.rows[xj]
     pair = (d.row_labels[xi], d.row_labels[xj])
     _drop(d.rows, d.cols, xi)
     _drop(d.rows, d.cols, xj)
     zi = d.add_row(z, union)
-    gone = _exhaust(union, d.cols, d.rows)
-    # `union` now holds the kept columns; a removed column is a duplicate
-    # when its row set equals a kept one's
-    dups = sum(any(g == d.cols[c] for c in union) for g in gone)
+    _, faces, dups = _keep_maximal(sorted(union), d.cols)
+    gone = [_drop(d.cols, d.rows, c) for c in faces + dups]
     rep = StepReport(pair=pair, z_label=z,
-                     faces_absorbed=len(gone) - dups, duplicates_merged=dups,
+                     faces_absorbed=len(faces), duplicates_merged=len(dups),
                      delta_z=len(star_i | star_j), epsilon_z=len(d.rows[zi]),
                      cols_before=ncols, cols_after=ncols - len(gone))
     return rep, (star_i & star_j) - {xi, xj}, set().union(*gone) - {zi}

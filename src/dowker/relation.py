@@ -15,8 +15,19 @@ function, `_freeze`, renumbers: it turns the live rows and columns of a
 relation or a draft, or only a selection of its columns, into a new value.
 Restriction and column clean-up call it on the relation itself, and clean-up
 selects the maximal columns with `_maximal`, so neither edits a draft.
-Operations that add or remove rows edit a private mutable draft in place and
-renumber the survivors once, when the draft is frozen.
+Adding a row goes through the constructor.  Removing rows edits a private
+mutable draft in place and renumbers the survivors once, when the draft is
+frozen.
+
+Two kernels remove contained sets.  `_keep_maximal` serves the columns of
+one union of two stars, which the reducer's pair test and its merge each
+clean up: they are few, so one scan from the largest down, comparing each
+with the larger kept ones, needs no other orientation, and it tells the
+faces from the duplicates, which a merge reports.  `_dominated`, through
+`_exhaust`, serves whole relations (`_maximal`) and the collapse fixpoint
+(`_collapse`): it finds a member's supersets through the other
+orientation, so its cost follows the set sizes, not the axis length, and
+its removals keep both orientations exact as the fixpoint alternates axes.
 
 Vertex-name toplexes become index tuples in one function,
 `_normalise_toplexes`: it numbers the names in one pass, checks each toplex
@@ -86,52 +97,79 @@ def _drop(sets_a, sets_b, i):
     return s
 
 
-def _exhaust(live, sets_a, sets_b, todo=None):
-    """Remove, in place, the dominated members of axis a among `todo` (by
-    default every member of the set `live`), drop them from `live` too, and
-    return the sets the removed members had.
+def _exhaust(live, sets_a, sets_b, todo):
+    """Remove, in place, the dominated members of axis a among `todo`, drop
+    them from `live` too, and return the sets the removed members had.
 
     A member goes away when its set is strictly contained in another live
     member's, or equals the set of a lower-indexed one (duplicates keep the
     lowest index).  Members outside `live` never dominate.  `sets_b` is the
     other orientation of `sets_a`; removals go through `_drop`, so subset
-    tests stay exact without compacting indices.
+    tests stay exact without compacting indices.  `_maximal` and
+    `_collapse` call it; the columns of one union of stars go through
+    `_keep_maximal` instead.
     """
     # a removal shrinks sets on axis b only, so no earlier member becomes
     # dominated, and one ascending pass removes what a fixed-set scan would
     removed = []
-    for i in sorted(live if todo is None else todo):
+    for i in sorted(todo):
         if _dominated(sets_a, sets_b, i, live):
             live.discard(i)
             removed.append(_drop(sets_a, sets_b, i))
     return removed
 
 
-def _collapse(row_sets, col_sets, rows, cols, cols_todo=None):
+def _collapse(row_sets, col_sets, rows, cols, cols_todo):
     """Alternate row and column domination removal, in place, until a column
     pass removes nothing; `rows` and `cols` are the live ids and keep the
-    survivors.
+    survivors.  `collapse_core` runs it from scratch, and the pair test
+    after its column scan.
 
     The first row pass tests every live row, and the first column pass the
-    columns in `cols_todo` (by default every live column) and those the row
-    pass shrank; a caller whose live columns are all maximal passes an
-    empty set.  After that, a pass tests only the members whose sets the
-    pass just before it shrank.  A removal on one axis only shrinks sets on
-    the other, so a member whose set did not change cannot have become
-    dominated, and the same members go in the same order as under full
-    rescans.
+    columns in `cols_todo` and those the row pass shrank: a caller starting
+    from scratch passes every live column, and one whose live columns are
+    all maximal an empty set.  After that, a pass tests only the members
+    whose sets the pass just before it shrank.  A removal on one axis only
+    shrinks sets on the other, so a member whose set did not change cannot
+    have become dominated, and the same members go in the same order as
+    under full rescans.
     """
     rows_todo = rows
-    # by default the todo set is `cols` itself: a removed row's columns are
-    # live, so the first update leaves it as is
-    if cols_todo is None:
-        cols_todo = cols
     while True:
         cols_todo.update(*_exhaust(rows, row_sets, col_sets, rows_todo))
         removed = _exhaust(cols, col_sets, row_sets, cols_todo)
         if not removed:
             return
         rows_todo, cols_todo = set().union(*removed), set()
+
+
+def _keep_maximal(ids, sets):
+    """The distinct maximal sets among sets[c] for c in `ids`, as a dict
+    from each frozen set to its id, with the ids of the faces (sets inside
+    a larger kept one) and of the duplicates (sets equal to a kept one).
+
+    One scan from the largest set down, in the order of `ids` within a
+    size, so of equal sets the first in `ids` is kept.  A set is tested for
+    containment only against the kept sets strictly larger than it, and for
+    equality through the dict.  `sets` is read, not changed.
+    """
+    kept, kept_sets, faces, dups = {}, [], [], []
+    size = larger = 0
+    for c in sorted(ids, key=lambda c: len(sets[c]), reverse=True):
+        s = sets[c]
+        if len(s) != size:
+            size, larger = len(s), len(kept_sets)
+        # kept_sets[:larger] are the kept sets larger than s
+        if any(map(s.issubset, kept_sets[:larger])):
+            faces.append(c)
+            continue
+        f = frozenset(s)
+        if f in kept:
+            dups.append(c)
+        else:
+            kept[f] = c
+            kept_sets.append(s)
+    return kept, faces, dups
 
 
 class Relation:
@@ -283,17 +321,7 @@ class Relation:
 
     def add_row(self, label, cols):
         """New relation with a row appended at the end (highest index)."""
-        if label in self.row_labels:
-            raise ValueError(f"duplicate row label {label!r}")
-        row = sorted({index(c) for c in cols})
-        for c in row:
-            if not 0 <= c < self.ncols:
-                raise ValueError(f"column index {c} out of range")
-        if not row:
-            raise ValueError("new row needs at least one column")
-        draft = _Draft.of(self)
-        draft.add_row(label, row)
-        return draft.freeze()
+        return Relation(self.row_labels + (label,), self.col_labels, self.rows + (cols,))
 
     def remove_rows(self, labels):
         """New relation without the given rows.

@@ -8,7 +8,8 @@ import pytest
 
 from dowker import (Relation, betti_gf2, candidate_vertices, comparison_budget,
                     format_step_log, gen_simplex_boundary, gen_sphere_cube,
-                    gen_torus_grid, is_strong_collapsible, reduce, reduction_step)
+                    gen_sphere_uv, gen_torus_grid, is_strong_collapsible, reduce,
+                    reduction_step)
 import dowker.reducer
 from dowker import collapse as collapse_module
 from dowker import relation as relation_module
@@ -212,6 +213,40 @@ def test_pair_tests_on_a_simplex_boundary_check_each_row_once(monkeypatch):
         monkeypatch, Relation.from_toplexes(gen_simplex_boundary(20)))
     assert stats.steps_applied == 0 and stats.contractibility_tests == 22 * 21 // 2
     assert max(per_test) <= 22
+
+
+@pytest.mark.parametrize("toplexes, dups, faces", [
+    (gen_torus_grid(20, 30), 0, 1184),
+    (gen_sphere_uv(24, 21), 27, 929),
+])
+def test_a_merge_makes_no_domination_check(monkeypatch, toplexes, dups, faces):
+    # a merge keeps the maximal columns of the cone row with the pair
+    # test's scan, which looks up no superset on the other axis; the uv
+    # sphere's merges remove duplicate columns as well as faces
+    checks = []
+    in_merge = []
+    dominated = relation_module._dominated
+    merge = dowker.reducer._merge
+
+    def counting(sets, other, i, within):
+        checks.append(bool(in_merge))
+        return dominated(sets, other, i, within)
+
+    def marked(*args):
+        in_merge.append(True)
+        try:
+            return merge(*args)
+        finally:
+            in_merge.pop()
+
+    monkeypatch.setattr(relation_module, "_dominated", counting)
+    monkeypatch.setattr(dowker.reducer, "_merge", marked)
+    _, stats, log = reduce(Relation.from_toplexes(toplexes))
+    assert stats.steps_applied == len(log) > 400
+    assert sum(checks) == 0
+    assert sum(rep.duplicates_merged for rep in log) == dups
+    assert sum(rep.faces_absorbed for rep in log) == faces
+    assert dups + faces == stats.cols_before - stats.cols_after
 
 
 def test_reduce_lists_two_hop_rows_for_few_rows_on_a_torus(monkeypatch):
