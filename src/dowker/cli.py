@@ -1,11 +1,11 @@
 """Command-line front end: reduce, betti, gen, check.
 
-Exit codes: 0 success, 1 parse/parameter error, 2 Betti mismatch under
---check-betti, 3 size cap exceeded: by the simplex enumeration, or by the
-vertex-toplex incidence count of a `gen` fixture, worked out from its
-parameters before anything is built or written.  The environment variable
-DOWKER_SIZE_CAP overrides the cap for both; a value that is not a positive
-integer is a parameter error.
+Exit codes: 0 success, 1 parse/parameter error or a usage error (argparse
+prints its usage message), 2 Betti mismatch under --check-betti, 3 size cap
+exceeded: by the simplex enumeration, or by the vertex-toplex incidence
+count of a `gen` fixture, worked out from its parameters before anything is
+built or written.  The environment variable DOWKER_SIZE_CAP overrides the
+cap for both; a value that is not a positive integer is a parameter error.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import sys
 import time
 
 from .collapse import collapse_core
-from .complexio import (fixture_incidences, gen_simplex_boundary, gen_sphere_cube,
-                        gen_sphere_uv, gen_torus_grid, parse_off, parse_toplex_file)
+from .complexio import FIXTURES, fixture_incidences, parse_off, parse_toplex_file
 from .errors import ParseError, SizeCapError
 from .homology import DEFAULT_SIZE_CAP, betti_gf2
 from .reducer import format_step_log, reduce
@@ -151,12 +150,8 @@ def cmd_check(args):
 
 
 def cmd_gen(args):
-    gen, params = {
-        "sphere-cube": (gen_sphere_cube, ()),
-        "sphere-uv": (gen_sphere_uv, (args.slices, args.stacks)),
-        "torus": (gen_torus_grid, (args.m, args.n)),
-        "simplex-boundary": (gen_simplex_boundary, (args.n,)),
-    }[args.shape]
+    gen, names = FIXTURES[args.shape][:2]
+    params = [getattr(args, name) for name in names]
     # checks the parameters first, then sizes the fixture without building it
     incidences = fixture_incidences(args.shape, *params)
     cap = _size_cap()
@@ -205,7 +200,7 @@ def build_parser():
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("gen", help="generate a fixture as a toplex file")
-    p.add_argument("shape", choices=["sphere-cube", "sphere-uv", "torus", "simplex-boundary"])
+    p.add_argument("shape", choices=FIXTURES)
     p.add_argument("--slices", type=int, default=24)
     p.add_argument("--stacks", type=int, default=21)
     p.add_argument("--m", type=int, default=4)
@@ -216,7 +211,11 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage message, or the help after --help
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except SizeCapError as exc:

@@ -4,13 +4,13 @@ Covers the three ways a relation enters the pipeline: toplex files (one
 maximal simplex per line), ASCII OFF meshes (faces become toplexes, geometry
 is discarded), and covers of a space (the nerve restricted to intersections
 witnessed by elements).  Also provides the sphere/torus/simplex-boundary
-generators used as regression fixtures.
+generators used as regression fixtures, listed in one table, `FIXTURES`.
 """
 
 from __future__ import annotations
 
 from .errors import ParseError
-from .relation import Relation, _normalise_toplexes, _other_axis
+from .relation import Relation, _counts, _lines, _normalise_toplexes, _other_axis
 
 
 class ToplexList:
@@ -53,29 +53,23 @@ class ToplexList:
 def parse_toplex_file(text) -> ToplexList:
     """Parse the toplex file format.
 
-    Each non-comment line is one toplex as whitespace-separated vertex names;
-    `#` lines are comments.  Blank lines and repeated vertices within a line
-    are rejected with the offending line number.  The lines go to
-    `ToplexList` as they are read, so the one normaliser numbers and checks
-    each of them once, in first-appearance order; the line number it was
-    reading when it raised is the one reported.
+    Each line that `relation._lines` reads is one toplex as
+    whitespace-separated vertex names.  The split lines go to `ToplexList`
+    as they are read, with no line bookkeeping, so the one normaliser
+    numbers and checks each of them once, in first-appearance order.  With
+    no explicit order it refuses only an empty toplex (a blank line) or one
+    that repeats a vertex, and stops at the first; only then are the lines
+    read again, to report that line's number.
     """
-    line, names = 0, None
-
-    def toplexes():
-        nonlocal line, names
-        for line, raw in enumerate(text.splitlines(), 1):
-            names = raw.split()
-            if not names or names[0][0] != "#":
-                yield names
-
     try:
-        return ToplexList(toplexes())
+        return ToplexList(raw.split() for _, raw in _lines(text))
     except ValueError:
-        # a blank line is an empty toplex, and any other line read with no
-        # explicit order fails only on a repeated vertex
-        what = "vertex repeated within a toplex" if names else "blank line in toplex file"
-        raise ParseError(what, line=line) from None
+        for n, raw in _lines(text):
+            names = raw.split()
+            if not names or len(set(names)) != len(names):
+                what = "vertex repeated within a toplex" if names else "blank line in toplex file"
+                raise ParseError(what, line=n) from None
+        raise
 
 
 def parse_off(text) -> ToplexList:
@@ -83,40 +77,35 @@ def parse_off(text) -> ToplexList:
 
     Coordinates are discarded: only which vertices span each face matters to
     the reduction.  Polygon faces are kept whole as toplexes.  Vertex names
-    are the decimal indices from the file.
+    are the decimal indices from the file.  Blank lines are skipped, and
+    comments are as `relation._lines` reads them.
     """
-    lines = [(n, raw.strip()) for n, raw in enumerate(text.splitlines(), 1)
-             if raw.strip() and not raw.lstrip().startswith("#")]
-    pos = 0
+    lines = ((n, words) for n, raw in _lines(text) if (words := raw.split()))
 
     def next_line(what):
-        nonlocal pos
-        if pos >= len(lines):
-            raise ParseError(f"truncated OFF file: missing {what}")
-        n, raw = lines[pos]
-        pos += 1
-        return n, raw
+        for line in lines:
+            return line
+        raise ParseError(f"truncated OFF file: missing {what}")
 
     n, header = next_line("header")
-    if header != "OFF":
+    if header != ["OFF"]:
         raise ParseError("not a valid OFF header", line=n)
-    n, counts = next_line("counts line")
-    parts = counts.split()
+    n, parts = next_line("counts line")
     if len(parts) < 2 or not all(p.removeprefix("-").isdecimal() for p in parts):
         raise ParseError("counts line must be '<vertices> <faces> [<edges>]'", line=n)
-    n_verts, n_faces = int(parts[0]), int(parts[1])
+    n_verts, n_faces = _counts(parts[:2], n)
     if n_verts < 0 or n_faces < 0:
         raise ParseError("negative count", line=n)
     for _ in range(n_verts):
         next_line("vertex line")
     tops = []
     for _ in range(n_faces):
-        n, raw = next_line("face line")
+        n, words = next_line("face line")
         try:
-            nums = [int(t) for t in raw.split()]
+            nums = [int(t) for t in words]
         except ValueError:
             raise ParseError("face line must be integers", line=n) from None
-        if not nums or nums[0] < 1 or len(nums) < nums[0] + 1:
+        if nums[0] < 1 or len(nums) < nums[0] + 1:
             raise ParseError("face line must be 'k i1 ... ik'", line=n)
         face = nums[1:nums[0] + 1]
         for i in face:
@@ -170,18 +159,10 @@ def fixture_incidences(shape, *params):
     """The vertex-toplex incidence count of the fixture `shape` generated
     with `params`, from the parameters alone; each generator checks its
     parameters here, so parameters it refuses raise ValueError.
-
-    A triangulated surface has three incidences per triangle, and the
-    boundary of an (n+1)-simplex n+2 facets of n+1 vertices each.
     """
-    low, names, count = {
-        "sphere-cube": (0, "", lambda: 3 * 12),
-        "sphere-uv": (3, "slices and stacks", lambda s, t: 3 * 2 * s * (t - 1)),
-        "torus": (3, "m and n", lambda m, n: 3 * 2 * m * n),
-        "simplex-boundary": (1, "n", lambda n: (n + 2) * (n + 1)),
-    }[shape]
+    _, names, low, count = FIXTURES[shape]
     if min(params, default=low) < low:
-        raise ValueError(f"{names} must be >= {low}")
+        raise ValueError(f"{' and '.join(names)} must be >= {low}")
     return count(*params)
 
 
@@ -255,3 +236,16 @@ def gen_simplex_boundary(n) -> ToplexList:
     tops = [tuple(v for k, v in enumerate(verts) if k != omit)
             for omit in range(n + 2)]
     return ToplexList(tops)
+
+
+# the one table of fixture shapes: shape -> (generator, parameter names,
+# which are also the `dowker gen` options, lower bound of each parameter,
+# vertex-toplex incidence count); a triangulated surface has three
+# incidences per triangle, and the boundary of an (n+1)-simplex n+2 facets
+# of n+1 vertices each
+FIXTURES = {
+    "sphere-cube": (gen_sphere_cube, (), 0, lambda: 3 * 12),
+    "sphere-uv": (gen_sphere_uv, ("slices", "stacks"), 3, lambda s, t: 3 * 2 * s * (t - 1)),
+    "torus": (gen_torus_grid, ("m", "n"), 3, lambda m, n: 3 * 2 * m * n),
+    "simplex-boundary": (gen_simplex_boundary, ("n",), 1, lambda n: (n + 2) * (n + 1)),
+}

@@ -29,6 +29,9 @@ faces from the duplicates, which a merge reports.  `_dominated`, through
 orientation, so its cost follows the set sizes, not the axis length, and
 its removals keep both orientations exact as the fixpoint alternates axes.
 
+The three text formats read their lines through one generator, `_lines`,
+which skips comments and numbers every line of the file.
+
 Vertex-name toplexes become index tuples in one function,
 `_normalise_toplexes`: it numbers the names in one pass, checks each toplex
 as it reads it, and keeps the maximal toplexes with the same `_maximal`.
@@ -373,19 +376,19 @@ class Relation:
 
     @classmethod
     def from_text(cls, text):
-        """Parse the relation text format; `#` lines are comments.
+        """Parse the relation text format; comments are as `_lines` reads
+        them.
 
         An empty body line would be an empty row and is rejected.
         """
-        lines = [(n, raw) for n, raw in enumerate(text.splitlines(), 1)
-                 if not raw.lstrip().startswith("#")]
+        lines = list(_lines(text))
         if len(lines) < 3:
             raise ParseError("expected a size line and two label lines")
         n_size, size_line = lines[0]
         parts = size_line.split()
         if len(parts) != 2 or not all(p.isdecimal() for p in parts):
             raise ParseError("size line must be '<rows> <cols>'", line=n_size)
-        nrows, ncols = int(parts[0]), int(parts[1])
+        nrows, ncols = _counts(parts, n_size)
         n_row, row_line = lines[1]
         n_col, col_line = lines[2]
         row_labels = row_line.split()
@@ -422,6 +425,24 @@ class Relation:
             return cls._build(row_labels, col_labels, rows, _other_axis(rows, ncols))
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
+
+
+def _lines(text):
+    """(line number, line) for each line of `text` that is not a comment,
+    blank lines included: the one reader of the three text formats.  Lines
+    are numbered from 1, comments included, and a comment is a line whose
+    first non-blank character is `#`."""
+    return ((n, raw) for n, raw in enumerate(text.splitlines(), 1)
+            if not raw.lstrip().startswith("#"))
+
+
+def _counts(words, n):
+    """The decimal words of line n as ints; int() refuses more than 4300
+    digits, and so does this, naming the line."""
+    try:
+        return [int(w) for w in words]
+    except ValueError:
+        raise ParseError("count has too many digits", line=n) from None
 
 
 def _freeze(r, cols=None):

@@ -435,6 +435,18 @@ def test_bad_rel_exits_1(tmp_path, capsys):
     assert cli.main(["betti", "--input", src, "--format", "rel"]) == 1
 
 
+def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
+    # exit 2 means a Betti mismatch under --check-betti, never a bad command line
+    src = write(tmp_path, "t.toplex", "a b\n")
+    for argv in (["betti", "--input", src, "--max-dim", "abc"],
+                 ["reduce", "--input", src], ["gen", "cube"], []):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: dowker") and "error:" in err
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: dowker")
+
+
 def test_size_cap_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DOWKER_SIZE_CAP", "5")
     src = write(tmp_path, "big.toplex", "a b c d e f g\n")

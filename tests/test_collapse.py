@@ -151,8 +151,9 @@ def test_collapsing_columns_first_keeps_every_verdict():
 
 
 def test_cone_exit_and_fallback_match_the_core(monkeypatch):
-    # the test stops at a cone when its maximal columns share a row, and
-    # otherwise collapses those columns' rows; each way must give the verdict
+    # on picked columns, the test stops at a cone when their maximal columns
+    # share a row, and otherwise collapses those columns' rows; a whole
+    # relation always goes to the fixpoint; each way must give the verdict
     # of the core, on whole relations, with rows and columns repeated, and on
     # picked columns and rows, which span the full subcomplex on them
     collapsed = []
@@ -200,13 +201,16 @@ def test_cone_exit_and_fallback_match_the_core(monkeypatch):
     x, y = fan.row_labels.index("x"), fan.row_labels.index("y")
     assert decide(fan, set(fan.row(x) + fan.row(y))) == (True, False)
     # duplicate maximal columns: p and q are both {a, b}
-    assert decide(Relation("abc", "pqs", [[0, 1], [0, 1, 2], [2]])) == (True, False)
+    dup = Relation("abc", "pqs", [[0, 1], [0, 1, 2], [2]])
+    assert decide(dup, {0, 1, 2}) == (True, False)
+    assert decide(dup) == (True, True)
     # a circle with an edge twice, and a path with an edge twice
     assert decide(Relation("abc", "pqst", [[0, 1, 3], [0, 1, 2], [2, 3]])) == (False, True)
     assert decide(Relation("abcd", "pqrs", [[0], [0, 1, 2], [1, 2, 3], [3]])) == (True, True)
-    # a single column, whole and picked
+    # a single column, picked whole and in part, and the whole relation
     single = Relation("ab", "p", [[0], [0]])
-    assert decide(single) == decide(single, {0}, {1}) == (True, False)
+    assert decide(single, {0}) == decide(single, {0}, {1}) == (True, False)
+    assert decide(single) == (True, True)
 
 
 def test_core_idempotent_and_undominated():
@@ -281,6 +285,34 @@ def test_core_domination_tests_do_not_grow_per_member(monkeypatch):
         assert collapse_core(r).shape == (1, 1)
         per_member.append(len(calls) / (r.nrows + r.ncols))
     assert per_member[1] / per_member[0] < 1.5
+
+
+def test_whole_relation_test_hands_no_column_to_the_star_union_scan(monkeypatch):
+    # the star-union scan compares each column with every larger kept one,
+    # which is quadratic on a whole relation whose column sizes differ, such
+    # as a disk with a pendant edge at every vertex; a whole relation goes
+    # to the fixpoint instead, with the verdict of its core
+    handed = []
+    keep_maximal = collapse_module._keep_maximal
+
+    def recording(ids, sets):
+        handed.extend(ids)
+        return keep_maximal(ids, sets)
+
+    monkeypatch.setattr(collapse_module, "_keep_maximal", recording)
+    disk = disk_relation(20, 20)
+    pendant = Relation.from_toplexes(disk.toplexes() + [(v, f"p{v}") for v in disk.row_labels])
+    torus = Relation.from_toplexes(gen_torus_grid(6, 6))
+    verdicts = set()
+    for r in (pendant, pendant.transpose(), torus, torus.add_row("apex", range(torus.ncols))):
+        got = is_strong_collapsible(r)
+        assert got == (collapse_core(r).shape == (1, 1))
+        verdicts.add(got)
+    assert verdicts == {True, False}
+    assert handed == []
+    # a column selection still goes through the scan
+    assert is_strong_collapsible(pendant, set(range(pendant.ncols)))
+    assert len(handed) == pendant.ncols
 
 
 def test_restricted_draft_verdict_matches_the_restricted_relation(monkeypatch):

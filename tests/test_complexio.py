@@ -48,6 +48,8 @@ def test_parse_fan_file():
 def test_parse_single_point():
     tops = parse_toplex_file("a\n")
     assert tops.toplexes == (("a",),)
+    # a `#` after the first name starts no comment
+    assert parse_toplex_file(" a #b\n").toplexes == (("a", "#b"),)
 
 
 def test_parse_normalizes_containment():
@@ -59,6 +61,9 @@ def test_parse_normalizes_containment():
 def test_parse_blank_line_rejected():
     with pytest.raises(ParseError, match="line 2"):
         parse_toplex_file("a b\n\nc d\n")
+    # an indented comment is skipped but counted
+    with pytest.raises(ParseError, match="^line 3: blank line in toplex file$"):
+        parse_toplex_file("a b\n  # c\n\nc d\n")
 
 
 def test_parse_duplicate_vertex_rejected():
@@ -176,10 +181,19 @@ def test_off_errors():
         parse_off("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 9\n")
     with pytest.raises(ParseError, match="truncated"):
         parse_off("OFF\n4 4 6\n0 0 0\n")
-    # counts that pass a digit test but not int()
-    for counts in ("--5 1", "² 1"):
+    # counts that pass a digit test but not int(), which also refuses more
+    # than 4300 digits
+    for counts in ("--5 1", "² 1", "1" + "0" * 5000 + " 1 0"):
         with pytest.raises(ParseError, match="line 2"):
             parse_off(f"OFF\n{counts}\n")
+    # the lines are read in order: vertex lines before face lines
+    with pytest.raises(ParseError, match="^truncated OFF file: missing vertex line$"):
+        parse_off("OFF\n5 0 0\n")
+    with pytest.raises(ParseError, match="^line 6: face line must be integers$"):
+        parse_off("OFF\n3 2\n0 0 0\n0 0 0\n0 0 0\n3 0 1 x\n")
+    # comments and blank lines are skipped but counted
+    with pytest.raises(ParseError, match="^line 8: face index 9 out of range$"):
+        parse_off("OFF\n3 1\n0 0 0\n  # c\n\n1 0 0\n0 1 0\n3 0 1 9\n")
 
 
 # ----------------------------------------------------------------------

@@ -504,6 +504,9 @@ def test_text_empty_row_rejected_with_line_number():
     text = "2 1\na b\np\n0\n\n"
     with pytest.raises(ParseError, match="line 5"):
         Relation.from_text(text)
+    # an indented comment is skipped but counted, and a blank line is a row
+    with pytest.raises(ParseError, match="^line 5: empty row$"):
+        Relation.from_text("1 1\n  # c\na\np\n\n")
 
 
 def test_text_bad_sizes_and_indices():
@@ -518,6 +521,9 @@ def test_text_bad_sizes_and_indices():
         Relation.from_text("1 2\na\np q\n1 0\n")
     with pytest.raises(ParseError):
         Relation.from_text("2 1\na b\np\n0\n")  # missing row line
+    # a count longer than int() converts (4300 digits) is refused at its line
+    with pytest.raises(ParseError, match="^line 1: "):
+        Relation.from_text("1" + "0" * 5000 + " 1\na\nt\n0\n")
 
 
 def test_text_label_and_column_errors():
