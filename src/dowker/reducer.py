@@ -6,11 +6,11 @@ away, ascending index within each class), tests whether the union of the two
 closed stars collapses to a point, and on the first success replaces the pair
 by one fresh cone vertex whose row is the union of the two rows.  Columns
 that became duplicated or absorbed by the merge are cleaned up immediately;
-only the new row's columns can be affected, and only by each other, so the
-clean-up is one scan of those columns for the maximal ones, the scan the
-pair test runs on its copy (`relation._keep_maximal`).  Each step removes
-two rows and adds one, preserving the mod-2 Betti numbers whenever the
-tested subcomplex really was contractible.
+only the new row's columns can be affected, only by each other, and only
+those whose other rows lie in both merged rows' stars, so the clean-up
+compares those few with the new row's columns (`_absorbed`).  Each step
+removes two rows and adds one, preserving the mod-2 Betti numbers whenever
+the tested subcomplex really was contractible.
 
 All of this edits one mutable working draft.  The pass is a stream,
 `_steps`: it merges pairs on the draft in place and yields each step's report
@@ -19,13 +19,15 @@ relation, the result.  Each input row's star rows are listed once, for the
 comparison budget and the starting star sizes.  Each cursor row's star rows
 and each partner's are built once per visit and shared by the pair test and
 the merge, and the two-hop partners are listed only once every one-hop test
-has failed.  The pair test copies, keyed by the draft's own ids, the two
+has failed.  The pair test reads, keyed by the draft's own ids, the two
 rows' columns restricted to the rows in both stars and the pair itself: a
 row in one star alone is dominated by one of the pair there, and since a
 strong-collapse core is unique up to isomorphism, leaving it out first does
-not change the verdict.  It keeps the maximal columns with the same scan,
-and when they share a row, a cone, as in nearly every test on a surface, it
-answers without copying a row; only otherwise does it collapse the copy.
+not change the verdict.  It first tries x and y as the apex of a cone,
+reading the draft in place, which answers every test that a merge follows
+on a torus with nothing copied; otherwise it copies those columns, keeps
+the maximal ones with one scan, answers when they share a row, and only
+failing that collapses the copy.
 
 `reduce` makes one pass and does not revisit pairs: rows the cursor has
 passed are never reconsidered, even though a later merge can make a pair that
@@ -39,7 +41,7 @@ import re
 from dataclasses import dataclass, field
 
 from .collapse import is_strong_collapsible
-from .relation import Relation, _Draft, _drop, _keep_maximal
+from .relation import Relation, _Draft, _drop
 
 _Z_LABEL = re.compile(r"^z([0-9]+)$")
 
@@ -49,7 +51,7 @@ class StepReport:
     """Bookkeeping for one pair merge.
 
     `delta_z` is the vertex count of the whole union of the merged rows'
-    closed stars, `len(star_i | star_j)`; the pair test copies only the
+    closed stars, `len(star_i | star_j)`; the pair test keeps only the
     rows in both stars and the pair itself, so it is not the row count of
     the tested submatrix.  `epsilon_z` is the toplex count
     of the new vertex's star after clean-up.  `faces_absorbed` counts columns
@@ -148,11 +150,15 @@ def _pair_collapsible(d, x, y, sx, sy):
     in both stars, and x and y, kept.  A row in the star of x alone lies,
     within the union, only in columns that hold x, so x dominates it (and
     likewise for y); a strong-collapse core is unique up to isomorphism, so
-    dropping those rows first gives the verdict of the whole union.  When
-    the maximal columns of what is left share a row, the union is a cone
-    and the test ends there; only otherwise are rows copied and collapsed.
+    dropping those rows first gives the verdict of the whole union.  x and
+    y are tried as apexes first: when every column without x lies, within
+    those rows, in a column with x, every maximal column holds x, the union
+    is a cone on x, and the test ends with nothing copied (and likewise for
+    y).  Otherwise, when the maximal columns share a row, the union is a
+    cone and the test ends there; only failing that are rows copied and
+    collapsed.
     """
-    return is_strong_collapsible(d, d.rows[x] | d.rows[y], (sx & sy) | {x, y})
+    return is_strong_collapsible(d, d.rows[x] | d.rows[y], (sx & sy) | {x, y}, (x, y))
 
 
 def _budget(stars):
@@ -194,6 +200,23 @@ def _fresh_z(labels):
     return _successor(max(digits, key=lambda d: (len(d), d))) if digits else "0"
 
 
+def _absorbed(cols, union, inner):
+    """The faces and the duplicates among the columns `union` of `cols`,
+    testing only those that lie within the row set `inner`: a face lies in
+    a larger column of `union`, and a duplicate that is not a face equals
+    one with a lower id.  `cols` is read, not changed."""
+    faces, dups = [], []
+    for c in union:
+        s = cols[c]
+        if s <= inner:
+            sups = [k for k in union if k != c and s <= cols[k]]
+            if any(len(cols[k]) > len(s) for k in sups):
+                faces.append(c)
+            elif any(k < c for k in sups):
+                dups.append(c)
+    return faces, dups
+
+
 def _merge(d, xi, xj, star_i, star_j, z, ncols):
     """Replace rows xi and xj of draft `d`, whose star rows are `star_i` and
     `star_j`, by the cone row `z`, in place.
@@ -205,24 +228,28 @@ def _merge(d, xi, xj, star_i, star_j, z, ncols):
     pair in both merged rows' stars, and the set of rows other than the cone
     row that the clean-up removed a column from.
 
-    The clean-up is the pair test's column scan, `_keep_maximal`, on the
-    cone row's columns in ascending order.  On a column-irreducible draft
-    that is enough: a column without the cone row is unchanged, so it lies
-    in no other, and a column with it lies only in columns with it.  Of
-    equal columns the lowest id stays.
+    The clean-up, `_absorbed`, tests only the cone row's columns whose other
+    rows all lie in both stars, each against the cone row's columns.  On a
+    column-irreducible draft that is exact.  A column without the cone row
+    is unchanged, so it lies in no other.  A column C with it can lie only
+    in a column D with it.  If C's members of the pair were among D's, C
+    would have lain in D before the merge; so C held one of the pair that D
+    lacks, D held the other, and C's other rows lie in both stars.  A face
+    lies in a larger column, and of equal columns the lowest id stays.
     """
     union = d.rows[xi] | d.rows[xj]
     pair = (d.row_labels[xi], d.row_labels[xj])
     _drop(d.rows, d.cols, xi)
     _drop(d.rows, d.cols, xj)
     zi = d.add_row(z, union)
-    _, faces, dups = _keep_maximal(sorted(union), d.cols)
+    both = (star_i & star_j) - {xi, xj}
+    faces, dups = _absorbed(d.cols, union, both | {zi})
     gone = [_drop(d.cols, d.rows, c) for c in faces + dups]
     rep = StepReport(pair=pair, z_label=z,
                      faces_absorbed=len(faces), duplicates_merged=len(dups),
                      delta_z=len(star_i | star_j), epsilon_z=len(d.rows[zi]),
                      cols_before=ncols, cols_after=ncols - len(gone))
-    return rep, (star_i & star_j) - {xi, xj}, set().union(*gone) - {zi}
+    return rep, both, set().union(*gone) - {zi}
 
 
 def reduction_step(r: Relation, xi: int, xj: int):
@@ -231,13 +258,15 @@ def reduction_step(r: Relation, xi: int, xj: int):
     The caller must already have verified that the union of the two closed
     stars is strong collapsible; this function does not re-test it, and
     applying it to a non-contractible union silently breaks the homotopy
-    guarantee.  Requires a column-irreducible input for the scoped clean-up
-    to restore full irreducibility.
+    guarantee.  The scoped clean-up is exact only on a column-irreducible
+    input, so any other input is refused with ValueError.
     """
     if not (0 <= xi < r.nrows and 0 <= xj < r.nrows):
         raise ValueError("row index out of range")
     if xi == xj:
         raise ValueError("need two distinct rows")
+    if not r.is_column_irreducible():
+        raise ValueError("relation is not column irreducible")
     d = _Draft.of(r)
     report = _merge(d, xi, xj, _star_rows(d, xi), _star_rows(d, xj),
                     f"z{_fresh_z(r.row_labels)}", r.ncols)[0]
@@ -346,7 +375,8 @@ def reduce(r: Relation):
     """Run the single-pass reduction to exhaustion.
 
     Returns (reduced relation, ReductionStats, list of StepReport).  The
-    input must be column irreducible.  Each input row's star rows are
+    input must be column irreducible, or ValueError is raised: the merge's
+    clean-up is exact only then.  Each input row's star rows are
     listed once, on r; the comparison budget and the stream's starting star
     sizes both come from that list, which is dropped before the stream
     starts.  `_steps` merges pairs on one mutable draft of r, whose indices
@@ -355,6 +385,8 @@ def reduce(r: Relation):
     from a copy of those stars alone, under the draft's ids.  The draft is
     frozen once, into the one relation a run builds.
     """
+    if not r.is_column_irreducible():
+        raise ValueError("relation is not column irreducible")
     stars = _stars(r)
     stats = ReductionStats(rows_before=r.nrows, cols_before=r.ncols,
                            comparison_budget=_budget(stars))

@@ -20,10 +20,12 @@ mutable draft in place and renumbers the survivors once, when the draft is
 frozen.
 
 Two kernels remove contained sets.  `_keep_maximal` serves the columns of
-one union of two stars, which the reducer's pair test and its merge each
-clean up: they are few, so one scan from the largest down, comparing each
-with the larger kept ones, needs no other orientation, and it tells the
-faces from the duplicates, which a merge reports.  `_dominated`, through
+one union of two stars, which the reducer's pair test copies when the pair
+is not the apex of a cone: they are few, so one scan from the largest
+down, comparing each with the larger kept ones, needs no other
+orientation, and it tells the faces from the duplicates, the split a
+merge reports.  A merge's own clean-up (`reducer._absorbed`) tests only
+the few columns that can have become dominated.  `_dominated`, through
 `_exhaust`, serves whole relations (`_maximal`) and the collapse fixpoint
 (`_collapse`): it finds a member's supersets through the other
 orientation, so its cost follows the set sizes, not the axis length, and

@@ -1,6 +1,7 @@
 """Domination detection and the strong-collapse core."""
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -9,7 +10,8 @@ from dowker import collapse as collapse_module
 from dowker import relation as relation_module
 from dowker import (Relation, betti_gf2, collapse_core, gen_torus_grid,
                     is_strong_collapsible, reduce)
-from dowker.relation import _freeze
+from dowker.reducer import ReductionStats, _steps
+from dowker.relation import _Draft, _freeze
 from _util import (core_labels_reference, disk_relation, fan_relation, first_dominators,
                    random_irreducible_relation, random_relation, with_repeats)
 
@@ -212,6 +214,51 @@ def test_cone_exit_and_fallback_match_the_core(monkeypatch):
     assert decide(single, {0}) == decide(single, {0}, {1}) == (True, False)
     assert decide(single) == (True, True)
 
+
+
+def test_apexes_never_change_a_verdict():
+    # a row passed as an apex ends the test only when every maximal picked
+    # column holds it, with the cone exit's answer; a row outside the
+    # picked rows, a row in no picked column and a dead slot are never
+    # apexes, and no list of apexes changes a verdict, on whole relations,
+    # with rows and columns repeated, and on a working draft of the reducer
+    rng = random.Random(179)
+    inputs = []
+    for _ in range(150):
+        r = random_relation(rng)
+        inputs += [r, with_repeats(rng, r)]
+        d = _Draft.of(random_irreducible_relation(rng))
+        list(islice(_steps(d, ReductionStats()), rng.randint(1, 4)))
+        inputs.append(d)
+    seen = {"hit": 0, "missed": 0, "outside": 0, "no column": 0, "dead": 0}
+    for rel in inputs:
+        nrows, ncols = len(rel.rows), len(rel.cols)
+        cols = set(rng.sample(range(ncols), rng.randint(1, ncols)))
+        for rows in (None, set(rng.sample(range(nrows), rng.randint(1, nrows)))):
+            never = {"outside": [i for i in range(nrows) if rows is not None and i not in rows],
+                     "no column": [i for i in range(nrows) if rel.rows[i]
+                                   and not cols.intersection(rel.rows[i])],
+                     "dead": [i for i in range(nrows) if not rel.rows[i]]}
+            apexes = sorted(set().union(*(rel.cols[c] for c in cols)))
+            for kind, ids in never.items():
+                for w in ids:
+                    assert not collapse_module._is_apex(rel, cols, rows, w)
+                if ids:
+                    apexes.append(rng.choice(ids))
+                    seen[kind] += 1
+            rng.shuffle(apexes)
+            try:
+                expected = is_strong_collapsible(rel, cols, rows)
+            except ValueError:
+                with pytest.raises(ValueError, match="empty relation"):
+                    is_strong_collapsible(rel, cols, rows, apexes)
+                continue
+            assert is_strong_collapsible(rel, cols, rows, apexes) == expected
+            hit = any(collapse_module._is_apex(rel, cols, rows, w) for w in apexes)
+            assert expected or not hit
+            seen["hit" if hit else "missed"] += 1
+        assert is_strong_collapsible(rel, None, None, range(nrows)) == is_strong_collapsible(rel)
+    assert min(seen.values()) >= 50, seen
 
 def test_core_idempotent_and_undominated():
     rng = random.Random(31)

@@ -16,8 +16,8 @@ from dowker import relation as relation_module
 from dowker.reducer import ReductionStats, _star_rows, _steps
 from dowker.relation import _Draft
 from _util import (FAN_MERGED_DENSE, complex_of, fan_relation, first_dominators,
-                   random_irreducible_relation, replay_and_verify, star_size_maxima,
-                   step_snapshots, verify_step_equations, with_repeats)
+                   random_irreducible_relation, random_relation, replay_and_verify,
+                   star_size_maxima, step_snapshots, verify_step_equations, with_repeats)
 
 
 # ----------------------------------------------------------------------
@@ -165,6 +165,28 @@ def test_pair_test_collapses_few_rows_on_a_torus(monkeypatch):
     assert sum(not calls for calls in handed) >= 0.85 * len(handed)
 
 
+
+def test_pair_tests_on_a_torus_mostly_end_at_an_apex(monkeypatch):
+    # every union of two stars that a merge follows on a torus is a cone on
+    # one of the pair, so the test tries x and y as apexes and ends before
+    # the column scan copies anything; only the failing tests scan, 73 of
+    # 665 on torus 20x30 and 174 of 4965 on torus 60x80
+    scans = []
+    keep_maximal = collapse_module._keep_maximal
+
+    def counting(ids, sets):
+        scans.append(len(ids))
+        return keep_maximal(ids, sets)
+
+    monkeypatch.setattr(collapse_module, "_keep_maximal", counting)
+    for m, n, share in ((20, 30, 0.12), (60, 80, 0.05)):
+        scans.clear()
+        stats = ReductionStats()
+        steps = len(list(_steps(_Draft.of(Relation.from_toplexes(gen_torus_grid(m, n))), stats)))
+        assert len(scans) == stats.contractibility_tests - steps
+        assert len(scans) <= share * stats.contractibility_tests
+
+
 def _domination_checks_per_test(monkeypatch, r):
     """The `_dominated` checks each pair test of one pass on r makes, and
     the pass's stats."""
@@ -220,8 +242,8 @@ def test_pair_tests_on_a_simplex_boundary_check_each_row_once(monkeypatch):
     (gen_sphere_uv(24, 21), 27, 929),
 ])
 def test_a_merge_makes_no_domination_check(monkeypatch, toplexes, dups, faces):
-    # a merge keeps the maximal columns of the cone row with the pair
-    # test's scan, which looks up no superset on the other axis; the uv
+    # a merge compares the few cone-row columns inside both stars with the
+    # cone row's columns and looks up no superset on the other axis; the uv
     # sphere's merges remove duplicate columns as well as faces
     checks = []
     in_merge = []
@@ -248,6 +270,33 @@ def test_a_merge_makes_no_domination_check(monkeypatch, toplexes, dups, faces):
     assert sum(rep.faces_absorbed for rep in log) == faces
     assert dups + faces == stats.cols_before - stats.cols_after
 
+
+
+def test_merge_clean_up_matches_the_scan_of_every_cone_column(monkeypatch):
+    # the merge tests only the cone row's columns whose other rows lie in
+    # both stars; at every step it must find the faces and the duplicates
+    # that a scan of all the cone row's columns for the maximal ones finds
+    absorbed = dowker.reducer._absorbed
+    found = {"calls": 0, "faces": 0, "dups": 0}
+
+    def checking(cols, union, inner):
+        faces, dups = absorbed(cols, union, inner)
+        _, want_faces, want_dups = relation_module._keep_maximal(sorted(union), cols)
+        assert sorted(faces) == sorted(want_faces)
+        assert sorted(dups) == sorted(want_dups)
+        found["calls"] += 1
+        found["faces"] += len(faces)
+        found["dups"] += len(dups)
+        return faces, dups
+
+    monkeypatch.setattr(dowker.reducer, "_absorbed", checking)
+    rng = random.Random(181)
+    inputs = [random_irreducible_relation(rng) for _ in range(300)]
+    inputs += [Relation.from_toplexes(t) for t in
+               (gen_torus_grid(4, 4), gen_torus_grid(12, 16), gen_sphere_uv(24, 21))]
+    steps = sum(reduce(r)[1].steps_applied for r in inputs)
+    assert found["calls"] == steps > 1000
+    assert found["faces"] > 1000 and found["dups"] > 27
 
 def test_reduce_lists_two_hop_rows_for_few_rows_on_a_torus(monkeypatch):
     # reduce reads the budget's two-hop counts from the star rows it lists
@@ -365,6 +414,27 @@ def test_step_rejects_out_of_range_rows():
         with pytest.raises(ValueError, match="row index out of range"):
             reduction_step(r, xi, xj)
 
+
+
+def test_reduce_and_step_refuse_a_column_reducible_relation():
+    # the merge's clean-up is exact only on a column-irreducible relation:
+    # a repeated column, a column inside another, and random relations
+    # that are reducible are refused, and their clean-up is accepted
+    rng = random.Random(191)
+    inputs = [Relation("ab", "pq", [[0, 1], [0, 1]]),
+              Relation("ab", "pq", [[0, 1], [1]])]
+    inputs += [r for r in (random_relation(rng) for _ in range(100))
+               if not r.is_column_irreducible() and r.nrows > 1]
+    assert len(inputs) > 40
+    for r in inputs:
+        with pytest.raises(ValueError, match="not column irreducible"):
+            reduce(r)
+        with pytest.raises(ValueError, match="not column irreducible"):
+            reduction_step(r, 0, 1)
+        clean = r.make_column_irreducible()
+        reduce(clean)
+        if clean.nrows > 1:
+            reduction_step(clean, 0, 1)
 
 def test_fresh_cone_labels_count_up():
     r = Relation.from_toplexes([("z0", "a"), ("a", "b")])
