@@ -1,14 +1,18 @@
 """GF(2) simplicial homology oracle.
 
 Independent of the reduction path: it expands toplexes into explicit simplex
-lists, builds each boundary map as one ascending tuple of face indices per
-simplex, and computes Betti numbers by GF(2) rank.  Used to certify that
-reductions preserve the mod-2 Betti numbers.  The toplexes come as a Relation,
-whose ascending column tuples are used as they are, or as vertex-name
+lists, builds each boundary map as one tuple of face indices per simplex,
+and computes Betti numbers by GF(2) rank.  Used to certify that reductions
+preserve the mod-2 Betti numbers.  The toplexes come as a Relation, whose
+ascending column tuples are used as they are, or as vertex-name
 collections, numbered by the one toplex normaliser,
-`relation._normalise_toplexes`.  The vertices are listed from
-their count, and each level above them is built in bulk, a chunk of toplexes
-at a time, under the simplex cap.
+`relation._normalise_toplexes`.  The vertices are listed from their count,
+and each level above them is built in bulk, a chunk of toplexes at a time,
+under the simplex cap.  The lists come in two orders: the canonical form
+sorts each level, so each boundary tuple is ascending, and the listing form
+keeps each level in the order its simplices first appear among the
+toplexes' faces.  A rank depends on neither order, so the Betti numbers are
+computed from the listing form, which skips the sort.
 
 The rank kernel treats columns with one or two entries as graph edges and
 ranks them by union-find; only the heavier columns are eliminated, as small
@@ -38,14 +42,16 @@ DEFAULT_SIZE_CAP = 5_000_000
 class ChainComplexGF2:
     """Simplices by dimension plus the boundary maps between them.
 
-    `simplices_by_dim[k]` is the sorted list of k-simplices as ascending
-    vertex-index tuples; the vertices in use are numbered in vertex order
-    (row order for a Relation), so `simplices_by_dim[0][i]` is `(i,)`.
-    `boundary[k]` holds the GF(2) boundary map from k-chains to
+    `simplices_by_dim[k]` is the list of k-simplices as ascending
+    vertex-index tuples, sorted in the canonical form and in first-appearance
+    order in the listing form; the vertices in use are numbered in vertex
+    order (row order for a Relation), so `simplices_by_dim[0][i]` is `(i,)`
+    in both.  `boundary[k]` holds the GF(2) boundary map from k-chains to
     (k-1)-chains as one column per k-simplex, in `simplices_by_dim[k]`
-    order: the ascending tuple of the indices into `simplices_by_dim[k-1]`
-    of its k+1 faces, which for an edge is the edge itself.  `boundary[0]`
-    is one empty tuple per vertex (the zero map).
+    order: the tuple of the indices into `simplices_by_dim[k-1]` of its k+1
+    faces, taken in lexicographic vertex order, which for an edge is the
+    edge itself.  In the canonical form each such tuple is ascending.
+    `boundary[0]` is one empty tuple per vertex (the zero map).
     """
 
     simplices_by_dim: list = field(default_factory=list)
@@ -80,7 +86,8 @@ def _faces(toplexes, k):
     return chain.from_iterable(map(combinations, toplexes, repeat(k + 1)))
 
 
-def enumerate_simplices(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP) -> ChainComplexGF2:
+def enumerate_simplices(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP, *,
+                        canonical=True) -> ChainComplexGF2:
     """All simplices of the complex generated by `toplexes`, up to max_dim+1.
 
     `toplexes` is a Relation, whose columns are the toplexes and whose rows
@@ -93,9 +100,16 @@ def enumerate_simplices(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP) -> Ch
     toplexes).  Every vertex numbered is in use, so the vertices are listed
     from their count; each level above is built in bulk from chunks of
     toplexes whose face counts, summed, fit in the room left under
-    `size_cap` (a chunk holds at least one toplex), so the sets never hold
+    `size_cap` (a chunk holds at least one toplex), so the levels never hold
     more than `size_cap` plus one toplex's faces.  Raises SizeCapError when
     the deduplicated simplex count would exceed `size_cap`.
+
+    With `canonical` (the default) each level is sorted, so each boundary
+    tuple is ascending.  With `canonical=False` each level is in the order
+    its simplices first appear among the toplexes' faces (a dict keeps that
+    order), and each boundary tuple lists the faces' indices in the faces'
+    lexicographic vertex order: the same complex and the same ranks, without
+    the sort.
     """
     cols, total = _vertex_tuples(toplexes)
     top_dim = max(map(len, cols), default=0) - 1
@@ -109,31 +123,32 @@ def enumerate_simplices(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP) -> Ch
     for k in range(1, min(max_dim + 1, top_dim) + 1):
         # bounds[q] - bounds[p] bounds the k-faces of toplexes p..q-1
         bounds = list(accumulate(map(comb, map(len, cols), repeat(k + 1)), initial=0))
-        level = set()
+        level = {}
         p = 0
         while p < len(cols):
             q = max(bisect_right(bounds, bounds[p] + size_cap - total) - 1, p + 1)
             if bounds[q] - bounds[p] > size_cap:
                 raise SizeCapError(f"simplex count exceeds cap {size_cap}")
             before = len(level)
-            level.update(_faces(cols[p:q], k))
+            level.update(zip(_faces(cols[p:q], k), repeat(None)))
             total += len(level) - before
             if total > size_cap:
                 raise SizeCapError(f"simplex count exceeds cap {size_cap}")
             p = q
-        levels.append(level)
-    # sort in place, so each set is freed before the next one is listed
-    for k in range(1, len(levels)):
-        levels[k] = sorted(levels[k])
+        # the dict is emptied once listed, so the next level is built beside
+        # this level's list only
+        levels.append(sorted(level) if canonical else list(level))
+        level.clear()
     boundary = [[()] * len(levels[0])] if levels else []
     if len(levels) > 1:
         # an edge's endpoints are its faces' indices
         boundary.append(list(levels[1]))
     for k in range(2, len(levels)):
-        # faces of s in lexicographic order are in ascending index order
-        pos = dict(zip(levels[k - 1], range(len(levels[k - 1]))))
-        face = pos.__getitem__
-        boundary.append([tuple(map(face, combinations(s, k))) for s in levels[k]])
+        # faces of s in lexicographic order, k + 1 of them per simplex; in
+        # the sorted levels that is ascending index order
+        index = dict(zip(levels[k - 1], range(len(levels[k - 1])))).__getitem__
+        faces = map(index, chain.from_iterable(map(combinations, levels[k], repeat(k))))
+        boundary.append(list(zip(*[faces] * (k + 1))))
     return ChainComplexGF2(simplices_by_dim=levels, boundary=boundary)
 
 
@@ -231,17 +246,20 @@ def betti_gf2(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP):
     `enumerate_simplices`.
 
     beta_k = dim ker boundary_k - rank boundary_{k+1}.  `max_dim` defaults
-    to the dimension of the largest toplex.  d_1 is ranked on its columns
-    (vertex pairs) and each higher map on its transpose, the cofaces of each
-    face, which has the same rank; `_transposed_rank` reads each face's
-    cofaces straight from `boundary[k]`, so no list per face is built.
+    to the dimension of the largest toplex.  The maps come from
+    `enumerate_simplices` in the listing form (`canonical=False`), since a
+    rank does not depend on the order of either basis.  d_1 is ranked on
+    its columns (vertex pairs) and each higher map on its transpose, the
+    cofaces of each face, which has the same rank; `_transposed_rank` reads
+    each face's cofaces straight from `boundary[k]`, so no list per face is
+    built.
     Above the largest toplex every Betti number is 0; the result holds
     max_dim + 1 numbers, so SizeCapError is raised when that exceeds
     `size_cap`.
     """
     if max_dim is not None and max_dim + 1 > size_cap:
         raise SizeCapError(f"{max_dim + 1} Betti numbers exceed cap {size_cap}")
-    cc = enumerate_simplices(toplexes, max_dim, size_cap=size_cap)
+    cc = enumerate_simplices(toplexes, max_dim, size_cap=size_cap, canonical=False)
     simplices = cc.simplices_by_dim
     n = len(simplices)
     if max_dim is None:

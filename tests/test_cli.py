@@ -2,17 +2,20 @@
 
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
 import time
 
 import dowker
-from dowker import Relation, betti_gf2, gen_sphere_cube, reduce
+from dowker import Relation, betti_gf2, gen_sphere_cube, gen_torus_grid, reduce
 from dowker import cli
-from _util import FAN_TOPLEXES, fan_relation
+from _util import FAN_TOPLEXES, betti_dense_reference, fan_relation
 
 FAN_TEXT = "".join(" ".join(t) + "\n" for t in FAN_TOPLEXES)
+TETRA_OFF = ("OFF\n4 4 6\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
+             "3 0 1 2\n3 0 1 3\n3 0 2 3\n3 1 2 3\n")
 
 
 def write(tmp_path, name, text):
@@ -121,9 +124,7 @@ def test_reduce_accepts_rel_format(tmp_path, capsys):
 
 
 def test_reduce_accepts_off_format(tmp_path, capsys):
-    off = ("OFF\n4 4 6\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
-           "3 0 1 2\n3 0 1 3\n3 0 2 3\n3 1 2 3\n")
-    src = write(tmp_path, "tetra.off", off)
+    src = write(tmp_path, "tetra.off", TETRA_OFF)
     code = cli.main(["reduce", "--input", src, "--format", "off", "--check-betti"])
     assert code == 0
     report = capsys.readouterr().out
@@ -495,3 +496,99 @@ def test_size_cap_takes_a_cap_of_any_length(tmp_path, capsys, monkeypatch):
     # leading zeros and surrounding blanks, over a 1000-digit boundary
     monkeypatch.setenv("DOWKER_SIZE_CAP", " " + "0" * 2999 + "17 ")
     assert cli._size_cap() == 17
+
+
+# ----------------------------------------------------------------------
+# mutated input
+
+# a quad and a triangle
+QUAD_OFF = ("OFF\n5 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n2 2 0\n"
+            "4 0 1 2 3\n3 1 4 2\n")
+
+FUZZ_SEEDS = {
+    "rel": [fan_relation().to_text(), Relation.from_toplexes(gen_sphere_cube()).to_text(),
+            "3 4\na b c\np q r s\n0 1\n0 1 2\n2 3\n"],
+    "toplex": [FAN_TEXT, gen_sphere_cube().to_text(), gen_torus_grid(3, 3).to_text()],
+    "off": [TETRA_OFF, QUAD_OFF],
+}
+
+# what a mutation puts in: comment and blank lines, and tokens that are
+# counts, indices or names out of place, too long for int(), or characters
+# that split a line or a word
+FUZZ_LINES = ["", "   ", "\t", "# a comment", "  # indented", "#"]
+FUZZ_TOKENS = ["0", "1", "3", "-1", "x", "#x", "1.5", "OFF", "9" * 5000, "99999999",
+               "\x0c", "\u00a0", "\u2028"]
+
+
+def mutate(rng, text):
+    """`text` with one to three of its lines inserted, deleted or replaced:
+    by a comment or blank line, or by a line of tokens drawn from the text's
+    own words and from FUZZ_TOKENS; or with one word of a line replaced."""
+    lines = text.splitlines()
+    words = text.split() + FUZZ_TOKENS
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines) + 1)
+        op = rng.choice(("insert", "delete", "replace", "word"))
+        if op == "delete" or i == len(lines) and op != "insert":
+            del lines[i - 1:i]
+            continue
+        if op == "word" and lines[i].split():
+            line = lines[i].split()
+            line[rng.randrange(len(line))] = rng.choice(words)
+        elif rng.random() < 0.4:
+            line = [rng.choice(FUZZ_LINES)]
+        else:
+            line = [rng.choice(words) for _ in range(rng.randint(1, 4))]
+        lines[i:i + (op != "insert")] = [" ".join(line)]
+    return "\n".join(lines) + "\n" * rng.randint(0, 1)
+
+
+def outcome_fault(code, err, source, reduced=None):
+    """Why an outcome breaks the exit-code contract, or None: exit 0; exit 1
+    or 3 with an `error:` line and no traceback; exit 2 only from a reduce
+    whose output, at path `reduced`, really has other Betti numbers than its
+    input, the (path, format) pair `source`, by the dense reference."""
+    if code == 0:
+        return None
+    if code in (1, 3):
+        if "Traceback" in err or not any(l.startswith("error:") for l in err.splitlines()):
+            return f"exit {code} without a plain error line: {err!r}"
+        return None
+    if code == 2 and reduced is not None:
+        before = cli._load_relation(*source).toplexes()
+        after = Relation.from_text(open(reduced).read()).toplexes()
+        if betti_dense_reference(before, 2) != betti_dense_reference(after, 2):
+            return None
+    return f"exit {code}: {err!r}"
+
+
+def test_mutated_inputs_exit_cleanly(tmp_path, capsys):
+    # DOWKER_FUZZ_TEXTS mutated texts per format (100 by default)
+    count = int(os.environ.get("DOWKER_FUZZ_TEXTS", "100"))
+    path, reduced = str(tmp_path / "input"), str(tmp_path / "reduced.rel")
+    commands = {"reduce": ["--check-betti", "--json", "--output", reduced],
+                "betti": [], "check": []}
+    faults = []
+    exits = {}
+    for fmt, seeds in FUZZ_SEEDS.items():
+        rng = random.Random(f"fuzz-{fmt}")
+        for _ in range(count):
+            text = mutate(rng, rng.choice(seeds))
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            for command, extra in commands.items():
+                try:
+                    code = cli.main([command, "--input", path, "--format", fmt, *extra])
+                except Exception as exc:
+                    faults.append((fmt, command, text, repr(exc)))
+                    capsys.readouterr()
+                    continue
+                err = capsys.readouterr().err
+                exits[code] = exits.get(code, 0) + 1
+                fault = outcome_fault(code, err, (path, fmt),
+                                      reduced if command == "reduce" else None)
+                if fault:
+                    faults.append((fmt, command, text, fault))
+    assert not faults, faults[:3]
+    # the mutations reach both the parsers' refusals and whole runs
+    assert exits.get(0, 0) > count and exits.get(1, 0) > count

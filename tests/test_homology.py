@@ -1,7 +1,7 @@
 """The GF(2) homology oracle: enumeration, boundary maps, rank, Betti."""
 
 import random
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -50,16 +50,20 @@ def test_boundary_squares_to_zero():
         names = sorted({v for t in tops for v in t}) + ["unused1", "unused2"]
         rng.shuffle(names)
         cases.append(ToplexList(tops, names))
-    for tops in cases:
-        cc = enumerate_simplices(tops, 3)
+    for tops, canonical in product(cases, (True, False)):
+        cc = enumerate_simplices(tops, 3, canonical=canonical)
         simplices = cc.simplices_by_dim
         assert simplices[0] == [(i,) for i in range(len(simplices[0]))]
         assert all(col == () for col in cc.boundary[0])
         for k in range(1, len(cc.boundary)):
-            # the k+1 faces of each simplex, by index one dimension down, ascending
+            # the k+1 faces of each simplex, by index one dimension down,
+            # ascending in the canonical form
             for s, col in zip(simplices[k], cc.boundary[k]):
-                assert list(col) == sorted(set(col))
-                assert [simplices[k - 1][i] for i in col] == sorted(combinations(s, k))
+                assert {simplices[k - 1][i] for i in col} == set(combinations(s, k))
+                assert len(col) == k + 1
+                if canonical:
+                    assert list(col) == sorted(set(col))
+                    assert [simplices[k - 1][i] for i in col] == sorted(combinations(s, k))
         for k in range(1, len(cc.boundary) - 1):
             for col in cc.boundary[k + 1]:
                 acc = set()
@@ -69,8 +73,10 @@ def test_boundary_squares_to_zero():
 
 
 def test_size_cap():
-    with pytest.raises(SizeCapError):
-        enumerate_simplices([tuple(f"v{i}" for i in range(30))], 5, size_cap=100)
+    for canonical in (True, False):
+        with pytest.raises(SizeCapError):
+            enumerate_simplices([tuple(f"v{i}" for i in range(30))], 5, size_cap=100,
+                                canonical=canonical)
 
 
 def test_rank_cases():
@@ -204,9 +210,16 @@ def test_betti_matches_dense_reference():
              for _ in range(320)]
     cases += [gen_sphere_cube(), gen_sphere_uv(6, 5), gen_torus_grid(4, 5),
               gen_torus_grid(3, 3)] + [gen_simplex_boundary(n) for n in (1, 2, 3, 4)]
+    # relations with repeated rows and columns, as themselves and as names:
+    # the relation's duplicate columns reach the listing-order levels
+    relations = [with_repeats(rng, random_relation(rng)) for _ in range(60)]
+    cases += [r.toplexes() for r in relations]
     for tops in cases:
         for max_dim in range(8):
             assert betti_gf2(tops, max_dim) == betti_dense_reference(tops, max_dim)
+    for r in relations:
+        for max_dim in range(8):
+            assert betti_gf2(r, max_dim) == betti_dense_reference(r.toplexes(), max_dim)
 
 
 def test_betti_above_the_largest_toplex_costs_only_the_zeros():
@@ -242,6 +255,22 @@ def test_betti_normalises_the_toplexes_once(monkeypatch):
     assert betti_gf2(gen_torus_grid(4, 4)) == (1, 2, 1)
     assert betti_gf2(gen_torus_grid(4, 4), 1) == (1, 2)
     assert len(calls) == 2
+
+
+def test_betti_ranks_the_listing_order(monkeypatch):
+    # the oracle takes the levels in listing order: a rank needs no sort
+    calls = []
+    real = homology.enumerate_simplices
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs.get("canonical", True))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(homology, "enumerate_simplices", recording)
+    torus = gen_torus_grid(4, 5)
+    assert betti_gf2(torus) == (1, 2, 1)
+    assert betti_gf2(Relation.from_toplexes(torus), 3) == (1, 2, 1, 0)
+    assert calls == [False, False]
 
 
 def test_unused_names_in_an_explicit_order_are_not_vertices():
@@ -288,6 +317,8 @@ def test_relation_and_name_input_agree():
             assert cc == enumerate_simplices(in_row_order, max_dim)
             by_names = enumerate_simplices(names, max_dim)
             assert named(by_names, order) == named(cc, r.row_labels)
+            assert (named(enumerate_simplices(r, max_dim, canonical=False), r.row_labels)
+                    == named(cc, r.row_labels))
             if order == r.row_labels:
                 assert by_names == cc
             assert betti_gf2(r, max_dim) == betti_gf2(names, max_dim)
@@ -314,16 +345,17 @@ def test_size_cap_is_exact_at_chunk_boundaries(chunks):
     # so a cap near the total cuts levels into chunks; the vertices are
     # listed without chunks, from their count
     torus = gen_torus_grid(4, 6)
-    for tops in (Relation.from_toplexes(torus), torus):
-        full = enumerate_simplices(tops, 2)
-        total = sum(full.counts())
+    for tops, canonical in product((Relation.from_toplexes(torus), torus), (True, False)):
+        full = enumerate_simplices(tops, 2, canonical=canonical)
+        # both forms are refused at the canonical form's count
+        total = sum(enumerate_simplices(tops, 2).counts())
         for cap in range(1, total + 2):
             del chunks[:]
             if cap < total:
                 with pytest.raises(SizeCapError):
-                    enumerate_simplices(tops, 2, size_cap=cap)
+                    enumerate_simplices(tops, 2, size_cap=cap, canonical=canonical)
             else:
-                assert enumerate_simplices(tops, 2, size_cap=cap) == full
+                assert enumerate_simplices(tops, 2, size_cap=cap, canonical=canonical) == full
             # a chunk of two or more toplexes fits its faces in the room left
             # beside the vertices and the faces listed so far, so the sets
             # never hold more than the cap plus one toplex's faces
@@ -337,15 +369,17 @@ def test_size_cap_is_exact_at_chunk_boundaries(chunks):
                 assert len(chunks) > 2
         # without a cap in reach, each level above the vertices is one chunk
         del chunks[:]
-        assert enumerate_simplices(tops, 2) == full and len(chunks) == 2
+        assert enumerate_simplices(tops, 2, canonical=canonical) == full and len(chunks) == 2
 
 
 def test_size_cap_refuses_a_toplex_before_listing_more_faces_than_the_cap(chunks):
     simplex = [tuple(range(12))]
     total = 2 ** 12 - 1
-    for cap in range(1, total + 1, 7):
-        del chunks[:]
-        with pytest.raises(SizeCapError):
-            enumerate_simplices(simplex, 11, size_cap=cap)
-        assert all(sum(map(len, chunk)) <= cap for chunk in chunks)
-    assert sum(enumerate_simplices(simplex, 11, size_cap=total).counts()) == total
+    for canonical in (True, False):
+        for cap in range(1, total + 1, 7):
+            del chunks[:]
+            with pytest.raises(SizeCapError):
+                enumerate_simplices(simplex, 11, size_cap=cap, canonical=canonical)
+            assert all(sum(map(len, chunk)) <= cap for chunk in chunks)
+        cc = enumerate_simplices(simplex, 11, size_cap=total, canonical=canonical)
+        assert sum(cc.counts()) == total
