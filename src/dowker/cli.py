@@ -6,11 +6,19 @@ exceeded: by the simplex enumeration, or by the vertex-toplex incidence
 count of a `gen` fixture, worked out from its parameters before anything is
 built or written.  The environment variable DOWKER_SIZE_CAP overrides the
 cap for both; a value that is not a positive integer is a parameter error.
+
+A command runs with CPython's cyclic garbage collector paused, and `main`
+restores the collector's state on every way out.  Nothing a command builds
+forms a reference cycle, so reference counting frees all of it, and the
+collector would only rescan the live relations, simplex lists and step
+reports over and over.  The library never touches the collector: this
+process-wide switch belongs to the program that owns the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -216,6 +224,8 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse has printed its usage message, or the help after --help
         return 1 if exc.code else 0
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except SizeCapError as exc:
@@ -224,6 +234,9 @@ def main(argv=None):
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ all go through it, and a ToplexList it has built is used as it stands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
+from operator import index, lt
 
 from .errors import ParseError
 
@@ -412,10 +412,12 @@ class Relation:
                 idx = list(map(int, raw.split()))
             except ValueError:
                 raise ParseError("row line must list column indices", line=n) from None
-            ascending = sorted(set(idx))
-            if ascending[0] < 0 or ascending[-1] >= ncols:
-                raise ParseError("column index out of range", line=n)
-            if idx != ascending:
+            if not (all(map(lt, idx, idx[1:])) and 0 <= idx[0] and idx[-1] < ncols):
+                # only a refused row is sorted: an index out of range is
+                # reported before the order
+                ascending = sorted(set(idx))
+                if ascending[0] < 0 or ascending[-1] >= ncols:
+                    raise ParseError("column index out of range", line=n)
                 raise ParseError("column indices must be strictly ascending", line=n)
             rows.append(idx)
         # the rows are checked above, so only the labels and the columns remain

@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, report formats, exit codes."""
 
+import gc
 import json
 import os
 import random
@@ -8,8 +9,12 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 import dowker
-from dowker import Relation, betti_gf2, gen_sphere_cube, gen_torus_grid, reduce
+from dowker import (Relation, betti_gf2, collapse_core, enumerate_simplices,
+                    format_step_log, gen_sphere_cube, gen_sphere_uv, gen_torus_grid,
+                    parse_toplex_file, reduce)
 from dowker import cli
 from _util import FAN_TOPLEXES, betti_dense_reference, fan_relation
 
@@ -499,6 +504,110 @@ def test_size_cap_takes_a_cap_of_any_length(tmp_path, capsys, monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# the cyclic garbage collector
+
+def test_commands_run_with_the_collector_paused(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return betti_gf2(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "betti_gf2", recording)
+    src = gen_file(tmp_path, "t.toplex", "torus", "--m", "4", "--n", "4")
+    assert gc.isenabled()
+    assert cli.main(["reduce", "--input", src, "--format", "toplex", "--check-betti"]) == 0
+    assert cli.main(["betti", "--input", src]) == 0
+    assert capsys.readouterr().out.endswith("betti: preserved\n1 2 1\n")
+    assert seen == [False] * 3
+    assert gc.isenabled()
+
+
+def test_main_restores_the_callers_collector_state(tmp_path, capsys, monkeypatch):
+    src = gen_file(tmp_path, "t.toplex", "torus", "--m", "4", "--n", "4")
+    bad = write(tmp_path, "bad.toplex", "a b\n\n")
+    calls = []
+
+    def lying_oracle(*args, **kwargs):
+        calls.append(1)
+        return (1, 0, 0) if len(calls) % 2 else (2, 0, 0)
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    runs = [(["betti", "--input", src], 0), (["betti", "--input", bad], 1),
+            (["betti", "--input", src, "--max-dim", "abc"], 1), (["--help"], 0)]
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for argv, code in runs:
+                assert cli.main(argv) == code
+                assert gc.isenabled() is enabled
+            with monkeypatch.context() as m:
+                m.setenv("DOWKER_SIZE_CAP", "5")
+                assert cli.main(["betti", "--input", src]) == 3
+                assert gc.isenabled() is enabled
+            with monkeypatch.context() as m:
+                m.setattr(cli, "betti_gf2", lying_oracle)
+                assert cli.main(["reduce", "--input", src, "--format", "toplex",
+                                 "--check-betti"]) == 2
+                assert gc.isenabled() is enabled
+            with monkeypatch.context() as m:
+                m.setattr(cli, "reduce", failing)
+                with pytest.raises(RuntimeError, match="boom"):
+                    cli.main(["reduce", "--input", src, "--format", "toplex"])
+                assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    capsys.readouterr()
+
+
+@pytest.fixture
+def collector_paused():
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("toplexes", [gen_torus_grid(20, 30), gen_sphere_uv(24, 21)],
+                         ids=["torus-20x30", "sphere-uv-24x21"])
+def test_bulk_builders_leave_no_reference_cycles(toplexes, collector_paused):
+    # main pauses the collector because what the commands build is acyclic:
+    # reference counting alone frees each builder's result and scratch
+    r = Relation.from_toplexes(toplexes)
+    rel_text, toplex_text = r.to_text(), toplexes.to_text()
+    builders = {
+        "from_text": lambda: Relation.from_text(rel_text),
+        "from_toplexes": lambda: Relation.from_toplexes(parse_toplex_file(toplex_text)),
+        "betti_gf2": lambda: betti_gf2(r, 2),
+        "enumerate_simplices": lambda: enumerate_simplices(r, 2),
+        "reduce": lambda: format_step_log(reduce(r)[2]),
+        "collapse_core": lambda: collapse_core(r),
+        "to_text": r.to_text,
+    }
+    gc.collect()
+    for name, build in builders.items():
+        build()
+        assert gc.collect() == 0, name
+
+
+def test_main_leaves_as_many_cycles_on_a_large_input_as_on_a_small_one(
+        tmp_path, capsys, collector_paused):
+    # the cycles a run leaves are argparse's parser, not the data
+    left = []
+    for m, n in ((4, 4), (40, 50)):
+        src = gen_file(tmp_path, f"t{m}.toplex", "torus", "--m", str(m), "--n", str(n))
+        gc.collect()
+        assert cli.main(["reduce", "--input", src, "--format", "toplex",
+                         "--check-betti", "--json"]) == 0
+        left.append(gc.collect())
+    assert left[0] == left[1], left
+    capsys.readouterr()
+
+
+# ----------------------------------------------------------------------
 # mutated input
 
 # a quad and a triangle
@@ -543,6 +652,32 @@ def mutate(rng, text):
     return "\n".join(lines) + "\n" * rng.randint(0, 1)
 
 
+def mutate_rel_body(rng, text):
+    """`text`, a relation with no comments, with one to three edits that keep
+    its size line true: a row line replaced by an in-range index list (out of
+    order one time in five), two row lines swapped, or two labels of one label
+    line swapped."""
+    lines = text.splitlines()
+    ncols = int(lines[0].split()[1])
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(("row", "swap", "label"))
+        if op == "row":
+            idx = rng.sample(range(ncols), rng.randint(1, min(ncols, 4)))
+            if rng.random() >= 0.2:
+                idx.sort()
+            lines[rng.randrange(3, len(lines))] = " ".join(map(str, idx))
+        elif op == "swap":
+            i, j = rng.randrange(3, len(lines)), rng.randrange(3, len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            k = rng.choice((1, 2))
+            labels = lines[k].split()
+            i, j = rng.randrange(len(labels)), rng.randrange(len(labels))
+            labels[i], labels[j] = labels[j], labels[i]
+            lines[k] = " ".join(labels)
+    return "\n".join(lines) + "\n"
+
+
 def outcome_fault(code, err, source, reduced=None):
     """Why an outcome breaks the exit-code contract, or None: exit 0; exit 1
     or 3 with an `error:` line and no traceback; exit 2 only from a reduce
@@ -568,27 +703,41 @@ def test_mutated_inputs_exit_cleanly(tmp_path, capsys):
     path, reduced = str(tmp_path / "input"), str(tmp_path / "reduced.rel")
     commands = {"reduce": ["--check-betti", "--json", "--output", reduced],
                 "betti": [], "check": []}
-    faults = []
-    exits = {}
+    texts = []
     for fmt, seeds in FUZZ_SEEDS.items():
         rng = random.Random(f"fuzz-{fmt}")
-        for _ in range(count):
-            text = mutate(rng, rng.choice(seeds))
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            for command, extra in commands.items():
-                try:
-                    code = cli.main([command, "--input", path, "--format", fmt, *extra])
-                except Exception as exc:
-                    faults.append((fmt, command, text, repr(exc)))
-                    capsys.readouterr()
-                    continue
-                err = capsys.readouterr().err
-                exits[code] = exits.get(code, 0) + 1
-                fault = outcome_fault(code, err, (path, fmt),
-                                      reduced if command == "reduce" else None)
-                if fault:
-                    faults.append((fmt, command, text, fault))
+        texts += [(fmt, mutate(rng, rng.choice(seeds))) for _ in range(count)]
+    # body edits come from their own stream, so the texts above stay the same
+    rng = random.Random("fuzz-rel-body")
+    texts += [("rel-body", mutate_rel_body(rng, rng.choice(FUZZ_SEEDS["rel"])))
+              for _ in range(count)]
+    faults = []
+    exits = {}
+    for kind, text in texts:
+        fmt = kind.split("-")[0]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for command, extra in commands.items():
+            try:
+                code = cli.main([command, "--input", path, "--format", fmt, *extra])
+            except Exception as exc:
+                faults.append((kind, command, text, repr(exc)))
+                capsys.readouterr()
+                continue
+            finally:
+                if not gc.isenabled():
+                    faults.append((kind, command, text, "collector left paused"))
+                    gc.enable()
+            err = capsys.readouterr().err
+            exits[kind, code] = exits.get((kind, code), 0) + 1
+            fault = outcome_fault(code, err, (path, fmt),
+                                  reduced if command == "reduce" else None)
+            if fault:
+                faults.append((kind, command, text, fault))
     assert not faults, faults[:3]
-    # the mutations reach both the parsers' refusals and whole runs
-    assert exits.get(0, 0) > count and exits.get(1, 0) > count
+    # the line edits reach both the parsers' refusals and whole runs, and the
+    # body edits reach whole runs more often than the line edits of .rel text
+    line_exits = {code: sum(n for (k, c), n in exits.items() if c == code and k != "rel-body")
+                  for code in (0, 1)}
+    assert line_exits[0] > count and line_exits[1] > count
+    assert exits.get(("rel-body", 0), 0) > exits.get(("rel", 0), 0), exits
