@@ -7,6 +7,12 @@ count of a `gen` fixture, worked out from its parameters before anything is
 built or written.  The environment variable DOWKER_SIZE_CAP overrides the
 cap for both; a value that is not a positive integer is a parameter error.
 
+Every command takes the relation as read, whatever its format.  The
+library's `reduce` drops the columns that are not maximal itself, so the
+`reduce` report counts the columns left; `check` reports on the relation
+as read, and the Betti numbers before a reduction come from it, as it
+spans the same complex.
+
 A command runs with CPython's cyclic garbage collector paused, and `main`
 restores the collector's state on every way out.  Nothing a command builds
 forms a reference cycle, so reference counting frees all of it, and the
@@ -80,10 +86,6 @@ def _load_relation(path, fmt):
 
 def cmd_reduce(args):
     relation = _load_relation(args.input, args.format)
-    if args.format == "rel":
-        # toplex and OFF input went through from_toplexes, which keeps only
-        # maximal toplexes
-        relation = relation.make_column_irreducible()
     for target in (args.output, args.log):
         if target:
             # a target that cannot be opened fails before the run; appending

@@ -259,15 +259,16 @@ def betti_gf2(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP):
     """
     if max_dim is not None and max_dim + 1 > size_cap:
         raise SizeCapError(f"{max_dim + 1} Betti numbers exceed cap {size_cap}")
-    cc = enumerate_simplices(toplexes, max_dim, size_cap=size_cap, canonical=False)
-    simplices = cc.simplices_by_dim
-    n = len(simplices)
+    # boundary[k] has one column per k-simplex, so the simplex lists are
+    # dropped at once: their tuples would be held through both ranks
+    boundary = enumerate_simplices(toplexes, max_dim, size_cap=size_cap, canonical=False).boundary
+    n = len(boundary)
     if max_dim is None:
         max_dim = max(n - 1, 0)
     ranks = [0] * (n + 1)
     if n > 1:
-        ranks[1] = rank_gf2(cc.boundary[1], len(simplices[0]))
+        ranks[1] = rank_gf2(boundary[1], len(boundary[0]))
     for k in range(2, n):
-        ranks[k] = _transposed_rank(cc.boundary[k], len(simplices[k - 1]))
-    betti = [len(simplices[k]) - ranks[k] - ranks[k + 1] for k in range(n)][:max_dim + 1]
+        ranks[k] = _transposed_rank(boundary[k], len(boundary[k - 1]))
+    betti = [len(boundary[k]) - ranks[k] - ranks[k + 1] for k in range(n)][:max_dim + 1]
     return tuple(betti) + (0,) * (max_dim + 1 - len(betti))

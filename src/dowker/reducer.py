@@ -75,7 +75,9 @@ class ReductionStats:
     """Per-run counters and size tracking.
 
     `_steps` records each pair test and history entry as it happens, and
-    `reduce` fills in the rest once the stream ends.  `comparison_budget` is
+    `reduce` fills in the rest once the stream ends.  The input they
+    describe is the one `reduce` runs on, after its column clean-up, so
+    `cols_before` counts only the maximal columns.  `comparison_budget` is
     the pair-test bound computed on the input; `delta_max_history` /
     `epsilon_max_history` sample the largest star vertex/toplex count over
     live vertices, once before any step and once after each step.  The
@@ -259,14 +261,15 @@ def reduction_step(r: Relation, xi: int, xj: int):
     stars is strong collapsible; this function does not re-test it, and
     applying it to a non-contractible union silently breaks the homotopy
     guarantee.  The scoped clean-up is exact only on a column-irreducible
-    input, so any other input is refused with ValueError.
+    relation, so the merge runs on `r.make_column_irreducible()`: its rows
+    are r's, in r's order, so xi and xj name the same rows, and the report
+    counts its columns.
     """
     if not (0 <= xi < r.nrows and 0 <= xj < r.nrows):
         raise ValueError("row index out of range")
     if xi == xj:
         raise ValueError("need two distinct rows")
-    if not r.is_column_irreducible():
-        raise ValueError("relation is not column irreducible")
+    r = r.make_column_irreducible()
     d = _Draft.of(r)
     report = _merge(d, xi, xj, _star_rows(d, xi), _star_rows(d, xj),
                     f"z{_fresh_z(r.row_labels)}", r.ncols)[0]
@@ -375,8 +378,10 @@ def reduce(r: Relation):
     """Run the single-pass reduction to exhaustion.
 
     Returns (reduced relation, ReductionStats, list of StepReport).  The
-    input must be column irreducible, or ValueError is raised: the merge's
-    clean-up is exact only then.  Each input row's star rows are
+    merge's clean-up is exact only on a column-irreducible relation, so the
+    run starts from `r.make_column_irreducible()`, which is r itself when
+    every column is maximal; the stats and the reports count the columns
+    of that relation.  Each input row's star rows are
     listed once, on r; the comparison budget and the stream's starting star
     sizes both come from that list, which is dropped before the stream
     starts.  `_steps` merges pairs on one mutable draft of r, whose indices
@@ -385,8 +390,7 @@ def reduce(r: Relation):
     from a copy of those stars alone, under the draft's ids.  The draft is
     frozen once, into the one relation a run builds.
     """
-    if not r.is_column_irreducible():
-        raise ValueError("relation is not column irreducible")
+    r = r.make_column_irreducible()
     stars = _stars(r)
     stats = ReductionStats(rows_before=r.nrows, cols_before=r.ncols,
                            comparison_budget=_budget(stars))

@@ -9,27 +9,29 @@ row and per column.  Row-side domination scans and column-side clean-up each
 run on their natural axis without transposing the whole matrix, and their
 cost follows the ones of the matrix, not its width.
 
-Relation values are immutable once constructed; every operation returns a new
-value, which makes sharing across threads safe without locking.  One
+No method changes a Relation once it is constructed: every operation
+returns a new value, or the relation itself when it changes nothing.  One
 function, `_freeze`, renumbers: it turns the live rows and columns of a
 relation or a draft, or only a selection of its columns, into a new value.
 Restriction and column clean-up call it on the relation itself, and clean-up
-selects the maximal columns with `_maximal`, so neither edits a draft.
-Adding a row goes through the constructor.  Removing rows edits a private
-mutable draft in place and renumbers the survivors once, when the draft is
-frozen.
+selects the maximal columns with `_maximal`, so neither edits a draft; when
+every column is maximal, clean-up returns the relation and renumbers
+nothing.  Adding a row goes through the constructor.  Removing rows edits a
+private mutable draft in place and renumbers the survivors once, when the
+draft is frozen.
 
 Two kernels remove contained sets.  `_keep_maximal` serves the columns of
 one union of two stars, which the reducer's pair test copies when the pair
 is not the apex of a cone: they are few, so one scan from the largest
 down, comparing each with the larger kept ones, needs no other
-orientation, and it tells the faces from the duplicates, the split a
-merge reports.  A merge's own clean-up (`reducer._absorbed`) tests only
-the few columns that can have become dominated.  `_dominated`, through
-`_exhaust`, serves whole relations (`_maximal`) and the collapse fixpoint
-(`_collapse`): it finds a member's supersets through the other
-orientation, so its cost follows the set sizes, not the axis length, and
-its removals keep both orientations exact as the fixpoint alternates axes.
+orientation; the pair test reads only the kept columns.  A merge's own
+clean-up (`reducer._absorbed`) tests only the few columns that can have
+become dominated, and tells the faces from the duplicates, the split a
+merge reports.  `_dominated`, through `_exhaust`, serves whole relations
+(`_maximal`) and the collapse fixpoint (`_collapse`): it finds a member's
+supersets through the other orientation, so its cost follows the set
+sizes, not the axis length, and its removals keep both orientations exact
+as the fixpoint alternates axes.
 
 The three text formats read their lines through one generator, `_lines`,
 which skips comments and numbers every line of the file.
@@ -178,7 +180,8 @@ def _keep_maximal(ids, sets):
 
 
 class Relation:
-    """Immutable binary incidence between vertices (rows) and toplexes (columns).
+    """Binary incidence between vertices (rows) and toplexes (columns); no
+    method changes it.
 
     `rows[i]` holds the ascending column indices of row i and `cols[j]` the
     ascending row indices of column j.  Invariants: labels are unique per
@@ -349,9 +352,12 @@ class Relation:
         return Relation._build(self.col_labels, self.row_labels, self.cols, self.rows)
 
     def make_column_irreducible(self):
-        """Remove columns whose row set is contained in another's; exact
-        duplicates keep the lowest column index."""
-        return _freeze(self, _maximal(self.cols, self.nrows))
+        """The relation without the columns whose row set is contained in
+        another's; exact duplicates keep the lowest column index.  Rows and
+        their order are unchanged, since a removed column lies in a kept
+        one.  When every column is maximal, the relation itself."""
+        keep = _maximal(self.cols, self.nrows)
+        return self if len(keep) == self.ncols else _freeze(self, keep)
 
     def is_column_irreducible(self):
         return len(_maximal(self.cols, self.nrows)) == self.ncols

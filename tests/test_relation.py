@@ -322,6 +322,32 @@ def test_scoped_cleanup_leaves_fan_merge_unchanged():
     assert rpp.make_column_irreducible() == rpp
 
 
+def test_cleanup_renumbers_only_when_it_removes_a_column():
+    # an irreducible relation is returned as it is; otherwise the result is
+    # a fresh relation on the same rows, in the same order, holding the
+    # columns that lie in no other and the first of equal ones
+    rng = random.Random(29)
+    for r in [Relation([], [], []), Relation.from_toplexes(gen_torus_grid(4, 5))] + [
+            random_irreducible_relation(rng) for _ in range(40)]:
+        assert r.make_column_irreducible() is r
+    reducible = 0
+    for _ in range(80):
+        r = with_repeats(rng, random_relation(rng))
+        out = r.make_column_irreducible()
+        cols = list(map(set, r.cols))
+        keep = [j for j, s in enumerate(cols)
+                if not any(s < t or (s == t and k < j) for k, t in enumerate(cols))]
+        if len(keep) == r.ncols:
+            assert out is r
+            continue
+        reducible += 1
+        pos = {j: k for k, j in enumerate(keep)}
+        assert out == Relation(r.row_labels, [r.col_labels[j] for j in keep],
+                               [[pos[c] for c in row if c in pos] for row in r.rows])
+        assert out.row_labels == r.row_labels
+    assert reducible > 40
+
+
 def test_full_cleanup_postcondition():
     rng = random.Random(19)
     for _ in range(60):
