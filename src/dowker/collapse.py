@@ -5,24 +5,16 @@ it does not change the homotopy type of the complex.  Alternating one pass of
 row removals and one of column removals (the same scan on the other axis)
 until neither removes anything yields the core.  After the first pass on each
 axis, a pass re-tests only the members whose sets the pass before it shrank
-(`relation._collapse`); the core, the whole-relation test and the reducer's
-pair test all run that one fixpoint.  `collapse_core` and the test of a
-whole relation start with the rows, from scratch; the labels the core keeps
-depend on the order.  The test of a column selection starts with the
-columns, as one scan from the largest column down that keeps the distinct
-maximal ones (`relation._keep_maximal`), and goes on rows first from there.
-That scan compares each column with every larger kept one, which suits the
-few columns of a union of two stars but not a whole relation.  A dominated
-column is a face of another toplex, so removing it leaves the complex as it
-is; a dominated row is a dominated vertex, and removing it is a strong
-collapse.  So both orders end at the complex's strong-collapse core, which
-is unique up to isomorphism (Barmak & Minian 2012), and give the same
-verdict.  When the maximal columns of a selection share a row, that row
-dominates every other one and the core is a single vertex in a single
-toplex: the complex is a cone, and the test stops there, before it copies
-any row.
+(`relation._collapse`).  The core and every strong-collapse test, of a whole
+relation or of a selection, run that one fixpoint, rows first, from
+scratch; the labels the core keeps depend on the order.  A dominated column
+is a face of another toplex, so removing it leaves the complex as it is; a
+dominated row is a dominated vertex, and removing it is a strong collapse.
+So every order of the passes ends at the complex's strong-collapse core,
+which is unique up to isomorphism (Barmak & Minian 2012), and gives the same
+verdict.
 
-Before any of that, the test tries the rows it is given as apexes, reading
+Before the fixpoint, the test tries the rows it is given as apexes, reading
 r in place (`_is_apex`): when every selected column without a row w lies,
 within the picked rows, in a selected column with w, every maximal column
 holds w, and the answer is the cone's True with nothing copied.  The
@@ -36,7 +28,7 @@ core is 1x1 is strong collapsible, hence contractible; a larger core is
 inconclusive.
 """
 
-from .relation import Relation, _collapse, _Draft, _keep_maximal
+from .relation import Relation, _collapse, _Draft
 
 
 def collapse_core(r: Relation) -> Relation:
@@ -46,8 +38,7 @@ def collapse_core(r: Relation) -> Relation:
     Betti numbers as the input.
     """
     draft = _Draft.of(r)
-    cols = range(r.ncols)
-    _collapse(draft.rows, draft.cols, set(range(r.nrows)), set(cols), set(cols))
+    _collapse(draft.rows, draft.cols, set(range(r.nrows)), set(range(r.ncols)))
     return draft.freeze()
 
 
@@ -88,21 +79,15 @@ def is_strong_collapsible(r, cols=None, rows=None, apexes=()) -> bool:
     `apexes` is tried first, with nothing copied: when every maximal
     selected column holds it (`_is_apex`), the complex is a cone on it and
     the answer is True.  The rest of the test would give the same answer,
-    since a cone's core is a single vertex and the kept columns below then
-    share that row; a row that fails, is not in `rows`, or is a dead slot
-    changes nothing.  Without `cols`, the
-    copy is collapsed rows first from scratch, as `collapse_core` does.
-    With them, the column pass is `relation._keep_maximal`, one scan of the
-    copied columns from the largest down: a column equal to a kept one, or
-    contained in a larger kept one, goes.  When the kept columns share a
-    row, the copy is a cone and the answer is True, with no row set copied.
-    Otherwise the rows' sets within the kept columns are copied and
-    collapsed rows first, going on from the column pass rather than
-    starting over; this gives the verdict rows first from scratch would
-    (see the module docstring).  True implies the complex is contractible;
-    False is inconclusive.  r is left unchanged.
+    since a cone's core is a single vertex; a row that fails, is not in
+    `rows`, or is a dead slot changes nothing.  Otherwise the selected
+    columns' row sets, and those rows' column sets within the selection,
+    are copied and collapsed rows first from scratch, as `collapse_core`
+    does, and the answer is read from the live row and column counts.
+    True implies the complex is contractible; False is inconclusive.  r is
+    left unchanged.
     """
-    if whole := cols is None:
+    if cols is None:
         cols = range(len(r.cols))
     elif cols and not 0 <= min(cols) <= max(cols) < len(r.cols):
         raise ValueError("column index out of range")
@@ -112,21 +97,10 @@ def is_strong_collapsible(r, cols=None, rows=None, apexes=()) -> bool:
     col_sets = {c: s for c in cols if (s := keep(r.cols[c]))}
     if not col_sets:
         raise ValueError("empty relation")
-    if whole:
-        # the column scan would compare each column with every larger kept
-        # one, so a whole relation goes to the fixpoint from scratch
-        cols, todo = set(col_sets), set(col_sets)
-    else:
-        kept = _keep_maximal(col_sets, col_sets)[0]
-        # a row in every kept column dominates every other row: a cone
-        if frozenset.intersection(*kept):
-            return True
-        # every kept column is maximal, so the first column pass tests only
-        # those the row pass shrinks
-        cols, todo = set(kept.values()), set()
-    rows = set().union(*map(col_sets.get, cols))
+    cols = set(col_sets)
+    rows = set().union(*col_sets.values())
     row_sets = {i: cols.intersection(r.rows[i]) for i in rows}
     # removal keeps every live row and column non-empty, so the live counts
     # are the core's shape
-    _collapse(row_sets, col_sets, rows, cols, todo)
+    _collapse(row_sets, col_sets, rows, cols)
     return len(rows) == len(cols) == 1

@@ -25,9 +25,11 @@ row in one star alone is dominated by one of the pair there, and since a
 strong-collapse core is unique up to isomorphism, leaving it out first does
 not change the verdict.  It first tries x and y as the apex of a cone,
 reading the draft in place, which answers every test that a merge follows
-on a torus with nothing copied; otherwise it copies those columns, keeps
-the maximal ones with one scan, answers when they share a row, and only
-failing that collapses the copy.
+on a torus with nothing copied; otherwise it copies those columns and
+collapses the copy.  A verdict depends only on the union of the pair's
+columns, and the draft changes only at the merge that ends a visit, so
+within one visit a partner whose union already failed is recorded as
+failing with no test run.
 
 `reduce` makes one pass and does not revisit pairs: rows the cursor has
 passed are never reconsidered, even though a later merge can make a pair that
@@ -156,9 +158,7 @@ def _pair_collapsible(d, x, y, sx, sy):
     y are tried as apexes first: when every column without x lies, within
     those rows, in a column with x, every maximal column holds x, the union
     is a cone on x, and the test ends with nothing copied (and likewise for
-    y).  Otherwise, when the maximal columns share a row, the union is a
-    cone and the test ends there; only failing that are rows copied and
-    collapsed.
+    y).  Otherwise the rows are copied and collapsed.
     """
     return is_strong_collapsible(d, d.rows[x] | d.rows[y], (sx & sy) | {x, y}, (x, y))
 
@@ -327,6 +327,15 @@ def _steps(d, stats, sizes=None):
     row count at the start, as `reduce` has them from its star pass; without
     it the pass counts them on the draft, so it can run again on a draft an
     earlier pass left, dead slots and all.
+
+    A visit keeps the frozen column unions whose test failed, and a partner
+    whose union is among them is recorded as failing, counted and listed
+    in `stats.tested_pairs` like any test, with no test run.  This is exact:
+    a verdict depends only on the union, the draft changes only at the
+    merge that ends the visit, and a success always ends it.  The first
+    failure of a visit builds the first key, so a visit that merges at its
+    first test builds none, and the set is dropped with the visit, so it
+    never holds more keys than one cursor row has partners.
     """
     # star vertex and toplex count per slot; a dead slot counts 0
     if sizes is None:
@@ -344,12 +353,18 @@ def _steps(d, stats, sizes=None):
     while cursor < len(d.rows):
         if d.rows[cursor]:
             sx = _star_rows(d, cursor)
+            failed = set()
             for j in _partners(d, cursor, sx):
-                sy = _star_rows(d, j)
-                ok = _pair_collapsible(d, cursor, j, sx, sy)
+                key = frozenset(d.rows[cursor] | d.rows[j]) if failed else None
+                if key in failed:
+                    ok = False
+                else:
+                    sy = _star_rows(d, j)
+                    ok = _pair_collapsible(d, cursor, j, sx, sy)
                 stats.contractibility_tests += 1
                 stats.tested_pairs.append((d.row_labels[cursor], d.row_labels[j], ok))
                 if not ok:
+                    failed.add(key if failed else frozenset(d.rows[cursor] | d.rows[j]))
                     continue
                 rep, both, lost = _merge(d, cursor, j, sx, sy, f"z{z}", ncols)
                 z = _successor(z)

@@ -20,18 +20,16 @@ nothing.  Adding a row goes through the constructor.  Removing rows edits a
 private mutable draft in place and renumbers the survivors once, when the
 draft is frozen.
 
-Two kernels remove contained sets.  `_keep_maximal` serves the columns of
-one union of two stars, which the reducer's pair test copies when the pair
-is not the apex of a cone: they are few, so one scan from the largest
-down, comparing each with the larger kept ones, needs no other
-orientation; the pair test reads only the kept columns.  A merge's own
-clean-up (`reducer._absorbed`) tests only the few columns that can have
-become dominated, and tells the faces from the duplicates, the split a
-merge reports.  `_dominated`, through `_exhaust`, serves whole relations
-(`_maximal`) and the collapse fixpoint (`_collapse`): it finds a member's
+One kernel removes contained sets: `_dominated`, through `_exhaust`.  It
+serves whole relations (`_maximal`) and the collapse fixpoint
+(`_collapse`), which the core and every strong-collapse test run, on a
+whole relation or on a selection of its columns.  It finds a member's
 supersets through the other orientation, so its cost follows the set
 sizes, not the axis length, and its removals keep both orientations exact
-as the fixpoint alternates axes.
+as the fixpoint alternates axes.  A merge's own clean-up
+(`reducer._absorbed`) tests only the few columns that can have become
+dominated, against the cone row's columns, and tells the faces from the
+duplicates, the split a merge reports.
 
 The three text formats read their lines through one generator, `_lines`,
 which skips comments and numbers every line of the file.
@@ -113,8 +111,7 @@ def _exhaust(live, sets_a, sets_b, todo):
     lowest index).  Members outside `live` never dominate.  `sets_b` is the
     other orientation of `sets_a`; removals go through `_drop`, so subset
     tests stay exact without compacting indices.  `_maximal` and
-    `_collapse` call it; the columns of one union of stars go through
-    `_keep_maximal` instead.
+    `_collapse` call it.
     """
     # a removal shrinks sets on axis b only, so no earlier member becomes
     # dominated, and one ascending pass removes what a fixed-set scan would
@@ -126,57 +123,27 @@ def _exhaust(live, sets_a, sets_b, todo):
     return removed
 
 
-def _collapse(row_sets, col_sets, rows, cols, cols_todo):
+def _collapse(row_sets, col_sets, rows, cols):
     """Alternate row and column domination removal, in place, until a column
     pass removes nothing; `rows` and `cols` are the live ids and keep the
-    survivors.  `collapse_core` runs it from scratch, and the pair test
-    after its column scan.
+    survivors.  `collapse_core` and every strong-collapse test run it from
+    scratch, rows first.
 
-    The first row pass tests every live row, and the first column pass the
-    columns in `cols_todo` and those the row pass shrank: a caller starting
-    from scratch passes every live column, and one whose live columns are
-    all maximal an empty set.  After that, a pass tests only the members
-    whose sets the pass just before it shrank.  A removal on one axis only
-    shrinks sets on the other, so a member whose set did not change cannot
-    have become dominated, and the same members go in the same order as
-    under full rescans.
+    The first pass on each axis tests every live member.  After that, a
+    pass tests only the members whose sets the pass just before it shrank.
+    A removal on one axis only shrinks sets on the other, so a member whose
+    set did not change cannot have become dominated, and the same members
+    go in the same order as under full rescans.
     """
-    rows_todo = rows
+    # the sets a row pass removes hold live columns only, so adding them to
+    # the first column worklist, every live column, adds nothing
+    todo_rows, todo_cols = rows, cols
     while True:
-        cols_todo.update(*_exhaust(rows, row_sets, col_sets, rows_todo))
-        removed = _exhaust(cols, col_sets, row_sets, cols_todo)
+        todo_cols.update(*_exhaust(rows, row_sets, col_sets, todo_rows))
+        removed = _exhaust(cols, col_sets, row_sets, todo_cols)
         if not removed:
             return
-        rows_todo, cols_todo = set().union(*removed), set()
-
-
-def _keep_maximal(ids, sets):
-    """The distinct maximal sets among sets[c] for c in `ids`, as a dict
-    from each frozen set to its id, with the ids of the faces (sets inside
-    a larger kept one) and of the duplicates (sets equal to a kept one).
-
-    One scan from the largest set down, in the order of `ids` within a
-    size, so of equal sets the first in `ids` is kept.  A set is tested for
-    containment only against the kept sets strictly larger than it, and for
-    equality through the dict.  `sets` is read, not changed.
-    """
-    kept, kept_sets, faces, dups = {}, [], [], []
-    size = larger = 0
-    for c in sorted(ids, key=lambda c: len(sets[c]), reverse=True):
-        s = sets[c]
-        if len(s) != size:
-            size, larger = len(s), len(kept_sets)
-        # kept_sets[:larger] are the kept sets larger than s
-        if any(map(s.issubset, kept_sets[:larger])):
-            faces.append(c)
-            continue
-        f = frozenset(s)
-        if f in kept:
-            dups.append(c)
-        else:
-            kept[f] = c
-            kept_sets.append(s)
-    return kept, faces, dups
+        todo_rows, todo_cols = set().union(*removed), set()
 
 
 class Relation:

@@ -117,6 +117,17 @@ def first_dominators(sets, candidates=None):
             for i in cands}
 
 
+def faces_and_duplicates(sets, ids):
+    """The faces and the duplicates among sets[c] for c in `ids`, by the
+    definition, in ascending id order: a face lies strictly inside another
+    of them, and a duplicate is not a face and equals one with a lower id."""
+    ids = sorted(ids)
+    faces = [c for c in ids if any(set(sets[c]) < set(sets[k]) for k in ids)]
+    dups = [c for c in ids if c not in faces
+            and any(k < c and set(sets[k]) == set(sets[c]) for k in ids)]
+    return faces, dups
+
+
 def star_rows(relation, i):
     """The rows sharing a column with row i, i included: the vertices of
     its closed star, by the definition."""

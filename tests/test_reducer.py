@@ -15,9 +15,10 @@ from dowker import collapse as collapse_module
 from dowker import relation as relation_module
 from dowker.reducer import ReductionStats, _star_rows, _steps
 from dowker.relation import _Draft
-from _util import (FAN_MERGED_DENSE, complex_of, fan_relation, first_dominators,
-                   random_irreducible_relation, random_relation, replay_and_verify,
-                   star_size_maxima, step_snapshots, verify_step_equations, with_repeats)
+from _util import (FAN_MERGED_DENSE, complex_of, faces_and_duplicates, fan_relation,
+                   first_dominators, random_irreducible_relation, random_relation,
+                   replay_and_verify, star_size_maxima, step_snapshots,
+                   verify_step_equations, with_repeats)
 
 
 # ----------------------------------------------------------------------
@@ -139,9 +140,8 @@ def test_the_stream_tests_a_prefix_of_the_candidate_list(monkeypatch):
 
 def test_pair_test_collapses_few_rows_on_a_torus(monkeypatch):
     # a union of two adjacent torus stars has about 9 rows, but only the
-    # rows in both stars and the pair itself are copied, and once the
-    # dominated columns go, the kept columns of most unions share a row, a
-    # cone, so no row is copied or collapsed at all
+    # rows in both stars and the pair itself are copied, and most unions
+    # are a cone on one of the pair, so no row is copied or collapsed at all
     handed = []
     collapse = collapse_module._collapse
     pair_test = dowker.reducer._pair_collapsible
@@ -169,72 +169,85 @@ def test_pair_test_collapses_few_rows_on_a_torus(monkeypatch):
 def test_pair_tests_on_a_torus_mostly_end_at_an_apex(monkeypatch):
     # every union of two stars that a merge follows on a torus is a cone on
     # one of the pair, so the test tries x and y as apexes and ends before
-    # the column scan copies anything; only the failing tests scan, 73 of
-    # 665 on torus 20x30 and 174 of 4965 on torus 60x80
-    scans = []
-    keep_maximal = collapse_module._keep_maximal
+    # it copies anything; only the failing tests collapse a copy, 73 of 665
+    # on torus 20x30 and 174 of 4965 on torus 60x80, and no union fails
+    # twice in one visit there, so each failing test runs its own
+    collapsed = []
+    collapse = collapse_module._collapse
 
-    def counting(ids, sets):
-        scans.append(len(ids))
-        return keep_maximal(ids, sets)
+    def counting(row_sets, col_sets, rows, cols):
+        collapsed.append(len(cols))
+        return collapse(row_sets, col_sets, rows, cols)
 
-    monkeypatch.setattr(collapse_module, "_keep_maximal", counting)
+    monkeypatch.setattr(collapse_module, "_collapse", counting)
     for m, n, share in ((20, 30, 0.12), (60, 80, 0.05)):
-        scans.clear()
+        collapsed.clear()
         stats = ReductionStats()
         steps = len(list(_steps(_Draft.of(Relation.from_toplexes(gen_torus_grid(m, n))), stats)))
-        assert len(scans) == stats.contractibility_tests - steps
-        assert len(scans) <= share * stats.contractibility_tests
+        assert len(collapsed) == stats.contractibility_tests - steps
+        assert len(collapsed) <= share * stats.contractibility_tests
 
 
-def _domination_checks_per_test(monkeypatch, r):
-    """The `_dominated` checks each pair test of one pass on r makes, and
-    the pass's stats."""
-    checks = []
-    per_test = []
-    dominated = relation_module._dominated
+def test_a_visit_reuses_the_verdict_of_a_union_that_failed(monkeypatch):
+    # every union of two stars is the whole boundary of the 21-simplex, so
+    # each cursor visit runs its first test and finds every later partner's
+    # union among those that failed: 21 visits with a partner run 21 tests
+    # of the 231 recorded, and every recorded verdict fails
+    calls = []
     pair_test = dowker.reducer._pair_collapsible
 
-    def counting(sets, other, i, within):
-        checks.append(i)
-        return dominated(sets, other, i, within)
+    def counting(d, x, y, sx, sy):
+        calls.append((x, y))
+        return pair_test(d, x, y, sx, sy)
 
-    def measured(d, x, y, sx, sy):
-        before = len(checks)
-        ok = pair_test(d, x, y, sx, sy)
-        per_test.append(len(checks) - before)
-        return ok
-
-    monkeypatch.setattr(relation_module, "_dominated", counting)
-    monkeypatch.setattr(dowker.reducer, "_pair_collapsible", measured)
+    monkeypatch.setattr(dowker.reducer, "_pair_collapsible", counting)
     stats = ReductionStats()
-    list(_steps(_Draft.of(r), stats))
-    assert len(per_test) == stats.contractibility_tests
-    return per_test, stats
+    steps = list(_steps(_Draft.of(Relation.from_toplexes(gen_simplex_boundary(20))), stats))
+    assert steps == [] and stats.contractibility_tests == 22 * 21 // 2 == 231
+    assert len(stats.tested_pairs) == 231
+    assert len(calls) == 21 and [x for x, _ in calls] == list(range(21))
+    assert not any(ok for _, _, ok in stats.tested_pairs)
 
 
-def test_pair_tests_on_a_torus_make_few_domination_checks(monkeypatch):
-    # the column pass is a scan for the maximal columns, which makes no
-    # domination check, and a cone needs none either; a fixpoint that
-    # tested every column and then every row would make about 16.6 checks
-    # per test
-    per_test, stats = _domination_checks_per_test(
-        monkeypatch, Relation.from_toplexes(gen_torus_grid(20, 30)))
-    assert stats.contractibility_tests > 500
-    assert sum(per_test) / len(per_test) <= 2
+def test_reused_verdicts_equal_the_test_on_the_relation_as_it_stood(monkeypatch):
+    # replay each pass: every recorded verdict, run or reused, must be the
+    # verdict of the union of the pair's columns on the draft as it stood at
+    # that test, and some verdicts must be reused
+    calls = []
+    pair_test = dowker.reducer._pair_collapsible
 
+    def counting(*args):
+        calls.append(args[1:3])
+        return pair_test(*args)
 
-def test_pair_tests_on_a_simplex_boundary_check_each_row_once(monkeypatch):
-    # every union of two stars is the whole boundary of the 21-simplex: its
-    # 22 columns are distinct and maximal and share no row, so each test
-    # falls back to the fixpoint.  Its row pass removes nothing and shrinks
-    # no column, so a fixpoint that goes on from the maximal columns checks
-    # each of the 22 rows once; one that started over with a column pass
-    # would check 44 members
-    per_test, stats = _domination_checks_per_test(
-        monkeypatch, Relation.from_toplexes(gen_simplex_boundary(20)))
-    assert stats.steps_applied == 0 and stats.contractibility_tests == 22 * 21 // 2
-    assert max(per_test) <= 22
+    monkeypatch.setattr(dowker.reducer, "_pair_collapsible", counting)
+    rng = random.Random(181)
+    inputs = [random_irreducible_relation(rng) for _ in range(300)]
+    inputs += [with_repeats(rng, random_irreducible_relation(rng)) for _ in range(100)]
+    tests = 0
+    for r in inputs:
+        r = r.make_column_irreducible()
+        d = _Draft.of(r)
+        stats = ReductionStats()
+        stream = _steps(d, stats)
+        seen = 0
+        while True:
+            # the draft only changes at a merge, which is the last test
+            # recorded before the stream yields
+            state = _Draft.of(d)
+            rep = next(stream, None)
+            new = stats.tested_pairs[seen:]
+            for n, (a, b, ok) in enumerate(new):
+                x, y = state.row_labels.index(a), state.row_labels.index(b)
+                assert is_strong_collapsible(state, state.rows[x] | state.rows[y]) == ok
+                assert ok == (rep is not None and n == len(new) - 1)
+            seen += len(new)
+            if rep is None:
+                break
+        tests += stats.contractibility_tests
+    hits = tests - len(calls)
+    # 487 of 4102 tests reuse a verdict
+    assert hits > 400 and tests > 4000
 
 
 @pytest.mark.parametrize("toplexes, dups, faces", [
@@ -275,15 +288,13 @@ def test_a_merge_makes_no_domination_check(monkeypatch, toplexes, dups, faces):
 def test_merge_clean_up_matches_the_scan_of_every_cone_column(monkeypatch):
     # the merge tests only the cone row's columns whose other rows lie in
     # both stars; at every step it must find the faces and the duplicates
-    # that a scan of all the cone row's columns for the maximal ones finds
+    # that the definition finds among all the cone row's columns
     absorbed = dowker.reducer._absorbed
     found = {"calls": 0, "faces": 0, "dups": 0}
 
     def checking(cols, union, inner):
         faces, dups = absorbed(cols, union, inner)
-        _, want_faces, want_dups = relation_module._keep_maximal(sorted(union), cols)
-        assert sorted(faces) == sorted(want_faces)
-        assert sorted(dups) == sorted(want_dups)
+        assert (sorted(faces), sorted(dups)) == faces_and_duplicates(cols, union)
         found["calls"] += 1
         found["faces"] += len(faces)
         found["dups"] += len(dups)

@@ -6,10 +6,11 @@ import pytest
 
 from dowker import ParseError, Relation, ToplexList, gen_torus_grid, reduction_step
 from dowker import relation as relation_module
+from dowker.reducer import _absorbed
 from _util import (FAN_DENSE, FAN_MERGED_DENSE, FAN_STAR_DENSE, FAN_TOPLEXES,
-                   closed_star, complex_of, fan_relation, first_dominators,
-                   random_irreducible_relation, random_relation, random_toplex_list,
-                   with_repeats)
+                   closed_star, complex_of, faces_and_duplicates, fan_relation,
+                   first_dominators, random_irreducible_relation, random_relation,
+                   random_toplex_list, with_repeats)
 
 
 # ----------------------------------------------------------------------
@@ -395,46 +396,18 @@ def test_column_cleanup_matches_pairwise_reference():
                 assert out.is_column_irreducible()
             else:
                 # the scoped clean-up, as a merge runs it: only members of
-                # `restrict` are compared, and those that go are dropped
-                # from a draft
+                # `restrict` are compared, here with every row inside, and
+                # those that go are dropped from a draft
                 d = relation_module._Draft.of(r)
-                keep, faces, dups = relation_module._keep_maximal(sorted(restrict), d.cols)
-                assert set(keep.values()) == {j for j in restrict if dom[j] is None}
-                assert_maximal_split(d.cols, restrict, keep, faces, dups)
+                faces, dups = _absorbed(d.cols, restrict, set(range(r.nrows)))
+                assert sorted(faces + dups) == sorted(j for j in restrict if dom[j] is not None)
+                assert (sorted(faces), sorted(dups)) == faces_and_duplicates(d.cols, restrict)
                 for c in faces + dups:
                     relation_module._drop(d.cols, d.rows, c)
                 out = d.freeze()
             assert out == Relation(r.row_labels, [r.col_labels[j] for j in kept],
                                    [[pos[c] for c in r.row(i) if c in pos]
                                     for i in range(r.nrows)])
-
-
-def assert_maximal_split(sets, ids, keep, faces, dups):
-    """`_keep_maximal`'s split of `ids`, by the definition: every id is
-    kept, a face or a duplicate, once; each kept set is its own key and in
-    no other kept set; a duplicate equals a kept set and lies in no larger
-    one; a face lies strictly inside a kept set."""
-    assert sorted([*keep.values(), *faces, *dups]) == sorted(ids)
-    kept = [set(s) for s in keep]
-    assert all(keep[frozenset(sets[c])] == c for c in keep.values())
-    assert not any(a < b for a in kept for b in kept)
-    for c in dups:
-        assert frozenset(sets[c]) in keep
-        assert not any(set(sets[c]) < k for k in kept)
-    for c in faces:
-        assert any(set(sets[c]) < k for k in kept)
-
-
-def test_keep_maximal_splits_faces_from_duplicates():
-    # columns 1 and 3 are equal and both lie inside column 2, so both are
-    # faces; columns 0 and 4 are equal and maximal, so 4 is a duplicate
-    sets = [{0, 1, 2}, {3}, {3, 4}, {3}, {0, 1, 2}, {4}]
-    keep, faces, dups = relation_module._keep_maximal(range(6), sets)
-    assert keep == {frozenset({0, 1, 2}): 0, frozenset({3, 4}): 2}
-    assert sorted(faces) == [1, 3, 5] and dups == [4]
-    assert_maximal_split(sets, range(6), keep, faces, dups)
-    # within a size, the first id in the given order is kept
-    assert relation_module._keep_maximal([4, 0], sets) == ({frozenset({0, 1, 2}): 4}, [], [0])
 
 
 def test_column_clean_up_copies_no_draft(monkeypatch):
