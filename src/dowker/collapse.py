@@ -91,8 +91,9 @@ def is_strong_collapsible(r, cols=None, rows=None, apexes=()) -> bool:
         cols = range(len(r.cols))
     elif cols and not 0 <= min(cols) <= max(cols) < len(r.cols):
         raise ValueError("column index out of range")
-    if any(_is_apex(r, cols, rows, w) for w in apexes):
-        return True
+    for w in apexes:
+        if _is_apex(r, cols, rows, w):
+            return True
     keep = set if rows is None else rows.intersection
     col_sets = {c: s for c in cols if (s := keep(r.cols[c]))}
     if not col_sets:

@@ -8,28 +8,29 @@ by one fresh cone vertex whose row is the union of the two rows.  Columns
 that became duplicated or absorbed by the merge are cleaned up immediately;
 only the new row's columns can be affected, only by each other, and only
 those whose other rows lie in both merged rows' stars, so the clean-up
-compares those few with the new row's columns (`_absorbed`).  Each step
-removes two rows and adds one, preserving the mod-2 Betti numbers whenever
-the tested subcomplex really was contractible.
+compares each of those few with the new row's columns in one pass
+(`_absorbed`).  Each step removes two rows and adds one, preserving the
+mod-2 Betti numbers whenever the tested subcomplex really was contractible.
 
 All of this edits one mutable working draft.  The pass is a stream,
 `_steps`: it merges pairs on the draft in place and yields each step's report
 once its merge is applied; `reduce` runs it to the end and builds one
 relation, the result.  Each input row's star rows are listed once, for the
 comparison budget and the starting star sizes.  Each cursor row's star rows
-and each partner's are built once per visit and shared by the pair test and
-the merge, and the two-hop partners are listed only once every one-hop test
-has failed.  The pair test reads, keyed by the draft's own ids, the two
-rows' columns restricted to the rows in both stars and the pair itself: a
-row in one star alone is dominated by one of the pair there, and since a
-strong-collapse core is unique up to isomorphism, leaving it out first does
-not change the verdict.  It first tries x and y as the apex of a cone,
-reading the draft in place, which answers every test that a merge follows
-on a torus with nothing copied; otherwise it copies those columns and
-collapses the copy.  A verdict depends only on the union of the pair's
+and each partner's are built once per visit, and each test builds the
+pair's column union and the rows in both stars once; the pair test and the
+merge share them all.  The two-hop partners are listed only once every
+one-hop test has failed.  The pair test reads, keyed by the draft's own ids,
+the two rows' columns restricted to the rows in both stars and the pair
+itself: a row in one star alone is dominated by one of the pair there, and
+since a strong-collapse core is unique up to isomorphism, leaving it out
+first does not change the verdict.  It first tries x and y as the apex of a
+cone, reading the draft in place, which answers every test that a merge
+follows on a torus with nothing copied; otherwise it copies those columns
+and collapses the copy.  A verdict depends only on the union of the pair's
 columns, and the draft changes only at the merge that ends a visit, so
-within one visit a partner whose union already failed is recorded as
-failing with no test run.
+within one visit a partner whose union already failed is recorded as failing
+with no test run.
 
 `reduce` makes one pass and does not revisit pairs: rows the cursor has
 passed are never reconsidered, even though a later merge can make a pair that
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .collapse import is_strong_collapsible
 from .relation import Relation, _Draft, _drop
@@ -48,9 +50,8 @@ from .relation import Relation, _Draft, _drop
 _Z_LABEL = re.compile(r"^z([0-9]+)$")
 
 
-@dataclass(frozen=True)
-class StepReport:
-    """Bookkeeping for one pair merge.
+class StepReport(NamedTuple):
+    """Bookkeeping for one pair merge, as an immutable named tuple.
 
     `delta_z` is the vertex count of the whole union of the merged rows'
     closed stars, `len(star_i | star_j)`; the pair test keeps only the
@@ -145,10 +146,10 @@ def candidate_vertices(r: Relation, x: int):
     return list(_partners(r, x, _star_rows(r, x)))
 
 
-def _pair_collapsible(d, x, y, sx, sy):
-    """Whether the union of the closed stars of rows x and y of draft `d`,
-    whose star rows are `sx` and `sy`, is strong collapsible; `d` is left
-    unchanged.
+def _pair_collapsible(d, x, y, union, common):
+    """Whether the union of the closed stars of rows x and y of draft `d`
+    is strong collapsible, given the union of their columns `union` and the
+    rows `common` in both their stars; `d` is left unchanged.
 
     `is_strong_collapsible` tests the columns of x and y with only the rows
     in both stars, and x and y, kept.  A row in the star of x alone lies,
@@ -160,7 +161,7 @@ def _pair_collapsible(d, x, y, sx, sy):
     is a cone on x, and the test ends with nothing copied (and likewise for
     y).  Otherwise the rows are copied and collapsed.
     """
-    return is_strong_collapsible(d, d.rows[x] | d.rows[y], (sx & sy) | {x, y}, (x, y))
+    return is_strong_collapsible(d, union, common | {x, y}, (x, y))
 
 
 def _budget(stars):
@@ -206,50 +207,62 @@ def _absorbed(cols, union, inner):
     """The faces and the duplicates among the columns `union` of `cols`,
     testing only those that lie within the row set `inner`: a face lies in
     a larger column of `union`, and a duplicate that is not a face equals
-    one with a lower id.  `cols` is read, not changed."""
+    one with a lower id.  One pass over `union` per tested column stops at
+    the first larger superset and notes on the way whether an equal column
+    has a lower id.  `cols` is read, not changed."""
     faces, dups = [], []
     for c in union:
         s = cols[c]
         if s <= inner:
-            sups = [k for k in union if k != c and s <= cols[k]]
-            if any(len(cols[k]) > len(s) for k in sups):
-                faces.append(c)
-            elif any(k < c for k in sups):
-                dups.append(c)
+            n = len(s)
+            dup = False
+            for k in union:
+                if k != c and s <= cols[k]:
+                    if len(cols[k]) > n:
+                        faces.append(c)
+                        break
+                    if k < c:
+                        dup = True
+            else:
+                if dup:
+                    dups.append(c)
     return faces, dups
 
 
-def _merge(d, xi, xj, star_i, star_j, z, ncols):
+def _merge(d, xi, xj, union, star_i, star_j, common, z, ncols):
     """Replace rows xi and xj of draft `d`, whose star rows are `star_i` and
-    `star_j`, by the cone row `z`, in place.
+    `star_j`, by the cone row `z`, in place.  `union` is the union of the
+    two rows' columns and `common` is `star_i & star_j`, both as the pair
+    test had them.
 
-    The cone row takes the next index and the union of the two rows'
-    columns.  Columns among those that the merge made dominated are dropped;
-    nothing else can be affected.  `ncols` is the draft's live column count
-    before the merge.  Returns the step's StepReport, the rows other than the
-    pair in both merged rows' stars, and the set of rows other than the cone
-    row that the clean-up removed a column from.
+    The cone row takes the next index and the columns `union`.  Columns
+    among those that the merge made dominated are dropped; nothing else can
+    be affected.  `ncols` is the draft's live column count before the
+    merge.  Returns the step's StepReport, the rows other than the pair in
+    both merged rows' stars, and the set of rows other than the cone row
+    that the clean-up removed a column from.
 
     The clean-up, `_absorbed`, tests only the cone row's columns whose other
-    rows all lie in both stars, each against the cone row's columns.  On a
-    column-irreducible draft that is exact.  A column without the cone row
-    is unchanged, so it lies in no other.  A column C with it can lie only
-    in a column D with it.  If C's members of the pair were among D's, C
-    would have lain in D before the merge; so C held one of the pair that D
-    lacks, D held the other, and C's other rows lie in both stars.  A face
-    lies in a larger column, and of equal columns the lowest id stays.
+    rows all lie in both stars, each in one pass over the cone row's
+    columns.  On a column-irreducible draft that is exact.  A column without
+    the cone row is unchanged, so it lies in no other.  A column C with it
+    can lie only in a column D with it.  If C's members of the pair were
+    among D's, C would have lain in D before the merge; so C held one of the
+    pair that D lacks, D held the other, and C's other rows lie in both
+    stars.  A face lies in a larger column, and of equal columns the lowest
+    id stays.
     """
-    union = d.rows[xi] | d.rows[xj]
     pair = (d.row_labels[xi], d.row_labels[xj])
     _drop(d.rows, d.cols, xi)
     _drop(d.rows, d.cols, xj)
     zi = d.add_row(z, union)
-    both = (star_i & star_j) - {xi, xj}
+    both = common - {xi, xj}
     faces, dups = _absorbed(d.cols, union, both | {zi})
     gone = [_drop(d.cols, d.rows, c) for c in faces + dups]
     rep = StepReport(pair=pair, z_label=z,
                      faces_absorbed=len(faces), duplicates_merged=len(dups),
-                     delta_z=len(star_i | star_j), epsilon_z=len(d.rows[zi]),
+                     delta_z=len(star_i) + len(star_j) - len(common),
+                     epsilon_z=len(d.rows[zi]),
                      cols_before=ncols, cols_after=ncols - len(gone))
     return rep, both, set().union(*gone) - {zi}
 
@@ -271,7 +284,8 @@ def reduction_step(r: Relation, xi: int, xj: int):
         raise ValueError("need two distinct rows")
     r = r.make_column_irreducible()
     d = _Draft.of(r)
-    report = _merge(d, xi, xj, _star_rows(d, xi), _star_rows(d, xj),
+    sx, sy = _star_rows(d, xi), _star_rows(d, xj)
+    report = _merge(d, xi, xj, d.rows[xi] | d.rows[xj], sx, sy, sx & sy,
                     f"z{_fresh_z(r.row_labels)}", r.ncols)[0]
     return d.freeze(), report
 
@@ -281,7 +295,8 @@ class _RunningMax:
 
     `count[v]` is the number of slots holding v.  `top` rises to a larger
     value at once and, only when no slot holds it any more, walks down past
-    values that no slot holds, so no update rescans the slots.
+    values that no slot holds, so no update rescans the slots.  `merge`
+    makes a pair merge's three updates in one call.
     """
 
     def __init__(self, values):
@@ -306,10 +321,31 @@ class _RunningMax:
         if v > self.top:
             self.top = v
         elif old == self.top and not count[old]:
-            top = old
-            while top and not count[top]:
-                top -= 1
-            self.top = top
+            self._walk_down()
+
+    def merge(self, i, j, v):
+        """Give slots i and j the value 0 and the next new slot the value v,
+        as three calls of `set` would."""
+        values, count = self.values, self.count
+        count[values[i]] -= 1
+        count[values[j]] -= 1
+        values[i] = values[j] = 0
+        count[0] += 2
+        values.append(v)
+        if v >= len(count):
+            count.extend([0] * (v + 1 - len(count)))
+        count[v] += 1
+        if v > self.top:
+            self.top = v
+        elif not count[self.top]:
+            self._walk_down()
+
+    def _walk_down(self):
+        """Lower `top`, which no slot holds, to the largest value one does."""
+        count, top = self.count, self.top
+        while top and not count[top]:
+            top -= 1
+        self.top = top
 
 
 def _steps(d, stats, sizes=None):
@@ -318,8 +354,9 @@ def _steps(d, stats, sizes=None):
 
     The cursor walks the slots in ascending order.  At a live slot it builds
     the cursor row's star rows once and tests the partners `_partners` gives
-    in turn, building each partner's star rows once; the pair test and the
-    merge both use those two sets.  On the first success the pair is merged,
+    in turn, building each partner's star rows, the pair's column union and
+    the rows in both stars once; the failed-union key, the pair test and
+    the merge share them.  On the first success the pair is merged,
     which leaves the cursor's slot dead, and the cursor moves on, as it does
     when every test fails; a dead slot is passed over, and a cone row is
     processed when the cursor reaches it.  Each test and each star-size
@@ -355,29 +392,28 @@ def _steps(d, stats, sizes=None):
             sx = _star_rows(d, cursor)
             failed = set()
             for j in _partners(d, cursor, sx):
-                key = frozenset(d.rows[cursor] | d.rows[j]) if failed else None
+                union = d.rows[cursor] | d.rows[j]
+                key = frozenset(union) if failed else None
                 if key in failed:
                     ok = False
                 else:
                     sy = _star_rows(d, j)
-                    ok = _pair_collapsible(d, cursor, j, sx, sy)
+                    common = sx & sy
+                    ok = _pair_collapsible(d, cursor, j, union, common)
                 stats.contractibility_tests += 1
                 stats.tested_pairs.append((d.row_labels[cursor], d.row_labels[j], ok))
                 if not ok:
-                    failed.add(key if failed else frozenset(d.rows[cursor] | d.rows[j]))
+                    failed.add(key if failed else frozenset(union))
                     continue
-                rep, both, lost = _merge(d, cursor, j, sx, sy, f"z{z}", ncols)
+                rep, both, lost = _merge(d, cursor, j, union, sx, sy, common, f"z{z}", ncols)
                 z = _successor(z)
                 ncols = rep.cols_after
-                for k in (cursor, j):
-                    delta.set(k, 0)
-                    epsilon.set(k, 0)
-                # the step equations: the cone row's counts are the report's,
-                # a row whose star held both merged rows loses one star
-                # vertex, a row that lost columns to the clean-up holds the
-                # rest, and no other count changes
-                delta.set(len(d.rows) - 1, rep.delta_z - 1)
-                epsilon.set(len(d.rows) - 1, rep.epsilon_z)
+                # the step equations: the merged slots go dead, the cone
+                # row's counts are the report's, a row whose star held both
+                # merged rows loses one star vertex, a row that lost columns
+                # to the clean-up holds the rest, and no other count changes
+                delta.merge(cursor, j, rep.delta_z - 1)
+                epsilon.merge(cursor, j, rep.epsilon_z)
                 for k in both:
                     delta.set(k, delta.values[k] - 1)
                 for k in lost:

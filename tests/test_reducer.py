@@ -1,6 +1,5 @@
 """The pair-merge reducer: candidates, steps, the full pass, and the audit."""
 
-import dataclasses
 import random
 from itertools import islice
 
@@ -13,7 +12,7 @@ from dowker import (Relation, betti_gf2, candidate_vertices, comparison_budget,
 import dowker.reducer
 from dowker import collapse as collapse_module
 from dowker import relation as relation_module
-from dowker.reducer import ReductionStats, _star_rows, _steps
+from dowker.reducer import ReductionStats, StepReport, _star_rows, _steps
 from dowker.relation import _Draft
 from _util import (FAN_MERGED_DENSE, complex_of, faces_and_duplicates, fan_relation,
                    first_dominators, random_irreducible_relation, random_relation,
@@ -75,7 +74,8 @@ def test_pair_test_matches_the_test_of_the_union_of_stars():
             for y in live:
                 if x == y:
                     continue
-                got = pair_test(d, x, y, _star_rows(d, x), _star_rows(d, y))
+                got = pair_test(d, x, y, d.rows[x] | d.rows[y],
+                                _star_rows(d, x) & _star_rows(d, y))
                 assert got == is_strong_collapsible(d, d.rows[x] | d.rows[y])
                 verdicts.add(got)
         assert ([set(row) for row in d.rows], [set(col) for col in d.cols]) == before
@@ -503,9 +503,21 @@ def test_audit_rejects_tampered_reports():
     assert verify_step_equations(r, out, rep)
     for field, delta in [("delta_z", 1), ("epsilon_z", -1),
                          ("faces_absorbed", 1), ("cols_after", 1)]:
-        bad = dataclasses.replace(rep, **{field: getattr(rep, field) + delta})
+        bad = rep._replace(**{field: getattr(rep, field) + delta})
         assert not verify_step_equations(r, out, bad)
-    assert not verify_step_equations(r, out, dataclasses.replace(rep, pair=("x1", "x2")))
+    assert not verify_step_equations(r, out, rep._replace(pair=("x1", "x2")))
+
+
+def test_step_reports_are_immutable_with_named_fields_in_order():
+    out, rep = reduction_step(fan_relation(), 2, 3)
+    fields = ("pair", "z_label", "faces_absorbed", "duplicates_merged",
+              "delta_z", "epsilon_z", "cols_before", "cols_after")
+    assert StepReport._fields == fields
+    assert repr(rep) == "StepReport(" + ", ".join(
+        f"{f}={getattr(rep, f)!r}" for f in fields) + ")"
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(rep, f, getattr(rep, f))
 
 
 # ----------------------------------------------------------------------
@@ -740,6 +752,30 @@ def test_star_sizes_per_slot_match_a_recount(monkeypatch):
                 steps += 1
             r = after
     assert steps > 1000
+
+
+def test_running_max_merge_walks_down_past_the_merged_top():
+    # `merge` must leave what three calls of `set` leave; in the first
+    # cases the merged pair held the only slots with the top value, so `top`
+    # walks down, past values no slot holds, to the largest one left
+    running_max = dowker.reducer._RunningMax
+    cases = [([7, 2, 7, 0, 3], 0, 2, 1, 3), ([7, 2, 7], 2, 0, 0, 2),
+             ([7, 7], 0, 1, 0, 0), ([7, 2, 7, 0, 3], 0, 2, 5, 5),
+             ([7, 2, 7], 0, 2, 9, 9), ([7, 2, 7, 7], 0, 2, 1, 7)]
+    rng = random.Random(211)
+    for _ in range(300):
+        values = [rng.randint(0, 6) for _ in range(rng.randint(2, 8))]
+        i, j = rng.sample(range(len(values)), 2)
+        v = rng.randint(0, 9)
+        rest = [x for k, x in enumerate(values) if k not in (i, j)]
+        cases.append((values, i, j, v, max(rest + [v])))
+    for values, i, j, v, top in cases:
+        merged, stepped = running_max(values), running_max(values)
+        merged.merge(i, j, v)
+        for k, value in ((i, 0), (j, 0), (len(values), v)):
+            stepped.set(k, value)
+        assert merged.top == stepped.top == top
+        assert (merged.values, merged.count) == (stepped.values, stepped.count)
 
 
 def test_history_upkeep_does_not_grow_with_row_count(monkeypatch):
