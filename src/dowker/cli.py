@@ -141,8 +141,11 @@ def cmd_reduce(args):
 
 
 def cmd_betti(args):
-    relation = _load_relation(args.input, args.format)
-    betti = betti_gf2(relation, args.max_dim, size_cap=_size_cap())
+    # no local name holds the relation, so betti_gf2 can free its labels and
+    # rows before ranking (from CPython 3.11; 3.10 keeps a call's arguments
+    # on the caller's stack until it returns)
+    betti = betti_gf2(_load_relation(args.input, args.format), args.max_dim,
+                      size_cap=_size_cap())
     print(_numbers(betti))
     return 0
 

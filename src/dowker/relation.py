@@ -382,7 +382,7 @@ class Relation:
             if not raw.strip():
                 raise ParseError("empty row", line=n)
             try:
-                idx = list(map(int, raw.split()))
+                idx = tuple(map(int, raw.split()))
             except ValueError:
                 raise ParseError("row line must list column indices", line=n) from None
             if not (all(map(lt, idx, idx[1:])) and 0 <= idx[0] and idx[-1] < ncols):
@@ -398,8 +398,12 @@ class Relation:
             raise ParseError("duplicate row labels")
         if len(set(col_labels)) != ncols:
             raise ParseError("duplicate column labels")
+        cols = _other_axis(rows, ncols)
+        # one column at a time, so no column is held as a list and a tuple
+        for j, c in enumerate(cols):
+            cols[j] = tuple(c)
         try:
-            return cls._build(row_labels, col_labels, rows, _other_axis(rows, ncols))
+            return cls._build(row_labels, col_labels, rows, cols)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
 

@@ -1,6 +1,8 @@
 """The GF(2) homology oracle: enumeration, boundary maps, rank, Betti."""
 
 import random
+import sys
+import weakref
 from itertools import chain, combinations, product
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from dowker import (Relation, SizeCapError, ToplexList, betti_gf2,
                     enumerate_simplices, gen_simplex_boundary, gen_sphere_cube,
                     gen_sphere_uv, gen_torus_grid, rank_gf2)
-from dowker import homology
+from dowker import cli, homology
 from dowker.relation import _other_axis
 from _util import (FAN_TOPLEXES, betti_dense_reference, fan_relation,
                    random_relation, random_toplex_list, rank_by_rowspace,
@@ -143,7 +145,9 @@ def test_transposed_rank_matches_rank_of_the_transpose():
                 n, m = len(levels[k - 1]), len(levels[k])
                 transpose = _other_axis(cc.boundary[k], n)
                 heavy += any(len(col) > 2 for col in transpose)
-                assert (homology._transposed_rank(cc.boundary[k], n)
+                # the columns as a list, and as a one-pass stream with its count
+                assert (homology._transposed_rank(cc.boundary[k], m, n)
+                        == homology._transposed_rank((c for c in cc.boundary[k]), m, n)
                         == rank_gf2(transpose, m))
     assert heavy > 100
 
@@ -271,6 +275,83 @@ def test_betti_ranks_the_listing_order(monkeypatch):
     assert betti_gf2(torus) == (1, 2, 1)
     assert betti_gf2(Relation.from_toplexes(torus), 3) == (1, 2, 1, 0)
     assert calls == [False, False]
+
+
+def test_betti_never_reads_the_boundary_lists(monkeypatch):
+    def refuse(self):
+        raise AssertionError("betti_gf2 read ChainComplexGF2.boundary")
+
+    monkeypatch.setattr(homology.ChainComplexGF2, "boundary", property(refuse))
+    assert betti_gf2(gen_torus_grid(4, 5)) == (1, 2, 1)
+    assert betti_gf2(Relation.from_toplexes(gen_torus_grid(4, 5)), 3) == (1, 2, 1, 0)
+    assert betti_gf2(gen_sphere_uv(6, 5)) == (1, 0, 1)
+    assert betti_gf2(fan_relation(), 2) == (1, 2, 0)
+    rng = random.Random(79)
+    for _ in range(40):
+        r = random_relation(rng)
+        assert betti_gf2(r, 3) == betti_dense_reference(r.toplexes(), 3)
+
+
+class Label:
+    """A row label that can be weakly referenced, which a Relation cannot."""
+
+
+def torus_with_weak_labels(refs):
+    """A 4 x 5 torus relation whose row labels are `Label`s, with a weak
+    reference to each appended to `refs`; nothing else holds the labels."""
+    torus = Relation.from_toplexes(gen_torus_grid(4, 5))
+    labels = [Label() for _ in range(torus.nrows)]
+    refs.extend(map(weakref.ref, labels))
+    return Relation(labels, torus.col_labels, torus.rows)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.10 keeps a call's arguments on the caller's stack")
+def test_betti_releases_a_relation_no_one_else_holds_before_ranking(
+        monkeypatch, tmp_path, capsys):
+    # the labels die with the relation, whose rows and labels the ranks never
+    # read: by the first rank they are gone, from the library and the CLI
+    refs = []
+    released = []
+    real = homology.rank_gf2
+
+    def recording(columns, n):
+        released.append(all(ref() is None for ref in refs))
+        return real(columns, n)
+
+    monkeypatch.setattr(homology, "rank_gf2", recording)
+    # a plain call: pytest keeps the parts of an assert statement alive
+    betti = betti_gf2(torus_with_weak_labels(refs))
+    assert betti == (1, 2, 1) and refs and released[0]
+    del refs[:], released[:]
+    monkeypatch.setattr(cli, "_load_relation", lambda path, fmt: torus_with_weak_labels(refs))
+    assert cli.main(["betti", "--input", str(tmp_path / "unread")]) == 0
+    assert capsys.readouterr().out == "1 2 1\n" and refs and released[0]
+
+
+def test_top_level_is_the_relations_own_column_tuples():
+    # on relations with repeated columns and toplexes of mixed sizes, the
+    # level at the largest toplex's dimension holds the column tuples
+    # themselves (the first of equal ones), in the order and with the values
+    # that listing each toplex's faces by `combinations` gives
+    rng = random.Random(83)
+    mixed = 0
+    for _ in range(200):
+        r = with_repeats(rng, random_relation(rng))
+        size = max(map(len, r.cols))
+        if size == 1:
+            # the vertex level is listed from the count
+            continue
+        mixed += len(set(map(len, r.cols))) > 1
+        first = {}
+        for c in r.cols:
+            first.setdefault(c, c)
+        faces = list(dict.fromkeys(chain.from_iterable(combinations(c, size) for c in r.cols)))
+        for canonical, expect in ((False, faces), (True, sorted(faces))):
+            level = enumerate_simplices(r, canonical=canonical).simplices_by_dim[-1]
+            assert level == expect
+            assert all(s is first[s] for s in level)
+    assert mixed > 50
 
 
 def test_unused_names_in_an_explicit_order_are_not_vertices():
