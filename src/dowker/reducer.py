@@ -291,12 +291,14 @@ def reduction_step(r: Relation, xi: int, xj: int):
 
 
 class _RunningMax:
-    """The maximum of a per-slot value list under point updates.
+    """The maximum of a per-slot value list under the two updates a merge
+    makes.
 
-    `count[v]` is the number of slots holding v.  `top` rises to a larger
-    value at once and, only when no slot holds it any more, walks down past
-    values that no slot holds, so no update rescans the slots.  `merge`
-    makes a pair merge's three updates in one call.
+    `count[v]` is the number of slots holding v.  `lower` lowers one slot's
+    value, and only when that slot was the last one holding `top` does `top`
+    walk down, past values that no slot holds, to the largest one left;
+    `push` opens the next slot, and `top` rises to its value at once.  No
+    update rescans the slots.
     """
 
     def __init__(self, values):
@@ -306,46 +308,26 @@ class _RunningMax:
             self.count[v] += 1
         self.top = len(self.count) - 1
 
-    def set(self, k, v):
-        """Give slot k the value v; k may be the next new slot."""
-        values, count = self.values, self.count
-        if k == len(values):
-            values.append(0)
-            count[0] += 1
-        old = values[k]
+    def lower(self, k, v):
+        """Give slot k, which holds more than v, the value v."""
+        count = self.count
+        old = self.values[k]
+        self.values[k] = v
         count[old] -= 1
-        if v >= len(count):
-            count.extend([0] * (v + 1 - len(count)))
         count[v] += 1
-        values[k] = v
+        if old == self.top and not count[old]:
+            while not count[old]:
+                old -= 1
+            self.top = old
+
+    def push(self, v):
+        """Open the next slot with the value v."""
+        self.values.append(v)
+        if v >= len(self.count):
+            self.count.extend([0] * (v + 1 - len(self.count)))
+        self.count[v] += 1
         if v > self.top:
             self.top = v
-        elif old == self.top and not count[old]:
-            self._walk_down()
-
-    def merge(self, i, j, v):
-        """Give slots i and j the value 0 and the next new slot the value v,
-        as three calls of `set` would."""
-        values, count = self.values, self.count
-        count[values[i]] -= 1
-        count[values[j]] -= 1
-        values[i] = values[j] = 0
-        count[0] += 2
-        values.append(v)
-        if v >= len(count):
-            count.extend([0] * (v + 1 - len(count)))
-        count[v] += 1
-        if v > self.top:
-            self.top = v
-        elif not count[self.top]:
-            self._walk_down()
-
-    def _walk_down(self):
-        """Lower `top`, which no slot holds, to the largest value one does."""
-        count, top = self.count, self.top
-        while top and not count[top]:
-            top -= 1
-        self.top = top
 
 
 def _steps(d, stats, sizes=None):
@@ -412,12 +394,14 @@ def _steps(d, stats, sizes=None):
                 # row's counts are the report's, a row whose star held both
                 # merged rows loses one star vertex, a row that lost columns
                 # to the clean-up holds the rest, and no other count changes
-                delta.merge(cursor, j, rep.delta_z - 1)
-                epsilon.merge(cursor, j, rep.epsilon_z)
+                for m, v in ((delta, rep.delta_z - 1), (epsilon, rep.epsilon_z)):
+                    m.lower(cursor, 0)
+                    m.lower(j, 0)
+                    m.push(v)
                 for k in both:
-                    delta.set(k, delta.values[k] - 1)
+                    delta.lower(k, delta.values[k] - 1)
                 for k in lost:
-                    epsilon.set(k, len(d.rows[k]))
+                    epsilon.lower(k, len(d.rows[k]))
                 stats.delta_max_history.append(delta.top)
                 stats.epsilon_max_history.append(epsilon.top)
                 yield rep

@@ -453,6 +453,18 @@ def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("usage: dowker")
 
 
+@pytest.mark.parametrize("name,text,argv,message", [
+    ("t.toplex", "a b\n", ["betti", "--max-dim", "-1"], "max_dim must be >= 0"),
+    ("t.toplex", "a b\n", ["reduce", "--format", "toplex", "--check-betti", "--max-dim", "-1"],
+     "max_dim must be >= 0"),
+    ("n.off", "OFF\n-3 1\n", ["betti", "--format", "off"], "line 2: negative count"),
+], ids=["betti-max-dim", "reduce-check-betti-max-dim", "off-negative-count"])
+def test_bad_values_exit_1_naming_the_fault(tmp_path, capsys, name, text, argv, message):
+    src = write(tmp_path, name, text)
+    assert cli.main(argv[:1] + ["--input", src] + argv[1:]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_size_cap_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DOWKER_SIZE_CAP", "5")
     src = write(tmp_path, "big.toplex", "a b c d e f g\n")

@@ -186,6 +186,8 @@ def test_off_errors():
     for counts in ("--5 1", "² 1", "1" + "0" * 5000 + " 1 0"):
         with pytest.raises(ParseError, match="line 2"):
             parse_off(f"OFF\n{counts}\n")
+    with pytest.raises(ParseError, match="^line 2: negative count$"):
+        parse_off("OFF\n-3 1\n")
     # the lines are read in order: vertex lines before face lines
     with pytest.raises(ParseError, match="^truncated OFF file: missing vertex line$"):
         parse_off("OFF\n5 0 0\n")
@@ -229,6 +231,11 @@ def test_witness_labels_made_unique():
 def test_witness_empty_set_rejected():
     with pytest.raises(ValueError):
         witness_relation([("A", [1]), ("B", [])])
+
+
+def test_witness_duplicate_names_rejected():
+    with pytest.raises(ValueError, match="^duplicate cover set names$"):
+        witness_relation([("A", [1]), ("A", [2])])
 
 
 def test_witness_always_column_irreducible():
@@ -330,6 +337,15 @@ def test_toplex_list_validation():
         ToplexList([()])
     with pytest.raises(ValueError):
         ToplexList([("a",)], vertex_names=("b",))
+    with pytest.raises(ValueError, match="^duplicate vertex names$"):
+        ToplexList([("a",)], ["a", "a"])
+
+
+def test_toplex_list_equality_reads_vertex_order():
+    t = ToplexList([("a", "b")], ["a", "b"])
+    assert t == ToplexList([("a", "b")], ["a", "b"])
+    assert t != ToplexList([("a", "b")], ["b", "a"])
+    assert t != [("a", "b")] and t != "x"
 
 
 def test_toplex_list_keeps_earliest_duplicate():

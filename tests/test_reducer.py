@@ -1,6 +1,7 @@
 """The pair-merge reducer: candidates, steps, the full pass, and the audit."""
 
 import random
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -35,6 +36,14 @@ def test_fan_candidates_one_hop_before_two_hop():
     assert sorted(one_hop) == [0, 1, 2, 3, 4]
     assert sorted(two_hop) == [0, 1, 2, 3, 4, 5]
     assert candidate_vertices(r, 2) == [3, 4, 5]  # x4, x5 one-hop; x6 two-hop
+
+
+@pytest.mark.parametrize("x", [-1, 6])
+def test_candidate_vertices_rejects_a_row_out_of_range(x):
+    r = fan_relation()
+    assert r.nrows == 6
+    with pytest.raises(ValueError, match="^row index out of range$"):
+        candidate_vertices(r, x)
 
 
 def test_isolated_vertex_has_no_candidates():
@@ -754,28 +763,60 @@ def test_star_sizes_per_slot_match_a_recount(monkeypatch):
     assert steps > 1000
 
 
-def test_running_max_merge_walks_down_past_the_merged_top():
-    # `merge` must leave what three calls of `set` leave; in the first
-    # cases the merged pair held the only slots with the top value, so `top`
-    # walks down, past values no slot holds, to the largest one left
+def _check_running_max(m, values):
+    # `values` is the model list; `count` must be a Counter of it, zero
+    # above its maximum, and `top` its maximum
+    held = Counter(values)
+    assert m.values == values
+    assert m.top == max(values, default=0)
+    assert all(m.count[v] == held[v] for v in range(len(m.count)))
+    assert len(m.count) > max(values, default=0)
+
+
+def test_running_max_lower_and_push_match_a_recount():
+    # `lower` and `push` keep `values`, `count` and `top` equal to a recount
+    # after every call.  In the fixed cases the lowered slot is the only one
+    # holding `top`, so `top` walks down past values no slot holds
     running_max = dowker.reducer._RunningMax
-    cases = [([7, 2, 7, 0, 3], 0, 2, 1, 3), ([7, 2, 7], 2, 0, 0, 2),
-             ([7, 7], 0, 1, 0, 0), ([7, 2, 7, 0, 3], 0, 2, 5, 5),
-             ([7, 2, 7], 0, 2, 9, 9), ([7, 2, 7, 7], 0, 2, 1, 7)]
+    cases = [([7, 2, 0, 3], [("lower", 0, 1)], 3),
+             ([7, 2, 7], [("lower", 0, 0), ("lower", 2, 1)], 2),
+             ([7, 7], [("lower", 0, 0), ("lower", 1, 0)], 0),
+             ([9, 1], [("push", 4), ("lower", 0, 0)], 4),
+             ([3, 8], [("push", 12), ("lower", 2, 0), ("lower", 1, 2)], 3),
+             ([], [("push", 5), ("lower", 0, 0)], 0)]
+    for values, ops, top in cases:
+        m, values = running_max(values), list(values)
+        _check_running_max(m, values)
+        for op, *args in ops:
+            if op == "lower":
+                m.lower(*args)
+                values[args[0]] = args[1]
+            else:
+                m.push(*args)
+                values.append(*args)
+            _check_running_max(m, values)
+        assert m.top == top
     rng = random.Random(211)
-    for _ in range(300):
-        values = [rng.randint(0, 6) for _ in range(rng.randint(2, 8))]
-        i, j = rng.sample(range(len(values)), 2)
-        v = rng.randint(0, 9)
-        rest = [x for k, x in enumerate(values) if k not in (i, j)]
-        cases.append((values, i, j, v, max(rest + [v])))
-    for values, i, j, v, top in cases:
-        merged, stepped = running_max(values), running_max(values)
-        merged.merge(i, j, v)
-        for k, value in ((i, 0), (j, 0), (len(values), v)):
-            stepped.set(k, value)
-        assert merged.top == stepped.top == top
-        assert (merged.values, merged.count) == (stepped.values, stepped.count)
+    walks = 0
+    for _ in range(400):
+        values = [rng.randint(0, 9) for _ in range(rng.randint(0, 8))]
+        m = running_max(values)
+        _check_running_max(m, values)
+        for _ in range(rng.randint(1, 30)):
+            live = [k for k, v in enumerate(values) if v]
+            if live and rng.random() < 0.7:
+                k = rng.choice(live)
+                v = rng.randrange(values[k])
+                top = m.top
+                m.lower(k, v)
+                values[k] = v
+                walks += m.top < top
+            else:
+                v = rng.randint(0, 14)
+                m.push(v)
+                values.append(v)
+            _check_running_max(m, values)
+    assert walks > 100
 
 
 def test_history_upkeep_does_not_grow_with_row_count(monkeypatch):

@@ -464,6 +464,21 @@ def test_constructor_rejections():
         Relation(["a"], ["p", "q"], [[0]])    # column q uncovered
     with pytest.raises(ValueError):
         Relation(["a"], ["p"], [[3]])         # out of range
+    with pytest.raises(ValueError, match="^row count does not match row label count$"):
+        Relation(["a"], ["t"], [[0], [0]])
+
+
+def test_value_contracts():
+    # equal relations hash equal, compare unequal to other types, print
+    # their shape, and the empty relation is its own transpose
+    r = Relation(["a", "b"], ["t"], [[0], [0]])
+    twin = Relation(["a", "b"], ["t"], [[0], [0]])
+    assert r == twin and r is not twin and hash(r) == hash(twin)
+    assert len({r, twin}) == 1
+    assert r.__eq__("x") is NotImplemented and (r == "x") is False
+    assert repr(r) == "Relation(2x1)"
+    empty = Relation((), (), ())
+    assert empty.transpose() is empty
 
 
 def test_integer_like_indices_are_stored_as_ints():
