@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 1 parse/parameter error or a usage error (argparse
 prints its usage message), 2 Betti mismatch under --check-betti, 3 size cap
-exceeded: by the simplex enumeration, or by the vertex-toplex incidence
-count of a `gen` fixture, worked out from its parameters before anything is
-built or written.  The environment variable DOWKER_SIZE_CAP overrides the
-cap for both; a value that is not a positive integer is a parameter error.
+exceeded: by the simplex enumeration, by a --max-dim that asks for more
+Betti numbers than the cap (checked in `betti_gf2` before anything is
+enumerated), or by the vertex-toplex incidence count of a `gen` fixture,
+worked out from its parameters before anything is built or written.  The
+environment variable DOWKER_SIZE_CAP overrides the cap for all three; a
+value that is not a positive integer is a parameter error.
 
 Every command takes the relation as read, whatever its format.  The
 library's `reduce` drops the columns that are not maximal itself, so the

@@ -9,12 +9,10 @@ are, or as vertex-name collections, numbered by the one toplex normaliser,
 `relation._normalise_toplexes`.  The vertices are listed from their count,
 and each level above them is built in bulk, a chunk of toplexes at a time,
 under the simplex cap; a level at the toplexes' own size holds their tuples
-themselves.  The lists come in two orders: the canonical form sorts each
-level, so each boundary tuple is ascending, and the listing form keeps each
-level in the order its simplices first appear among the toplexes' faces.  A
-rank depends on neither order, so the Betti numbers are computed from the
-listing form, which skips the sort, and each level is let go once the maps
-that read it are ranked.
+themselves.  Each level keeps the order in which its simplices first
+appear among the toplexes' faces: a rank depends on the order of neither
+basis, so no level is sorted, and each level is let go once the maps that
+read it are ranked.
 
 The rank kernel treats columns with one or two entries as graph edges and
 ranks them by union-find; only the heavier columns are eliminated, as small
@@ -31,7 +29,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate, chain, combinations, compress, repeat
 from math import comb
 
@@ -43,34 +40,20 @@ DEFAULT_SIZE_CAP = 5_000_000
 
 @dataclass
 class ChainComplexGF2:
-    """Simplices by dimension, and the boundary maps between them derived
-    from them when first read.
+    """Simplices by dimension.
 
     `simplices_by_dim[k]` is the list of k-simplices as ascending
-    vertex-index tuples, sorted in the canonical form and in first-appearance
-    order in the listing form; the vertices in use are numbered in vertex
-    order (row order for a Relation), so `simplices_by_dim[0][i]` is `(i,)`
-    in both.  It is the only field: equal levels mean equal complexes.
+    vertex-index tuples, in the order they first appear among the toplexes'
+    faces; the vertices in use are numbered in vertex order (row order for a
+    Relation), so `simplices_by_dim[0][i]` is `(i,)`.  It is the only field:
+    equal levels mean equal listings, simplices and order alike, and the
+    boundary maps are read from them by `_face_indices`.
     """
 
     simplices_by_dim: list = field(default_factory=list)
 
     def counts(self):
         return tuple(len(s) for s in self.simplices_by_dim)
-
-    @cached_property
-    def boundary(self):
-        """`boundary[k]`, the GF(2) boundary map from k-chains to
-        (k-1)-chains as one column per k-simplex, in `simplices_by_dim[k]`
-        order: the tuple of the indices into `simplices_by_dim[k-1]` of its
-        k+1 faces, taken in lexicographic vertex order, which for an edge
-        equals the edge.  In the canonical form each such tuple is
-        ascending.  `boundary[0]` is one empty tuple per vertex (the zero
-        map).  Built from the levels on first read and kept from then on;
-        the oracle never reads it."""
-        levels = self.simplices_by_dim
-        return [[()] * len(levels[k]) if k == 0 else list(_face_indices(levels, k))
-                for k in range(len(levels))]
 
 
 def _vertex_tuples(toplexes):
@@ -107,15 +90,15 @@ def _faces(toplexes, k):
 def _face_indices(levels, k):
     """For each k-simplex of `levels[k]` in turn, the tuple of the indices
     into `levels[k - 1]` of its k+1 faces in lexicographic vertex order
-    (ascending when the levels are sorted): a stream over the level below's
-    index dict, which lives as long as the stream."""
+    (for an edge, the edge itself): the GF(2) boundary map d_k as a one-pass
+    stream over the level below's index dict, which lives as long as the
+    stream."""
     index = dict(zip(levels[k - 1], range(len(levels[k - 1])))).__getitem__
     faces = map(index, chain.from_iterable(map(combinations, levels[k], repeat(k))))
     return zip(*[faces] * (k + 1))
 
 
-def enumerate_simplices(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP, *,
-                        canonical=True) -> ChainComplexGF2:
+def enumerate_simplices(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP) -> ChainComplexGF2:
     """All simplices of the complex generated by `toplexes`, up to max_dim+1.
 
     `toplexes` is a Relation, whose columns are the toplexes and whose rows
@@ -133,15 +116,10 @@ def enumerate_simplices(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP, *,
     the deduplicated simplex count would exceed `size_cap`.  The level at
     the largest toplex's dimension, when built, holds the toplexes' own
     tuples (a Relation's column tuples), the first of equal ones, not
-    copies: `_faces` lists them as they are.  Only the levels are built;
-    the boundary maps are derived from them when first read.
-
-    With `canonical` (the default) each level is sorted, so each boundary
-    tuple is ascending.  With `canonical=False` each level is in the order
+    copies: `_faces` lists them as they are.  Each level is in the order
     its simplices first appear among the toplexes' faces (a dict keeps that
-    order), and each boundary tuple lists the faces' indices in the faces'
-    lexicographic vertex order: the same complex and the same ranks, without
-    the sort.
+    order).  Only the levels are built; `_face_indices` streams the boundary
+    maps from them.
     """
     cols, total = _vertex_tuples(toplexes)
     top_dim = max(map(len, cols), default=0) - 1
@@ -169,7 +147,7 @@ def enumerate_simplices(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP, *,
             p = q
         # the dict is emptied once listed, so the next level is built beside
         # this level's list only
-        levels.append(sorted(level) if canonical else list(level))
+        levels.append(list(level))
         level.clear()
     return ChainComplexGF2(simplices_by_dim=levels)
 
@@ -268,9 +246,9 @@ def betti_gf2(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP):
 
     beta_k = dim ker boundary_k - rank boundary_{k+1}.  `max_dim` defaults
     to the dimension of the largest toplex.  The levels come from
-    `enumerate_simplices` in the listing form (`canonical=False`), since a
-    rank does not depend on the order of either basis, and the boundary
-    maps are never listed: d_1 is ranked on the edge level itself (an edge
+    `enumerate_simplices` in first-appearance order, since a rank does not
+    depend on the order of either basis, and the boundary maps are never
+    listed: d_1 is ranked on the edge level itself (an edge
     is its endpoints' indices), and each higher d_k on its transpose, the
     cofaces of each face, which has the same rank, read by
     `_transposed_rank` from the `_face_indices` stream.  The reference to
@@ -283,7 +261,7 @@ def betti_gf2(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP):
     """
     if max_dim is not None and max_dim + 1 > size_cap:
         raise SizeCapError(f"{max_dim + 1} Betti numbers exceed cap {size_cap}")
-    levels = enumerate_simplices(toplexes, max_dim, size_cap, canonical=False).simplices_by_dim
+    levels = enumerate_simplices(toplexes, max_dim, size_cap).simplices_by_dim
     del toplexes
     counts = list(map(len, levels))
     n = len(levels)

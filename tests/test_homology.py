@@ -3,7 +3,7 @@
 import random
 import sys
 import weakref
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 
 import pytest
 
@@ -52,33 +52,29 @@ def test_boundary_squares_to_zero():
         names = sorted({v for t in tops for v in t}) + ["unused1", "unused2"]
         rng.shuffle(names)
         cases.append(ToplexList(tops, names))
-    for tops, canonical in product(cases, (True, False)):
-        cc = enumerate_simplices(tops, 3, canonical=canonical)
-        simplices = cc.simplices_by_dim
+    for tops in cases:
+        simplices = enumerate_simplices(tops, 3).simplices_by_dim
         assert simplices[0] == [(i,) for i in range(len(simplices[0]))]
-        assert all(col == () for col in cc.boundary[0])
-        for k in range(1, len(cc.boundary)):
-            # the k+1 faces of each simplex, by index one dimension down,
-            # ascending in the canonical form
-            for s, col in zip(simplices[k], cc.boundary[k]):
-                assert {simplices[k - 1][i] for i in col} == set(combinations(s, k))
-                assert len(col) == k + 1
-                if canonical:
-                    assert list(col) == sorted(set(col))
-                    assert [simplices[k - 1][i] for i in col] == sorted(combinations(s, k))
-        for k in range(1, len(cc.boundary) - 1):
-            for col in cc.boundary[k + 1]:
+        boundary = [None] + [list(homology._face_indices(simplices, k))
+                             for k in range(1, len(simplices))]
+        for k in range(1, len(simplices)):
+            # the k+1 faces of each simplex, by index one dimension down, in
+            # lexicographic vertex order
+            assert len(boundary[k]) == len(simplices[k])
+            for s, col in zip(simplices[k], boundary[k]):
+                assert [simplices[k - 1][i] for i in col] == list(combinations(s, k))
+                assert len(set(col)) == k + 1
+        for k in range(1, len(simplices) - 1):
+            for col in boundary[k + 1]:
                 acc = set()
                 for i in col:
-                    acc ^= set(cc.boundary[k][i])
+                    acc ^= set(boundary[k][i])
                 assert not acc
 
 
 def test_size_cap():
-    for canonical in (True, False):
-        with pytest.raises(SizeCapError):
-            enumerate_simplices([tuple(f"v{i}" for i in range(30))], 5, size_cap=100,
-                                canonical=canonical)
+    with pytest.raises(SizeCapError):
+        enumerate_simplices([tuple(f"v{i}" for i in range(30))], 5, size_cap=100)
 
 
 def test_rank_cases():
@@ -94,7 +90,7 @@ def test_rank_cases():
     assert rank_gf2([(0, 1, 2), (0, 1, 2), (1, 2, 3)], 4) == 2
     # edge/vertex boundary of the triangle: rank 2 by exhaustive row span
     cc = enumerate_simplices([("a", "b"), ("a", "c"), ("b", "c")], 1)
-    d1 = cc.boundary[1]
+    d1 = list(homology._face_indices(cc.simplices_by_dim, 1))
     assert len(d1) == 3 and all(len(col) == 2 for col in d1)
     rows = [[int(i in col) for col in d1] for i in range(len(cc.simplices_by_dim[0]))]
     assert rank_by_rowspace(rows) == 2
@@ -139,15 +135,16 @@ def test_transposed_rank_matches_rank_of_the_transpose():
     for _ in range(300):
         r = random_relation(rng)
         for rel in (r, with_repeats(rng, r)):
-            cc = enumerate_simplices(rel)
-            levels = cc.simplices_by_dim
+            levels = enumerate_simplices(rel).simplices_by_dim
             for k in range(1, len(levels)):
                 n, m = len(levels[k - 1]), len(levels[k])
-                transpose = _other_axis(cc.boundary[k], n)
+                columns = list(homology._face_indices(levels, k))
+                transpose = _other_axis(columns, n)
                 heavy += any(len(col) > 2 for col in transpose)
-                # the columns as a list, and as a one-pass stream with its count
-                assert (homology._transposed_rank(cc.boundary[k], m, n)
-                        == homology._transposed_rank((c for c in cc.boundary[k]), m, n)
+                # the columns as a list, and as the one-pass stream that
+                # betti_gf2 ranks, with its count
+                assert (homology._transposed_rank(columns, m, n)
+                        == homology._transposed_rank(homology._face_indices(levels, k), m, n)
                         == rank_gf2(transpose, m))
     assert heavy > 100
 
@@ -157,8 +154,8 @@ def test_faces_in_three_or_more_triangles():
     # disk glued along an arc, so ab is a heavy column of d_2's transpose
     tops = [("a", "b", "c"), ("a", "b", "d"), ("a", "c", "d"), ("b", "c", "d"),
             ("a", "b", "e")]
-    cc = enumerate_simplices(tops)
-    cofaces = _other_axis(cc.boundary[2], len(cc.simplices_by_dim[1]))
+    levels = enumerate_simplices(tops).simplices_by_dim
+    cofaces = _other_axis(homology._face_indices(levels, 2), len(levels[1]))
     assert sorted(map(len, cofaces)) == [1, 1, 2, 2, 2, 2, 2, 3]
     assert betti_gf2(tops) == betti_dense_reference(tops, 2) == (1, 0, 1)
     assert betti_gf2(Relation.from_toplexes(tops)) == (1, 0, 1)
@@ -241,10 +238,10 @@ def test_surface_maps_have_no_heavy_column():
     # d_1 columns are vertex pairs, and on a closed surface each edge lies in
     # two triangles, so the transpose of d_2 has two entries per column
     for tops in (gen_sphere_cube(), gen_torus_grid(4, 5), gen_sphere_uv(6, 5)):
-        cc = enumerate_simplices(tops, 2)
-        n1 = len(cc.simplices_by_dim[1])
-        assert all(len(col) == 2 for col in cc.boundary[1])
-        assert all(len(col) == 2 for col in _other_axis(cc.boundary[2], n1))
+        levels = enumerate_simplices(tops, 2).simplices_by_dim
+        assert all(len(col) == 2 for col in homology._face_indices(levels, 1))
+        assert all(len(col) == 2
+                   for col in _other_axis(homology._face_indices(levels, 2), len(levels[1])))
 
 
 def test_betti_normalises_the_toplexes_once(monkeypatch):
@@ -261,35 +258,45 @@ def test_betti_normalises_the_toplexes_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_betti_ranks_the_listing_order(monkeypatch):
-    # the oracle takes the levels in listing order: a rank needs no sort
-    calls = []
-    real = homology.enumerate_simplices
-
-    def recording(*args, **kwargs):
-        calls.append(kwargs.get("canonical", True))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(homology, "enumerate_simplices", recording)
-    torus = gen_torus_grid(4, 5)
-    assert betti_gf2(torus) == (1, 2, 1)
-    assert betti_gf2(Relation.from_toplexes(torus), 3) == (1, 2, 1, 0)
-    assert calls == [False, False]
-
-
 def test_betti_never_reads_the_boundary_lists(monkeypatch):
-    def refuse(self):
-        raise AssertionError("betti_gf2 read ChainComplexGF2.boundary")
+    # d_1 is ranked on the edge level itself, and each map above it is taken
+    # once, as the one-pass stream `_face_indices` gives, which
+    # `_transposed_rank` reads to its end
+    taken = []
+    ranked = []
+    real_faces = homology._face_indices
+    real_rank = homology._transposed_rank
 
-    monkeypatch.setattr(homology.ChainComplexGF2, "boundary", property(refuse))
-    assert betti_gf2(gen_torus_grid(4, 5)) == (1, 2, 1)
-    assert betti_gf2(Relation.from_toplexes(gen_torus_grid(4, 5)), 3) == (1, 2, 1, 0)
-    assert betti_gf2(gen_sphere_uv(6, 5)) == (1, 0, 1)
-    assert betti_gf2(fan_relation(), 2) == (1, 2, 0)
+    def recording(levels, k):
+        stream = real_faces(levels, k)
+        taken.append((k, stream))
+        return stream
+
+    def ranking(columns, m, n):
+        ranked.append(columns)
+        return real_rank(columns, m, n)
+
+    def betti(tops, max_dim=None):
+        del taken[:], ranked[:]
+        result = betti_gf2(tops, max_dim)
+        n = len(enumerate_simplices(tops, max_dim).counts())
+        assert [k for k, _ in taken] == list(range(2, n))
+        assert list(map(id, ranked)) == [id(stream) for _, stream in taken]
+        for stream in ranked:
+            assert iter(stream) is stream and next(stream, None) is None
+        return result
+
+    monkeypatch.setattr(homology, "_face_indices", recording)
+    monkeypatch.setattr(homology, "_transposed_rank", ranking)
+    assert betti(gen_torus_grid(4, 5)) == (1, 2, 1)
+    assert betti(Relation.from_toplexes(gen_torus_grid(4, 5)), 3) == (1, 2, 1, 0)
+    assert betti(gen_sphere_uv(6, 5)) == (1, 0, 1)
+    assert betti(fan_relation(), 2) == (1, 2, 0)
+    assert betti(gen_simplex_boundary(4)) == (1, 0, 0, 0, 1)
     rng = random.Random(79)
     for _ in range(40):
         r = random_relation(rng)
-        assert betti_gf2(r, 3) == betti_dense_reference(r.toplexes(), 3)
+        assert betti(r, 3) == betti_dense_reference(r.toplexes(), 3)
 
 
 class Label:
@@ -347,10 +354,9 @@ def test_top_level_is_the_relations_own_column_tuples():
         for c in r.cols:
             first.setdefault(c, c)
         faces = list(dict.fromkeys(chain.from_iterable(combinations(c, size) for c in r.cols)))
-        for canonical, expect in ((False, faces), (True, sorted(faces))):
-            level = enumerate_simplices(r, canonical=canonical).simplices_by_dim[-1]
-            assert level == expect
-            assert all(s is first[s] for s in level)
+        level = enumerate_simplices(r).simplices_by_dim[-1]
+        assert level == faces
+        assert all(s is first[s] for s in level)
     assert mixed > 50
 
 
@@ -375,9 +381,16 @@ def named(cc, names):
     sets: the complex independent of how its vertices are numbered."""
     levels = [[frozenset(names[i] for i in s) for s in level]
               for level in cc.simplices_by_dim]
-    return [{s: frozenset(levels[k - 1][i] for i in col) if k else frozenset()
-             for s, col in zip(levels[k], cc.boundary[k])}
-            for k in range(len(levels))]
+    return [dict.fromkeys(levels[0], frozenset())] + [
+        {s: frozenset(levels[k - 1][i] for i in col)
+         for s, col in zip(levels[k], homology._face_indices(cc.simplices_by_dim, k))}
+        for k in range(1, len(levels))]
+
+
+def sorted_levels(cc):
+    """Each level's simplices in ascending order: the listing without its
+    order."""
+    return [sorted(level) for level in cc.simplices_by_dim]
 
 
 def test_relation_and_name_input_agree():
@@ -390,18 +403,17 @@ def test_relation_and_name_input_agree():
     for r in relations:
         names = r.toplexes()
         # names number the vertices in first-appearance order, a relation in
-        # row order; in row order the two forms are the same complex exactly
+        # row order; in row order the two forms are the same complex exactly,
+        # though a relation's contained columns may list faces earlier
         order = tuple(dict.fromkeys(chain.from_iterable(names)))
         in_row_order = ToplexList(names, r.row_labels)
         for max_dim in (0, 1, 2, 4, None):
             cc = enumerate_simplices(r, max_dim)
-            assert cc == enumerate_simplices(in_row_order, max_dim)
+            assert sorted_levels(cc) == sorted_levels(enumerate_simplices(in_row_order, max_dim))
             by_names = enumerate_simplices(names, max_dim)
             assert named(by_names, order) == named(cc, r.row_labels)
-            assert (named(enumerate_simplices(r, max_dim, canonical=False), r.row_labels)
-                    == named(cc, r.row_labels))
             if order == r.row_labels:
-                assert by_names == cc
+                assert sorted_levels(by_names) == sorted_levels(cc)
             assert betti_gf2(r, max_dim) == betti_gf2(names, max_dim)
 
 
@@ -426,17 +438,16 @@ def test_size_cap_is_exact_at_chunk_boundaries(chunks):
     # so a cap near the total cuts levels into chunks; the vertices are
     # listed without chunks, from their count
     torus = gen_torus_grid(4, 6)
-    for tops, canonical in product((Relation.from_toplexes(torus), torus), (True, False)):
-        full = enumerate_simplices(tops, 2, canonical=canonical)
-        # both forms are refused at the canonical form's count
-        total = sum(enumerate_simplices(tops, 2).counts())
+    for tops in (Relation.from_toplexes(torus), torus):
+        full = enumerate_simplices(tops, 2)
+        total = sum(full.counts())
         for cap in range(1, total + 2):
             del chunks[:]
             if cap < total:
                 with pytest.raises(SizeCapError):
-                    enumerate_simplices(tops, 2, size_cap=cap, canonical=canonical)
+                    enumerate_simplices(tops, 2, size_cap=cap)
             else:
-                assert enumerate_simplices(tops, 2, size_cap=cap, canonical=canonical) == full
+                assert enumerate_simplices(tops, 2, size_cap=cap) == full
             # a chunk of two or more toplexes fits its faces in the room left
             # beside the vertices and the faces listed so far, so the sets
             # never hold more than the cap plus one toplex's faces
@@ -450,17 +461,16 @@ def test_size_cap_is_exact_at_chunk_boundaries(chunks):
                 assert len(chunks) > 2
         # without a cap in reach, each level above the vertices is one chunk
         del chunks[:]
-        assert enumerate_simplices(tops, 2, canonical=canonical) == full and len(chunks) == 2
+        assert enumerate_simplices(tops, 2) == full and len(chunks) == 2
 
 
 def test_size_cap_refuses_a_toplex_before_listing_more_faces_than_the_cap(chunks):
     simplex = [tuple(range(12))]
     total = 2 ** 12 - 1
-    for canonical in (True, False):
-        for cap in range(1, total + 1, 7):
-            del chunks[:]
-            with pytest.raises(SizeCapError):
-                enumerate_simplices(simplex, 11, size_cap=cap, canonical=canonical)
-            assert all(sum(map(len, chunk)) <= cap for chunk in chunks)
-        cc = enumerate_simplices(simplex, 11, size_cap=total, canonical=canonical)
-        assert sum(cc.counts()) == total
+    for cap in range(1, total + 1, 7):
+        del chunks[:]
+        with pytest.raises(SizeCapError):
+            enumerate_simplices(simplex, 11, size_cap=cap)
+        assert all(sum(map(len, chunk)) <= cap for chunk in chunks)
+    cc = enumerate_simplices(simplex, 11, size_cap=total)
+    assert sum(cc.counts()) == total
