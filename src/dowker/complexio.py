@@ -10,7 +10,7 @@ generators used as regression fixtures, listed in one table, `FIXTURES`.
 from __future__ import annotations
 
 from .errors import ParseError
-from .relation import Relation, _counts, _lines, _normalise_toplexes, _other_axis
+from .relation import Relation, _counts, _lines, _normalise_toplexes, _other_axis, _tokens
 
 
 class ToplexList:
@@ -20,15 +20,14 @@ class ToplexList:
     normalised by the one function `relation._normalise_toplexes`, which
     drops duplicate toplexes and toplexes set-contained in another, keeping
     the earliest occurrence.  `vertex_names` is the union of all input
-    toplexes in first-appearance order, dropped ones included (or the
-    explicit order given).  `vertex_indices` holds each toplex's ascending
-    vertex indices into `vertex_names`, so a ToplexList passed on to
-    `Relation.from_toplexes` or the homology oracle is used as it stands.
+    toplexes in first-appearance order, dropped ones included.
+    `vertex_indices` holds each toplex's ascending vertex indices into
+    `vertex_names`, so a ToplexList passed on to `Relation.from_toplexes`
+    or the homology oracle is used as it stands.
     """
 
-    def __init__(self, toplexes, vertex_names=None):
-        self.vertex_names, self.toplexes, self.vertex_indices = \
-            _normalise_toplexes(toplexes, vertex_names)
+    def __init__(self, toplexes):
+        self.vertex_names, self.toplexes, self.vertex_indices = _normalise_toplexes(toplexes)
 
     def __len__(self):
         return len(self.toplexes)
@@ -46,8 +45,9 @@ class ToplexList:
         return f"ToplexList({len(self.toplexes)} toplexes, {len(self.vertex_names)} vertices)"
 
     def to_text(self):
-        """One toplex per line, vertex names whitespace-separated."""
-        return "".join(" ".join(str(v) for v in t) + "\n" for t in self.toplexes)
+        """One toplex per line, vertex names whitespace-separated; a name
+        that `relation._tokens` refuses raises ValueError."""
+        return "".join(" ".join(_tokens(t)) + "\n" for t in self.toplexes)
 
 
 def parse_toplex_file(text) -> ToplexList:
@@ -56,10 +56,10 @@ def parse_toplex_file(text) -> ToplexList:
     Each line that `relation._lines` reads is one toplex as
     whitespace-separated vertex names.  The split lines go to `ToplexList`
     as they are read, with no line bookkeeping, so the one normaliser
-    numbers and checks each of them once, in first-appearance order.  With
-    no explicit order it refuses only an empty toplex (a blank line) or one
-    that repeats a vertex, and stops at the first; only then are the lines
-    read again, to report that line's number.
+    numbers and checks each of them once, in first-appearance order.  It
+    refuses only an empty toplex (a blank line) or one that repeats a
+    vertex, and stops at the first; only then are the lines read again, to
+    report that line's number.
     """
     try:
         return ToplexList(raw.split() for _, raw in _lines(text))

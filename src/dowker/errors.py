@@ -10,4 +10,7 @@ class ParseError(ValueError):
 
 
 class SizeCapError(RuntimeError):
-    """Simplex enumeration would exceed the configured size cap."""
+    """A size cap is exceeded: simplex enumeration would list more
+    simplices than the cap, `betti_gf2` is asked (through `max_dim`) for
+    more Betti numbers than the cap, or `dowker gen` is asked for a fixture
+    whose vertex-toplex incidence count exceeds the cap."""

@@ -4,9 +4,10 @@ Independent of the reduction path: it expands toplexes into explicit simplex
 lists and computes Betti numbers by GF(2) rank of the boundary maps, which
 it reads as a stream of face-index tuples, one per simplex, never as lists.
 Used to certify that reductions preserve the mod-2 Betti numbers.  The
-toplexes come as a Relation, whose ascending column tuples are used as they
-are, or as vertex-name collections, numbered by the one toplex normaliser,
-`relation._normalise_toplexes`.  The vertices are listed from their count,
+oracle reads one input form, a Relation, whose ascending column tuples are
+used as they are; vertex-name collections are first made one by
+`Relation.from_toplexes`, which numbers the names in first-appearance
+order.  The vertices are listed from their count,
 and each level above them is built in bulk, a chunk of toplexes at a time,
 under the simplex cap; a level at the toplexes' own size holds their tuples
 themselves.  Each level keeps the order in which its simplices first
@@ -33,7 +34,7 @@ from itertools import accumulate, chain, combinations, compress, repeat
 from math import comb
 
 from .errors import SizeCapError
-from .relation import Relation, _normalise_toplexes
+from .relation import Relation
 
 DEFAULT_SIZE_CAP = 5_000_000
 
@@ -44,8 +45,8 @@ class ChainComplexGF2:
 
     `simplices_by_dim[k]` is the list of k-simplices as ascending
     vertex-index tuples, in the order they first appear among the toplexes'
-    faces; the vertices in use are numbered in vertex order (row order for a
-    Relation), so `simplices_by_dim[0][i]` is `(i,)`.  It is the only field:
+    faces; vertex i is row i of the Relation the oracle reads, so
+    `simplices_by_dim[0][i]` is `(i,)`.  It is the only field:
     equal levels mean equal listings, simplices and order alike, and the
     boundary maps are read from them by `_face_indices`.
     """
@@ -54,26 +55,6 @@ class ChainComplexGF2:
 
     def counts(self):
         return tuple(len(s) for s in self.simplices_by_dim)
-
-
-def _vertex_tuples(toplexes):
-    """Each toplex as the ascending tuple of its vertex indices, with the
-    vertices in use numbered in vertex order, and the number of those
-    vertices.
-
-    Vertex-name toplexes go through `_normalise_toplexes`; only an explicit
-    order that holds names no toplex uses makes the tuples be renumbered,
-    to the vertices in use.
-    """
-    if isinstance(toplexes, Relation):
-        # every row meets a column, and column tuples are ascending
-        return toplexes.cols, toplexes.nrows
-    order, _, cols = _normalise_toplexes(toplexes)
-    used = set().union(*cols)
-    if len(used) == len(order):
-        return cols, len(order)
-    pos = {v: k for k, v in enumerate(sorted(used))}
-    return [tuple(map(pos.__getitem__, c)) for c in cols], len(used)
 
 
 def _faces(toplexes, k):
@@ -102,13 +83,13 @@ def enumerate_simplices(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP) -> Ch
     """All simplices of the complex generated by `toplexes`, up to max_dim+1.
 
     `toplexes` is a Relation, whose columns are the toplexes and whose rows
-    are the vertices in row order, or a ToplexList or iterable of vertex-name
-    collections, which `_normalise_toplexes` numbers; names of an explicit
-    vertex order that no toplex uses are not vertices.  Going one
+    are the vertices in row order; a ToplexList or iterable of vertex-name
+    collections is first made one by `Relation.from_toplexes`, so its
+    vertices are numbered in first-appearance order.  Going one
     dimension above max_dim makes the Betti number at max_dim exact; no
     level above the largest toplex is built, since it would be empty.
     `max_dim` defaults to the dimension of the largest toplex (0 without
-    toplexes).  Every vertex numbered is in use, so the vertices are listed
+    toplexes).  Every row lies in a column, so the vertices are listed
     from their count; each level above is built in bulk from chunks of
     toplexes whose face counts, summed, fit in the room left under
     `size_cap` (a chunk holds at least one toplex), so the levels never hold
@@ -121,7 +102,9 @@ def enumerate_simplices(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP) -> Ch
     order).  Only the levels are built; `_face_indices` streams the boundary
     maps from them.
     """
-    cols, total = _vertex_tuples(toplexes)
+    if not isinstance(toplexes, Relation):
+        toplexes = Relation.from_toplexes(toplexes)
+    cols, total = toplexes.cols, toplexes.nrows
     top_dim = max(map(len, cols), default=0) - 1
     if max_dim is None:
         max_dim = max(top_dim, 0)

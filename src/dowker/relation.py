@@ -32,13 +32,18 @@ dominated, against the cone row's columns, and tells the faces from the
 duplicates, the split a merge reports.
 
 The three text formats read their lines through one generator, `_lines`,
-which skips comments and numbers every line of the file.
+which skips comments and numbers every line of the file, and the two
+writers, of relations and of toplex lists, turn labels into tokens through
+one function, `_tokens`, which refuses a label that would read back as
+something else.
 
 Vertex-name toplexes become index tuples in one function,
-`_normalise_toplexes`: it numbers the names in one pass, checks each toplex
-as it reads it, and keeps the maximal toplexes with the same `_maximal`.
-`ToplexList`, `parse_toplex_file`, `from_toplexes` and the homology oracle
-all go through it, and a ToplexList it has built is used as it stands.
+`_normalise_toplexes`: it numbers the names in one pass, in
+first-appearance order, checks each toplex as it reads it, and keeps the
+maximal toplexes with the same `_maximal`.  `ToplexList`,
+`parse_toplex_file` and `from_toplexes` go through it, the homology oracle
+through `from_toplexes`, and a ToplexList it has built is used as it
+stands.
 """
 
 from __future__ import annotations
@@ -264,16 +269,16 @@ class Relation:
         """Relation whose complex equals the complex generated by `toplexes`.
 
         Accepts a ToplexList or any iterable of vertex-name collections.
-        Rows are the vertices (input vertex order when the argument carries
-        one, first-appearance order otherwise); columns are the maximal input
+        Rows are the vertices in first-appearance order, as
+        `_normalise_toplexes` numbers them; columns are the maximal input
         toplexes.  Duplicate and set-contained toplexes are dropped, keeping
-        the earliest occurrence, so the result is column irreducible.
+        the earliest occurrence, so the result is column irreducible, and
+        every vertex lies in a kept toplex, since a dropped toplex lies in
+        one.
         """
         order, _, cols = _normalise_toplexes(toplexes)
-        rows = _other_axis(cols, len(order))
-        if not all(rows):
-            raise ValueError(f"vertex {order[rows.index([])]!r} belongs to no toplex")
-        return cls._build(order, [f"t{j}" for j in range(len(cols))], rows, cols)
+        return cls._build(order, [f"t{j}" for j in range(len(cols))],
+                          _other_axis(cols, len(order)), cols)
 
     # ------------------------------------------------------------------
     # operations
@@ -337,14 +342,11 @@ class Relation:
 
         Line 1: `<rows> <cols>`; line 2: row labels; line 3: column labels;
         then one line per row with the ascending column indices of its ones.
+        A label that `_tokens` refuses raises ValueError.
         """
-        tokens = [str(l) for l in self.row_labels + self.col_labels]
-        for t in tokens:
-            if not t or t.split() != [t] or t.startswith("#"):
-                raise ValueError(f"label {t!r} cannot be written as a text token")
         out = [f"{self.nrows} {self.ncols}",
-               " ".join(str(l) for l in self.row_labels),
-               " ".join(str(l) for l in self.col_labels)]
+               " ".join(_tokens(self.row_labels)),
+               " ".join(_tokens(self.col_labels))]
         for row in self.rows:
             out.append(" ".join(map(str, row)))
         return "\n".join(out) + "\n"
@@ -415,6 +417,17 @@ def _lines(text):
     first non-blank character is `#`."""
     return ((n, raw) for n, raw in enumerate(text.splitlines(), 1)
             if not raw.lstrip().startswith("#"))
+
+
+def _tokens(labels):
+    """Each of `labels` as a text token, the one rule of the writers: a
+    label that is empty, holds whitespace or starts with `#` would not read
+    back as itself, so ValueError is raised for it."""
+    tokens = list(map(str, labels))
+    for t in tokens:
+        if not t or t.split() != [t] or t.startswith("#"):
+            raise ValueError(f"label {t!r} cannot be written as a text token")
+    return tokens
 
 
 def _counts(words, n):
@@ -518,34 +531,27 @@ def _maximal(cols, n):
     return sorted(live)
 
 
-def _normalise_toplexes(toplexes, order=None):
+def _normalise_toplexes(toplexes):
     """Vertex order, kept toplexes and their ascending vertex-index tuples,
     from a ToplexList or an iterable of vertex-name collections; the one
     place where vertex names are numbered and checked.
 
-    A ToplexList given with no `order` is returned as it stands.  Otherwise
-    names are numbered in one pass, in first-appearance order or in the
-    explicit `order`, and each toplex is checked as it is read: it must be
-    non-empty, repeat no vertex, and, under `order`, use only its names.
-    `_maximal` then drops duplicate and set-contained toplexes, keeping the
-    earliest; the vertex order still holds the vertices of dropped ones.
+    A ToplexList is returned as it stands.  Otherwise names are numbered in
+    one pass, in first-appearance order, and each toplex is checked as it
+    is read: it must be non-empty and repeat no vertex.  `_maximal` then
+    drops duplicate and set-contained toplexes, keeping the earliest; the
+    vertex order still holds the vertices of dropped ones, each of which
+    lies in a kept toplex.
     """
     cols = getattr(toplexes, "vertex_indices", None)
-    if cols is not None and order is None:
+    if cols is not None:
         return toplexes.vertex_names, toplexes.toplexes, cols
     index = {}
-    if order is not None:
-        index = {v: i for i, v in enumerate(order)}
-        if len(index) != len(order):
-            raise ValueError("duplicate vertex names")
     tops, cols = [], []
     for t in toplexes:
         t = tuple(t)
         if not t:
             raise ValueError("empty toplex")
-        if order is not None and set(t) - index.keys():
-            raise ValueError(f"toplex vertices missing from vertex order: {set(t) - index.keys()}")
-        # under an explicit order every name is already numbered
         col = sorted([index.setdefault(v, len(index)) for v in t])
         if len(set(col)) != len(t):
             raise ValueError(f"toplex {t!r} repeats a vertex")

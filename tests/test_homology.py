@@ -7,10 +7,10 @@ from itertools import chain, combinations
 
 import pytest
 
-from dowker import (Relation, SizeCapError, ToplexList, betti_gf2,
-                    enumerate_simplices, gen_simplex_boundary, gen_sphere_cube,
-                    gen_sphere_uv, gen_torus_grid, rank_gf2)
-from dowker import cli, homology
+from dowker import (Relation, SizeCapError, betti_gf2, enumerate_simplices,
+                    gen_simplex_boundary, gen_sphere_cube, gen_sphere_uv,
+                    gen_torus_grid, rank_gf2)
+from dowker import cli, homology, relation
 from dowker.relation import _other_axis
 from _util import (FAN_TOPLEXES, betti_dense_reference, fan_relation,
                    random_relation, random_toplex_list, rank_by_rowspace,
@@ -47,11 +47,6 @@ def test_boundary_squares_to_zero():
     rng = random.Random(5)
     cases = [random_toplex_list(rng, max_vertices=8, max_toplexes=8, max_size=4)
              for _ in range(25)]
-    # explicit vertex orders, shuffled and with names no toplex uses
-    for tops in cases[:10]:
-        names = sorted({v for t in tops for v in t}) + ["unused1", "unused2"]
-        rng.shuffle(names)
-        cases.append(ToplexList(tops, names))
     for tops in cases:
         simplices = enumerate_simplices(tops, 3).simplices_by_dim
         assert simplices[0] == [(i,) for i in range(len(simplices[0]))]
@@ -246,13 +241,14 @@ def test_surface_maps_have_no_heavy_column():
 
 def test_betti_normalises_the_toplexes_once(monkeypatch):
     calls = []
-    real = homology._normalise_toplexes
+    real = relation._normalise_toplexes
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(homology, "_normalise_toplexes", counting)
+    # the oracle reads names through `Relation.from_toplexes`
+    monkeypatch.setattr(relation, "_normalise_toplexes", counting)
     assert betti_gf2(gen_torus_grid(4, 4)) == (1, 2, 1)
     assert betti_gf2(gen_torus_grid(4, 4), 1) == (1, 2)
     assert len(calls) == 2
@@ -360,15 +356,6 @@ def test_top_level_is_the_relations_own_column_tuples():
     assert mixed > 50
 
 
-def test_unused_names_in_an_explicit_order_are_not_vertices():
-    # x and y name no toplex: the complex is one edge, with no isolated vertex
-    tops = ToplexList([("a", "b")], ["x", "a", "b", "y"])
-    assert betti_gf2(tops, 2) == (1, 0, 0)
-    assert enumerate_simplices(tops).counts() == (2, 1)
-    with pytest.raises(ValueError, match="belongs to no toplex"):
-        Relation.from_toplexes(tops)
-
-
 def test_betti_of_relation_complex():
     # the fan has two unfilled triangle loops (x1x2x3 and x4x5x6):
     # 6 vertices, 9 edges, 2 triangles, connected, no 2-cycle
@@ -403,13 +390,12 @@ def test_relation_and_name_input_agree():
     for r in relations:
         names = r.toplexes()
         # names number the vertices in first-appearance order, a relation in
-        # row order; in row order the two forms are the same complex exactly,
-        # though a relation's contained columns may list faces earlier
+        # row order; by name the two forms are the same complex exactly, and
+        # when the orders agree so are the index tuples, though a relation's
+        # contained columns may list faces earlier
         order = tuple(dict.fromkeys(chain.from_iterable(names)))
-        in_row_order = ToplexList(names, r.row_labels)
         for max_dim in (0, 1, 2, 4, None):
             cc = enumerate_simplices(r, max_dim)
-            assert sorted_levels(cc) == sorted_levels(enumerate_simplices(in_row_order, max_dim))
             by_names = enumerate_simplices(names, max_dim)
             assert named(by_names, order) == named(cc, r.row_labels)
             if order == r.row_labels:
