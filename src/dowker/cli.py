@@ -101,7 +101,7 @@ def cmd_reduce(args):
     if args.check_betti:
         betti_before = betti_gf2(relation, args.max_dim, size_cap=cap)
     t0 = time.perf_counter()
-    reduced, stats, reports = reduce(relation)
+    reduced, stats, reports = reduce(relation, records=False)
     elapsed = time.perf_counter() - t0
     if args.check_betti:
         betti_after = betti_gf2(reduced, args.max_dim, size_cap=cap)

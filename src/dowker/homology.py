@@ -4,10 +4,11 @@ Independent of the reduction path: it expands toplexes into explicit simplex
 lists and computes Betti numbers by GF(2) rank of the boundary maps, which
 it reads as a stream of face-index tuples, one per simplex, never as lists.
 Used to certify that reductions preserve the mod-2 Betti numbers.  The
-oracle reads one input form, a Relation, whose ascending column tuples are
-used as they are; vertex-name collections are first made one by
-`Relation.from_toplexes`, which numbers the names in first-appearance
-order.  The vertices are listed from their count,
+oracle reads the toplexes as ascending vertex-index tuples: a Relation's
+column tuples are used as they are, and vertex-name collections are
+numbered by `relation._normalise_toplexes`, in first-appearance order, as
+`Relation.from_toplexes` numbers them, without building the rows that a
+Relation would add.  The vertices are listed from their count,
 and each level above them is built in bulk, a chunk of toplexes at a time,
 under the simplex cap; a level at the toplexes' own size holds their tuples
 themselves.  Each level keeps the order in which its simplices first
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations, compress, repeat
 from math import comb
 
+from . import relation
 from .errors import SizeCapError
 from .relation import Relation
 
@@ -84,8 +86,9 @@ def enumerate_simplices(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP) -> Ch
 
     `toplexes` is a Relation, whose columns are the toplexes and whose rows
     are the vertices in row order; a ToplexList or iterable of vertex-name
-    collections is first made one by `Relation.from_toplexes`, so its
-    vertices are numbered in first-appearance order.  Going one
+    collections is numbered by `relation._normalise_toplexes`, the columns
+    `Relation.from_toplexes` would give, so its vertices are numbered in
+    first-appearance order.  Going one
     dimension above max_dim makes the Betti number at max_dim exact; no
     level above the largest toplex is built, since it would be empty.
     `max_dim` defaults to the dimension of the largest toplex (0 without
@@ -102,9 +105,11 @@ def enumerate_simplices(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP) -> Ch
     order).  Only the levels are built; `_face_indices` streams the boundary
     maps from them.
     """
-    if not isinstance(toplexes, Relation):
-        toplexes = Relation.from_toplexes(toplexes)
-    cols, total = toplexes.cols, toplexes.nrows
+    if isinstance(toplexes, Relation):
+        cols, total = toplexes.cols, toplexes.nrows
+    else:
+        order, _, cols = relation._normalise_toplexes(toplexes)
+        total = len(order)
     top_dim = max(map(len, cols), default=0) - 1
     if max_dim is None:
         max_dim = max(top_dim, 0)

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .collapse import is_strong_collapsible
-from .relation import Relation, _Draft, _drop
+from .relation import _DEAD, Relation, _Draft, _drop
 
 _Z_LABEL = re.compile(r"^z([0-9]+)$")
 
@@ -78,7 +78,9 @@ class ReductionStats:
     """Per-run counters and size tracking.
 
     `_steps` records each pair test and history entry as it happens, and
-    `reduce` fills in the rest once the stream ends.  The input they
+    `reduce` fills in the rest once the stream ends.  With
+    `reduce(r, records=False)`, `tested_pairs` and both histories stay
+    empty and every other field is the same.  The input they
     describe is the one `reduce` runs on, after its column clean-up, so
     `cols_before` counts only the maximal columns.  `comparison_budget` is
     the pair-test bound computed on the input; `delta_max_history` /
@@ -90,7 +92,11 @@ class ReductionStats:
     counts come from the StepReport, a row whose star held both merged rows
     loses one star vertex, a row the clean-up removed columns from keeps the
     size of its own column set, and no other count changes, so no star is
-    recounted.
+    recounted.  `delta_max_seen` / `epsilon_max_seen`, the largest value
+    each history holds, are worked out without the histories, from the
+    starting counts and each report's cone row counts: under the step
+    equations a count only falls, except at the cone row's new slot, so a
+    maximum rises only there, to the cone row's count.
     """
 
     rows_before: int = 0
@@ -159,9 +165,13 @@ def _pair_collapsible(d, x, y, union, common):
     y are tried as apexes first: when every column without x lies, within
     those rows, in a column with x, every maximal column holds x, the union
     is a cone on x, and the test ends with nothing copied (and likewise for
-    y).  Otherwise the rows are copied and collapsed.
+    y).  Otherwise the rows are copied and collapsed.  x lies in the star of
+    y exactly when y lies in the star of x, so `common` holds both or
+    neither; it holds both for every one-hop partner, and is then passed as
+    it is.
     """
-    return is_strong_collapsible(d, union, common | {x, y}, (x, y))
+    rows = common if x in common else common | {x, y}
+    return is_strong_collapsible(d, union, rows, (x, y))
 
 
 def _budget(stars):
@@ -235,12 +245,14 @@ def _merge(d, xi, xj, union, star_i, star_j, common, z, ncols):
     two rows' columns and `common` is `star_i & star_j`, both as the pair
     test had them.
 
-    The cone row takes the next index and the columns `union`.  Columns
-    among those that the merge made dominated are dropped; nothing else can
-    be affected.  `ncols` is the draft's live column count before the
-    merge.  Returns the step's StepReport, the rows other than the pair in
-    both merged rows' stars, and the set of rows other than the cone row
-    that the clean-up removed a column from.
+    The cone row takes the next index and the set `union` itself as its
+    columns, and one pass over those columns takes the pair out of each and
+    puts the cone row in.  Columns among those that the merge made
+    dominated are dropped; nothing else can be affected.  `ncols` is the
+    draft's live column count before the merge.  Returns the step's
+    StepReport, the rows other than the pair in both merged rows' stars,
+    and the set of rows other than the cone row that the clean-up removed a
+    column from.
 
     The clean-up, `_absorbed`, tests only the cone row's columns whose other
     rows all lie in both stars, each in one pass over the cone row's
@@ -253,9 +265,15 @@ def _merge(d, xi, xj, union, star_i, star_j, common, z, ncols):
     id stays.
     """
     pair = (d.row_labels[xi], d.row_labels[xj])
-    _drop(d.rows, d.cols, xi)
-    _drop(d.rows, d.cols, xj)
-    zi = d.add_row(z, union)
+    zi = len(d.rows)
+    for c in union:
+        s = d.cols[c]
+        s.discard(xi)
+        s.discard(xj)
+        s.add(zi)
+    d.rows[xi] = d.rows[xj] = _DEAD
+    d.rows.append(union)
+    d.row_labels.append(z)
     both = common - {xi, xj}
     faces, dups = _absorbed(d.cols, union, both | {zi})
     gone = [_drop(d.cols, d.rows, c) for c in faces + dups]
@@ -330,7 +348,7 @@ class _RunningMax:
             self.top = v
 
 
-def _steps(d, stats, sizes=None):
+def _steps(d, stats, sizes=None, records=True):
     """Merge pairs of the draft `d` in place, in one pass of the cursor,
     and yield each merge's StepReport once it is applied.
 
@@ -341,28 +359,32 @@ def _steps(d, stats, sizes=None):
     the merge share them.  On the first success the pair is merged,
     which leaves the cursor's slot dead, and the cursor moves on, as it does
     when every test fails; a dead slot is passed over, and a cone row is
-    processed when the cursor reaches it.  Each test and each star-size
-    maximum goes into `stats` as it happens.  `sizes` gives each slot's star
-    row count at the start, as `reduce` has them from its star pass; without
-    it the pass counts them on the draft, so it can run again on a draft an
-    earlier pass left, dead slots and all.
+    processed when the cursor reaches it.  Each test is counted in `stats`
+    as it happens.  With `records`, each test also goes into
+    `stats.tested_pairs` and each star-size maximum into the histories;
+    without, neither is kept and no `_RunningMax` is built, since the
+    reports give the maxima (see ReductionStats).  `sizes` gives each slot's
+    star row count at the start, as `reduce` has them from its star pass;
+    without it a recording pass counts them on the draft, so it can run
+    again on a draft an earlier pass left, dead slots and all.
 
     A visit keeps the frozen column unions whose test failed, and a partner
     whose union is among them is recorded as failing, counted and listed
-    in `stats.tested_pairs` like any test, with no test run.  This is exact:
+    like any test, with no test run.  This is exact:
     a verdict depends only on the union, the draft changes only at the
     merge that ends the visit, and a success always ends it.  The first
     failure of a visit builds the first key, so a visit that merges at its
     first test builds none, and the set is dropped with the visit, so it
     never holds more keys than one cursor row has partners.
     """
-    # star vertex and toplex count per slot; a dead slot counts 0
-    if sizes is None:
-        sizes = [len(_star_rows(d, i)) for i in range(len(d.rows))]
-    delta = _RunningMax(sizes)
-    epsilon = _RunningMax(map(len, d.rows))
-    stats.delta_max_history.append(delta.top)
-    stats.epsilon_max_history.append(epsilon.top)
+    if records:
+        # star vertex and toplex count per slot; a dead slot counts 0
+        if sizes is None:
+            sizes = [len(_star_rows(d, i)) for i in range(len(d.rows))]
+        delta = _RunningMax(sizes)
+        epsilon = _RunningMax(map(len, d.rows))
+        stats.delta_max_history.append(delta.top)
+        stats.epsilon_max_history.append(epsilon.top)
     ncols = sum(1 for c in d.cols if c)
     # a dead slot's label is below the last cone label, which is live, and
     # the last cone label always survives into the next step, so counting
@@ -383,33 +405,36 @@ def _steps(d, stats, sizes=None):
                     common = sx & sy
                     ok = _pair_collapsible(d, cursor, j, union, common)
                 stats.contractibility_tests += 1
-                stats.tested_pairs.append((d.row_labels[cursor], d.row_labels[j], ok))
+                if records:
+                    stats.tested_pairs.append((d.row_labels[cursor], d.row_labels[j], ok))
                 if not ok:
                     failed.add(key if failed else frozenset(union))
                     continue
                 rep, both, lost = _merge(d, cursor, j, union, sx, sy, common, f"z{z}", ncols)
                 z = _successor(z)
                 ncols = rep.cols_after
-                # the step equations: the merged slots go dead, the cone
-                # row's counts are the report's, a row whose star held both
-                # merged rows loses one star vertex, a row that lost columns
-                # to the clean-up holds the rest, and no other count changes
-                for m, v in ((delta, rep.delta_z - 1), (epsilon, rep.epsilon_z)):
-                    m.lower(cursor, 0)
-                    m.lower(j, 0)
-                    m.push(v)
-                for k in both:
-                    delta.lower(k, delta.values[k] - 1)
-                for k in lost:
-                    epsilon.lower(k, len(d.rows[k]))
-                stats.delta_max_history.append(delta.top)
-                stats.epsilon_max_history.append(epsilon.top)
+                if records:
+                    # the step equations: the merged slots go dead, the cone
+                    # row's counts are the report's, a row whose star held
+                    # both merged rows loses one star vertex, a row that lost
+                    # columns to the clean-up holds the rest, and no other
+                    # count changes
+                    for m, v in ((delta, rep.delta_z - 1), (epsilon, rep.epsilon_z)):
+                        m.lower(cursor, 0)
+                        m.lower(j, 0)
+                        m.push(v)
+                    for k in both:
+                        delta.lower(k, delta.values[k] - 1)
+                    for k in lost:
+                        epsilon.lower(k, len(d.rows[k]))
+                    stats.delta_max_history.append(delta.top)
+                    stats.epsilon_max_history.append(epsilon.top)
                 yield rep
                 break
         cursor += 1
 
 
-def reduce(r: Relation):
+def reduce(r: Relation, *, records=True):
     """Run the single-pass reduction to exhaustion.
 
     Returns (reduced relation, ReductionStats, list of StepReport).  The
@@ -424,6 +449,12 @@ def reduce(r: Relation):
     slot at the tail, and each pair's union of closed stars is collapsed
     from a copy of those stars alone, under the draft's ids.  The draft is
     frozen once, into the one relation a run builds.
+
+    With `records=False` the stats keep no `tested_pairs` and no star-size
+    histories, which cost a tuple per test and a few updates per merge;
+    the relation, the reports and every other stats field are the same.
+    Both maxima come from the starting star sizes and the reports in
+    either mode, and equal the histories' largest values.
     """
     r = r.make_column_irreducible()
     stars = _stars(r)
@@ -432,12 +463,13 @@ def reduce(r: Relation):
     sizes = list(map(len, stars))
     del stars
     d = _Draft.of(r)
-    log = list(_steps(d, stats, sizes))
+    log = list(_steps(d, stats, sizes, records))
     cur = d.freeze()
     stats.rows_after, stats.cols_after = cur.shape
     stats.steps_applied = len(log)
-    stats.delta_max_seen = max(stats.delta_max_history)
-    stats.epsilon_max_seen = max(stats.epsilon_max_history)
+    stats.delta_max_seen = max([max(sizes, default=0)] + [rep.delta_z - 1 for rep in log])
+    stats.epsilon_max_seen = max([max(map(len, r.rows), default=0)]
+                                 + [rep.epsilon_z for rep in log])
     return cur, stats, log
 
 

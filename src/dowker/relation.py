@@ -41,9 +41,8 @@ Vertex-name toplexes become index tuples in one function,
 `_normalise_toplexes`: it numbers the names in one pass, in
 first-appearance order, checks each toplex as it reads it, and keeps the
 maximal toplexes with the same `_maximal`.  `ToplexList`,
-`parse_toplex_file` and `from_toplexes` go through it, the homology oracle
-through `from_toplexes`, and a ToplexList it has built is used as it
-stands.
+`parse_toplex_file`, `from_toplexes` and the homology oracle go through
+it, and a ToplexList it has built is used as it stands.
 """
 
 from __future__ import annotations
@@ -465,7 +464,10 @@ class _Draft:
     A member dropped with `_drop` keeps its index with an empty set, and a
     new row takes the next index, so edits never renumber anything;
     `freeze`, which is `_freeze`, renumbers the live members once.
-    `_Draft.of` makes every draft.
+    `_Draft.of` makes every draft.  The one edit that adds a row is the
+    reducer's merge (`reducer._merge`): it appends the cone row and its
+    label and, in one pass over the cone row's columns, takes the merged
+    pair out of each and puts the cone row in.
     """
 
     row_labels: list
@@ -480,16 +482,6 @@ class _Draft:
         slot keeps its index, dead ones included."""
         return cls(list(r.row_labels), r.col_labels,
                    [set(row) for row in r.rows], [set(col) for col in r.cols])
-
-    def add_row(self, label, cols):
-        """Append a row incident to the live column ids `cols`; returns its
-        index."""
-        k = len(self.rows)
-        for c in cols:
-            self.cols[c].add(k)
-        self.row_labels.append(label)
-        self.rows.append(set(cols))
-        return k
 
     freeze = _freeze
 

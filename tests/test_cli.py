@@ -121,6 +121,22 @@ def test_reduce_json_report(tmp_path, capsys):
         == (stats.delta_max_seen, stats.epsilon_max_seen)
 
 
+@pytest.mark.parametrize("args", [("torus", "--m", "12", "--n", "16"),
+                                  ("sphere-uv", "--slices", "24", "--stacks", "21"),
+                                  ("simplex-boundary", "--n", "8")])
+def test_reduce_json_maxima_are_the_librarys(tmp_path, capsys, args):
+    # the CLI reduces without the histories; the maxima it prints are the
+    # library's, which are the largest values the histories hold
+    src = gen_file(tmp_path, "in.toplex", *args)
+    assert cli.main(["reduce", "--input", src, "--format", "toplex", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    with open(src, encoding="utf-8") as fh:
+        _, stats, _ = reduce(Relation.from_toplexes(parse_toplex_file(fh.read())))
+    assert (report["delta_max"], report["epsilon_max"]) \
+        == (stats.delta_max_seen, stats.epsilon_max_seen) \
+        == (max(stats.delta_max_history), max(stats.epsilon_max_history))
+
+
 def test_reduce_accepts_rel_format(tmp_path, capsys):
     src = write(tmp_path, "fan.rel", fan_relation().to_text())
     assert cli.main(["reduce", "--input", src, "--format", "rel",

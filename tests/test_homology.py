@@ -247,11 +247,28 @@ def test_betti_normalises_the_toplexes_once(monkeypatch):
         calls.append(1)
         return real(*args)
 
-    # the oracle reads names through `Relation.from_toplexes`
+    # the oracle reads names through `relation._normalise_toplexes`
     monkeypatch.setattr(relation, "_normalise_toplexes", counting)
     assert betti_gf2(gen_torus_grid(4, 4)) == (1, 2, 1)
     assert betti_gf2(gen_torus_grid(4, 4), 1) == (1, 2)
     assert len(calls) == 2
+
+
+def test_betti_on_names_builds_no_row_orientation(monkeypatch):
+    # names are numbered into column tuples only: the rows a Relation would
+    # add (`_other_axis`) are never built
+    calls = []
+    real = relation._other_axis
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    torus = gen_torus_grid(5, 6)
+    names = [list(t) for t in torus.toplexes]
+    monkeypatch.setattr(relation, "_other_axis", counting)
+    assert betti_gf2(torus) == betti_gf2(names) == (1, 2, 1)
+    assert calls == []
 
 
 def test_betti_never_reads_the_boundary_lists(monkeypatch):

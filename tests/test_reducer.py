@@ -601,6 +601,35 @@ def test_reduce_is_deterministic():
         assert stats1.delta_max_history == stats2.delta_max_history
 
 
+def test_reduce_without_records_builds_no_running_max(monkeypatch):
+    # with the switch off no history is kept, and the maxima come from the
+    # starting star sizes and the reports; on empty, one-row and merge-free
+    # inputs too, they equal the histories' largest values
+    built = []
+    running_max = dowker.reducer._RunningMax
+
+    def counting(values):
+        built.append(1)
+        return running_max(values)
+
+    monkeypatch.setattr(dowker.reducer, "_RunningMax", counting)
+    rng = random.Random(227)
+    inputs = [Relation([], [], []), Relation.from_toplexes([("a",)]),
+              Relation.from_toplexes(gen_simplex_boundary(5)),
+              Relation.from_toplexes(gen_torus_grid(12, 16))]
+    inputs += [random_irreducible_relation(rng) for _ in range(30)]
+    for r in inputs:
+        out, stats, log = reduce(r, records=False)
+        assert built == []
+        assert stats.tested_pairs == stats.delta_max_history == stats.epsilon_max_history == []
+        full_out, full, full_log = reduce(r)
+        assert len(built) == 2
+        built.clear()
+        assert (out, log) == (full_out, full_log)
+        assert (stats.delta_max_seen, stats.epsilon_max_seen) \
+            == (max(full.delta_max_history), max(full.epsilon_max_history))
+
+
 def test_callbacks_do_not_change_the_result(monkeypatch):
     # freezing the draft after each merge the stream yields changes neither
     # the steps nor the result; reduce freezes the draft once, since each

@@ -167,7 +167,11 @@ def test_draft_restriction_skips_dead_slots():
             if all(len(d.rows[i]) > 1 for i in d.cols[c]):
                 relation_module._drop(d.cols, d.rows, c)
         live = [c for c, col in enumerate(d.cols) if col]
-        d.add_row("z", rng.sample(live, rng.randint(1, len(live))))
+        added = set(rng.sample(live, rng.randint(1, len(live))))
+        for c in added:
+            d.cols[c].add(len(d.rows))
+        d.rows.append(added)
+        d.row_labels.append("z")
         frozen = d.freeze()
         cols = set(rng.sample(range(r.ncols), rng.randint(1, r.ncols)))
         picked = [k for k, c in enumerate(live) if c in cols]

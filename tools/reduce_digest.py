@@ -10,12 +10,17 @@ The random draws come from the test suite's seeded builders in
 outside the checkout, after `pip install .`, it checks the installed
 package.
 
+`--check` also runs every fixture with `reduce(r, records=False)` and
+fails unless that gives what `reduce(r)` gives, apart from the three
+records it leaves empty: `tested_pairs` and both star-size histories.
+
     python tools/reduce_digest.py                  # print the digests as JSON
     python tools/reduce_digest.py --check FILE     # exit 1 unless they match FILE
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -30,6 +35,7 @@ from dowker import (Relation, format_step_log, gen_simplex_boundary,  # noqa: E4
 
 FIELDS = ("pair", "z_label", "faces_absorbed", "duplicates_merged",
           "delta_z", "epsilon_z", "cols_before", "cols_after")
+RECORDS = ("tested_pairs", "delta_max_history", "epsilon_max_history")
 
 
 def _random(n, repeats, seed):
@@ -65,9 +71,28 @@ def digest(relations):
     return h.hexdigest()
 
 
+def _outputs(r, **kwargs):
+    reduced, stats, reports = reduce(r, **kwargs)
+    return (reduced.to_text(), stats,
+            [tuple(getattr(rep, f) for f in FIELDS) for rep in reports])
+
+
+def records_off_agrees(relations):
+    """Whether `reduce(r, records=False)` gives, for every relation, the
+    relation, reports and stats that `reduce(r)` gives, with the three
+    records empty."""
+    for r in relations:
+        text, stats, reports = _outputs(r)
+        lean = _outputs(r, records=False)
+        if lean != (text, dataclasses.replace(stats, **{f: [] for f in RECORDS}), reports):
+            return False
+    return True
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    got = {name: digest(rels) for name, rels in fixtures().items()}
+    fixed = fixtures()
+    got = {name: digest(rels) for name, rels in fixed.items()}
     if not argv:
         print(json.dumps(got, indent=2))
         return 0
@@ -78,9 +103,13 @@ def main(argv=None) -> int:
     bad = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
     for name in bad:
         print(f"mismatch: {name}", file=sys.stderr)
-    if bad:
+    lean_bad = [name for name, rels in fixed.items() if not records_off_agrees(rels)]
+    for name in lean_bad:
+        print(f"records=False differs: {name}", file=sys.stderr)
+    if bad or lean_bad:
         return 1
-    print(f"{len(got)} digests match {argv[1]}, reducing with {sys.modules['dowker'].__file__}")
+    print(f"{len(got)} digests match {argv[1]}, and records=False agrees on all, "
+          f"reducing with {sys.modules['dowker'].__file__}")
     return 0
 
 
