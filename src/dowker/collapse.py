@@ -38,6 +38,8 @@ def collapse_core(r: Relation) -> Relation:
     Betti numbers as the input.
     """
     draft = _Draft.of(r)
+    # set rows: `_dominated` tests containment with `<=`, which orders tuples
+    draft.rows = list(map(set, r.rows))
     _collapse(draft.rows, draft.cols, set(range(r.nrows)), set(range(r.ncols)))
     return draft.freeze()
 

@@ -12,7 +12,8 @@ compares each of those few with the new row's columns in one pass
 (`_absorbed`).  Each step removes two rows and adds one, preserving the
 mod-2 Betti numbers whenever the tested subcomplex really was contractible.
 
-All of this edits one mutable working draft.  The pass is a stream,
+All of this edits one mutable working draft, which shares the input's row
+tuples until a clean-up edits a row (`relation._Draft`).  The pass is a stream,
 `_steps`: it merges pairs on the draft in place and yields each step's report
 once its merge is applied; `reduce` runs it to the end and builds one
 relation, the result.  Each input row's star rows are listed once, for the
@@ -248,8 +249,10 @@ def _merge(d, xi, xj, union, star_i, star_j, common, z, ncols):
     The cone row takes the next index and the set `union` itself as its
     columns, and one pass over those columns takes the pair out of each and
     puts the cone row in.  Columns among those that the merge made
-    dominated are dropped; nothing else can be affected.  `ncols` is the
-    draft's live column count before the merge.  Returns the step's
+    dominated are dropped; nothing else can be affected, and a row that
+    loses a column to the drop and was still the input's tuple becomes a
+    set there (`relation._drop`).  `ncols` is the draft's live column count
+    before the merge.  Returns the step's
     StepReport, the rows other than the pair in both merged rows' stars,
     and the set of rows other than the cone row that the clean-up removed a
     column from.
@@ -303,7 +306,7 @@ def reduction_step(r: Relation, xi: int, xj: int):
     r = r.make_column_irreducible()
     d = _Draft.of(r)
     sx, sy = _star_rows(d, xi), _star_rows(d, xj)
-    report = _merge(d, xi, xj, d.rows[xi] | d.rows[xj], sx, sy, sx & sy,
+    report = _merge(d, xi, xj, {*d.rows[xi], *d.rows[xj]}, sx, sy, sx & sy,
                     f"z{_fresh_z(r.row_labels)}", r.ncols)[0]
     return d.freeze(), report
 
@@ -356,7 +359,8 @@ def _steps(d, stats, sizes=None, records=True):
     the cursor row's star rows once and tests the partners `_partners` gives
     in turn, building each partner's star rows, the pair's column union and
     the rows in both stars once; the failed-union key, the pair test and
-    the merge share them.  On the first success the pair is merged,
+    the merge share them.  The union is a fresh set, since either row may
+    be the input's tuple, and a merge takes it as the cone row.  On the first success the pair is merged,
     which leaves the cursor's slot dead, and the cursor moves on, as it does
     when every test fails; a dead slot is passed over, and a cone row is
     processed when the cursor reaches it.  Each test is counted in `stats`
@@ -396,7 +400,7 @@ def _steps(d, stats, sizes=None, records=True):
             sx = _star_rows(d, cursor)
             failed = set()
             for j in _partners(d, cursor, sx):
-                union = d.rows[cursor] | d.rows[j]
+                union = {*d.rows[cursor], *d.rows[j]}
                 key = frozenset(union) if failed else None
                 if key in failed:
                     ok = False

@@ -5,9 +5,11 @@ single source of truth for a simplicial complex: the simplices of the complex
 are exactly the row sets that share a column.  Incidence is stored sparsely
 in both orientations: a relation holds the ascending index tuple of every row
 and every column, and the mutable draft that operations edit holds one set per
-row and per column.  Row-side domination scans and column-side clean-up each
-run on their natural axis without transposing the whole matrix, and their
-cost follows the ones of the matrix, not its width.
+column and, per row, the relation's own tuple until the row's first edit
+makes it a set (`_drop`): rows are copy-on-write, so a draft costs little
+more than the relation it edits.  Row-side domination scans and column-side
+clean-up each run on their natural axis without transposing the whole
+matrix, and their cost follows the ones of the matrix, not its width.
 
 No method changes a Relation once it is constructed: every operation
 returns a new value, or the relation itself when it changes nothing.  One
@@ -23,10 +25,11 @@ draft is frozen.
 One kernel removes contained sets: `_dominated`, through `_exhaust`.  It
 serves whole relations (`_maximal`) and the collapse fixpoint
 (`_collapse`), which the core and every strong-collapse test run, on a
-whole relation or on a selection of its columns.  It finds a member's
-supersets through the other orientation, so its cost follows the set
-sizes, not the axis length, and its removals keep both orientations exact
-as the fixpoint alternates axes.  A merge's own clean-up
+whole relation or on a selection of its columns, always on sets (`<=`
+orders tuples).  It finds a member's supersets through the other
+orientation, so its cost follows the set sizes, not the axis length, and
+its removals keep both orientations exact as the fixpoint alternates
+axes.  A merge's own clean-up
 (`reducer._absorbed`) tests only the few columns that can have become
 dominated, against the cone row's columns, and tells the faces from the
 duplicates, the split a merge reports.
@@ -98,10 +101,14 @@ _DEAD = frozenset()
 def _drop(sets_a, sets_b, i):
     """Remove member i of axis a in place: remove it from the sets of axis b
     and give it the shared empty set, so a dead slot keeps no set of its
-    own.  Returns the set it had."""
+    own.  Returns the set it had.  A draft's row that is still the
+    relation's tuple becomes a set here, at its first edit."""
     s = sets_a[i]
     for b in s:
-        sets_b[b].discard(i)
+        t = sets_b[b]
+        if type(t) is tuple:
+            t = sets_b[b] = set(t)
+        t.discard(i)
     sets_a[i] = _DEAD
     return s
 
@@ -131,7 +138,8 @@ def _collapse(row_sets, col_sets, rows, cols):
     """Alternate row and column domination removal, in place, until a column
     pass removes nothing; `rows` and `cols` are the live ids and keep the
     survivors.  `collapse_core` and every strong-collapse test run it from
-    scratch, rows first.
+    scratch, rows first.  Both axes must hold sets, never tuples:
+    `_dominated` tests containment with `<=`, which orders tuples.
 
     The first pass on each axis tests every live member.  After that, a
     pass tests only the members whose sets the pass just before it shrank.
@@ -458,16 +466,25 @@ def _freeze(r, cols=None):
 
 @dataclass(slots=True)
 class _Draft:
-    """Mutable incidence over stable indices: one set of column ids per row
-    and one set of row ids per column.
+    """Mutable incidence over stable indices: one set of row ids per column
+    and, per row, its column ids, copy-on-write.
+
+    `_Draft.of` makes every draft.  A draft of a relation shares the
+    relation's row tuples, and a row becomes a set of its own only at its
+    first edit, when `_drop` takes a column out of it; in the reducer that
+    is a merge's clean-up.  Rows are read by iteration, `len` and
+    membership, which tuples and sets both serve.  A draft of a draft
+    shares the tuple rows and copies the set rows, so an edit to one is not
+    seen by the other.  Columns are always sets: every merge edits its
+    union's columns.
 
     A member dropped with `_drop` keeps its index with an empty set, and a
     new row takes the next index, so edits never renumber anything;
-    `freeze`, which is `_freeze`, renumbers the live members once.
-    `_Draft.of` makes every draft.  The one edit that adds a row is the
-    reducer's merge (`reducer._merge`): it appends the cone row and its
-    label and, in one pass over the cone row's columns, takes the merged
-    pair out of each and puts the cone row in.
+    `freeze`, which is `_freeze`, renumbers the live members once.  The one
+    edit that adds a row is the reducer's merge (`reducer._merge`): it
+    appends the cone row, a set, and its label and, in one pass over the
+    cone row's columns, takes the merged pair out of each and puts the cone
+    row in.
     """
 
     row_labels: list
@@ -479,9 +496,11 @@ class _Draft:
     def of(cls, r):
         """A draft of the whole of r, a relation or a draft; only its labels
         and its two orientations are read, and r is left unchanged.  Every
-        slot keeps its index, dead ones included."""
+        slot keeps its index, dead ones included.  A tuple or dead row is
+        shared, and a set row copied."""
         return cls(list(r.row_labels), r.col_labels,
-                   [set(row) for row in r.rows], [set(col) for col in r.cols])
+                   [set(row) if type(row) is set else row for row in r.rows],
+                   [set(col) for col in r.cols])
 
     freeze = _freeze
 

@@ -1,6 +1,7 @@
 """Domination detection and the strong-collapse core."""
 
 import random
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -10,7 +11,7 @@ from dowker import collapse as collapse_module
 from dowker import relation as relation_module
 from dowker import (Relation, betti_gf2, collapse_core, gen_torus_grid,
                     is_strong_collapsible, reduce)
-from dowker.reducer import ReductionStats, _steps
+from dowker.reducer import ReductionStats, _star_rows, _steps
 from dowker.relation import _Draft, _freeze
 from _util import (core_labels_reference, disk_relation, fan_relation, first_dominators,
                    random_irreducible_relation, random_relation, with_repeats)
@@ -310,6 +311,57 @@ def test_core_matches_the_rescanning_reference():
             assert (core.row_labels, core.col_labels) == core_labels_reference(rel)
 
 
+def test_core_collapses_set_rows_not_the_relations_tuples():
+    # `_dominated` tests containment with `<=`, which on tuples is
+    # lexicographic order: (0, 1) <= (0, 2, 3), though {0, 1} is not a
+    # subset of {0, 2, 3}.  Fed this relation's tuple rows, the fixpoint
+    # takes row a as dominated by row b and leaves a 2x2 core of a
+    # contractible complex
+    r = Relation(list("abc"), list("pqrs"), [(0, 1), (0, 2, 3), (1,)])
+    assert r.rows[0] <= r.rows[1] and not set(r.rows[0]) <= set(r.rows[1])
+    d = _Draft.of(r)
+    rows, cols = set(range(r.nrows)), set(range(r.ncols))
+    relation_module._collapse(d.rows, d.cols, rows, cols)
+    assert (len(rows), len(cols)) == (2, 2)
+    core = collapse_core(r)
+    assert (core.row_labels, core.col_labels) == core_labels_reference(r) == (("a",), ("p",))
+
+
+def test_the_fixpoint_is_never_handed_a_tuple_row(monkeypatch):
+    # a draft's untouched rows are the relation's tuples, so every caller
+    # of `_collapse` must hand it set rows: the core, `reduce` and the pair
+    # tests, on the seeded draws, and the core still matches the reference
+    collapse = relation_module._collapse
+    calls = Counter()
+    phase = None
+
+    def checking(row_sets, col_sets, rows, cols):
+        sets = row_sets.values() if isinstance(row_sets, dict) else row_sets
+        assert not any(type(s) is tuple for s in sets)
+        calls[phase] += 1
+        return collapse(row_sets, col_sets, rows, cols)
+
+    monkeypatch.setattr(relation_module, "_collapse", checking)
+    monkeypatch.setattr(collapse_module, "_collapse", checking)
+    pair_test = dowker.reducer._pair_collapsible
+    rng = random.Random(193)
+    inputs = [random_irreducible_relation(rng) for _ in range(300)]
+    inputs += [with_repeats(rng, random_relation(rng)) for _ in range(100)]
+    for r in inputs:
+        phase = "core"
+        core = collapse_core(r)
+        assert (core.row_labels, core.col_labels) == core_labels_reference(r)
+        phase = "reduce"
+        reduce(r)
+        phase = "pair"
+        d = _Draft.of(r.make_column_irreducible())
+        for x in range(len(d.rows)):
+            for y in range(x + 1, len(d.rows)):
+                common = _star_rows(d, x) & _star_rows(d, y)
+                pair_test(d, x, y, {*d.rows[x], *d.rows[y]}, common)
+    assert min(calls[p] for p in ("core", "reduce", "pair")) > 100
+
+
 def test_core_domination_tests_do_not_grow_per_member(monkeypatch):
     # a disk collapses from its boundary inward, about one layer per pass, so
     # rescanning every live member per pass would make the tests per member
@@ -381,7 +433,7 @@ def test_restricted_draft_verdict_matches_the_restricted_relation(monkeypatch):
         frozen = d.freeze()
         pos = {c: k for k, c in enumerate(c for c, col in enumerate(d.cols) if col)}
         before = sets(d)
-        picks = [d.rows[x] | d.rows[j] for j in out]
+        picks = [set(d.rows[x]) | set(d.rows[j]) for j in out]
         picks.append(set(rng.sample(range(len(d.cols)), rng.randint(1, len(d.cols)))))
         for cols in picks:
             sub = _freeze(d, cols)
