@@ -81,13 +81,15 @@ def _load_relation(path, fmt):
         return Relation.from_text(text)
     if fmt == "toplex":
         return Relation.from_toplexes(parse_toplex_file(text))
-    if fmt == "off":
-        return Relation.from_toplexes(parse_off(text))
-    raise ValueError(f"unknown format {fmt!r}")
+    # argparse's choices leave "off" as the only other format
+    return Relation.from_toplexes(parse_off(text))
 
 
 def cmd_reduce(args):
-    relation = _load_relation(args.input, args.format)
+    # a list, not a local name, holds the relation, and it is popped into
+    # reduce, which can then free it during the pass (from CPython 3.11, as
+    # in cmd_betti)
+    held = [_load_relation(args.input, args.format)]
     for target in (args.output, args.log):
         if target:
             # a target that cannot be opened fails before the run; appending
@@ -99,9 +101,9 @@ def cmd_reduce(args):
     cap = _size_cap()
     betti_before = betti_after = None
     if args.check_betti:
-        betti_before = betti_gf2(relation, args.max_dim, size_cap=cap)
+        betti_before = betti_gf2(held[0], args.max_dim, size_cap=cap)
     t0 = time.perf_counter()
-    reduced, stats, reports = reduce(relation, records=False)
+    reduced, stats, reports = reduce(held.pop(), records=False)
     elapsed = time.perf_counter() - t0
     if args.check_betti:
         betti_after = betti_gf2(reduced, args.max_dim, size_cap=cap)

@@ -21,9 +21,9 @@ holds w, and the answer is the cone's True with nothing copied.  The
 reducer's pair test goes through `is_strong_collapsible` with the rows in
 both stars and the pair itself, and gives the pair as the apexes: on a
 torus every union of two stars that a merge follows is a cone on one of
-the pair, so only failing tests copy anything.  It drops first the rows
-that lie in one star only, since within the union such a row lies only in
-toplexes that hold one of the pair, which dominates it.  A relation whose
+the pair, so only failing tests copy anything.  Why leaving out the rows in
+one star only keeps the verdict is stated once, at that call in
+`reducer._steps`.  A relation whose
 core is 1x1 is strong collapsible, hence contractible; a larger core is
 inconclusive.
 """
@@ -37,28 +37,27 @@ def collapse_core(r: Relation) -> Relation:
     The core has no dominated row and no dominated column, and the same mod-2
     Betti numbers as the input.
     """
-    draft = _Draft.of(r)
     # set rows: `_dominated` tests containment with `<=`, which orders tuples
-    draft.rows = list(map(set, r.rows))
+    draft = _Draft(list(r.row_labels), r.col_labels, list(map(set, r.rows)),
+                   list(map(set, r.cols)))
     _collapse(draft.rows, draft.cols, set(range(r.nrows)), set(range(r.ncols)))
     return draft.freeze()
 
 
 def _is_apex(r, cols, rows, w):
-    """Whether row w is an apex of the selection: w is in `rows` (any row
-    when None) and in a selected column, and every other selected column's
-    part within `rows` lies in a selected column that holds w.  Then a
+    """Whether row w is an apex of the selection: w is in the row set `rows`
+    and in a selected column, and every other selected column's part within
+    `rows` lies in a selected column that holds w.  Then a
     column without w lies strictly inside one with w and is not maximal,
     so every maximal column holds w.  A column holding w and such a part
     is strictly longer than the part, so only longer ones are compared.
     Nothing is copied beyond one column's part at a time."""
-    if rows is not None and w not in rows:
+    if w not in rows:
         return False
     mine = r.rows[w]
     held = [r.cols[c] for c in mine if c in cols]
-    keep = set if rows is None else rows.intersection
     for c in cols:
-        if c not in mine and (part := keep(r.cols[c])):
+        if c not in mine and (part := rows.intersection(r.cols[c])):
             n = len(part)
             for s in held:
                 if len(s) > n and part.issubset(s):
@@ -77,7 +76,8 @@ def is_strong_collapsible(r, cols=None, rows=None, apexes=()) -> bool:
     are copied, keyed by r's own ids, with nothing renumbered.  Without, all
     of r; a draft's dead slots are not part of it.  With a set of row ids
     `rows`, only those rows are copied, which is the full subcomplex on
-    them; a column left with none of them goes too.  Each row id in
+    them; a column left with none of them goes too.  Without, `rows` is
+    every row id of r, which every later step reads.  Each row id in
     `apexes` is tried first, with nothing copied: when every maximal
     selected column holds it (`_is_apex`), the complex is a cone on it and
     the answer is True.  The rest of the test would give the same answer,
@@ -93,11 +93,12 @@ def is_strong_collapsible(r, cols=None, rows=None, apexes=()) -> bool:
         cols = range(len(r.cols))
     elif cols and not 0 <= min(cols) <= max(cols) < len(r.cols):
         raise ValueError("column index out of range")
+    if rows is None:
+        rows = set(range(len(r.rows)))
     for w in apexes:
         if _is_apex(r, cols, rows, w):
             return True
-    keep = set if rows is None else rows.intersection
-    col_sets = {c: s for c in cols if (s := keep(r.cols[c]))}
+    col_sets = {c: s for c in cols if (s := rows.intersection(r.cols[c]))}
     if not col_sets:
         raise ValueError("empty relation")
     cols = set(col_sets)

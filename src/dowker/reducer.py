@@ -21,17 +21,15 @@ comparison budget and the starting star sizes.  Each cursor row's star rows
 and each partner's are built once per visit, and each test builds the
 pair's column union and the rows in both stars once; the pair test and the
 merge share them all.  The two-hop partners are listed only once every
-one-hop test has failed.  The pair test reads, keyed by the draft's own ids,
-the two rows' columns restricted to the rows in both stars and the pair
-itself: a row in one star alone is dominated by one of the pair there, and
-since a strong-collapse core is unique up to isomorphism, leaving it out
-first does not change the verdict.  It first tries x and y as the apex of a
-cone, reading the draft in place, which answers every test that a merge
-follows on a torus with nothing copied; otherwise it copies those columns
-and collapses the copy.  A verdict depends only on the union of the pair's
-columns, and the draft changes only at the merge that ends a visit, so
-within one visit a partner whose union already failed is recorded as failing
-with no test run.
+one-hop test has failed.  The pair test is one `is_strong_collapsible` call
+on the draft's own ids: the two rows' columns restricted to the rows in both
+stars and the pair itself (why that keeps the verdict is stated at the call,
+in `_steps`).  It first tries x and y as the apex of a cone, reading the
+draft in place, which answers every test that a merge follows on a torus
+with nothing copied; otherwise it copies those columns and collapses the
+copy.  A verdict depends only on the union of the pair's columns, and the
+draft changes only at the merge that ends a visit, so within one visit a
+partner whose union already failed is recorded as failing with no test run.
 
 `reduce` makes one pass and does not revisit pairs: rows the cursor has
 passed are never reconsidered, even though a later merge can make a pair that
@@ -151,28 +149,6 @@ def candidate_vertices(r: Relation, x: int):
     if not 0 <= x < len(r.rows):
         raise ValueError("row index out of range")
     return list(_partners(r, x, _star_rows(r, x)))
-
-
-def _pair_collapsible(d, x, y, union, common):
-    """Whether the union of the closed stars of rows x and y of draft `d`
-    is strong collapsible, given the union of their columns `union` and the
-    rows `common` in both their stars; `d` is left unchanged.
-
-    `is_strong_collapsible` tests the columns of x and y with only the rows
-    in both stars, and x and y, kept.  A row in the star of x alone lies,
-    within the union, only in columns that hold x, so x dominates it (and
-    likewise for y); a strong-collapse core is unique up to isomorphism, so
-    dropping those rows first gives the verdict of the whole union.  x and
-    y are tried as apexes first: when every column without x lies, within
-    those rows, in a column with x, every maximal column holds x, the union
-    is a cone on x, and the test ends with nothing copied (and likewise for
-    y).  Otherwise the rows are copied and collapsed.  x lies in the star of
-    y exactly when y lies in the star of x, so `common` holds both or
-    neither; it holds both for every one-hop partner, and is then passed as
-    it is.
-    """
-    rows = common if x in common else common | {x, y}
-    return is_strong_collapsible(d, union, rows, (x, y))
 
 
 def _budget(stars):
@@ -332,14 +308,11 @@ class _RunningMax:
     def lower(self, k, v):
         """Give slot k, which holds more than v, the value v."""
         count = self.count
-        old = self.values[k]
+        count[self.values[k]] -= 1
         self.values[k] = v
-        count[old] -= 1
         count[v] += 1
-        if old == self.top and not count[old]:
-            while not count[old]:
-                old -= 1
-            self.top = old
+        while not count[self.top]:
+            self.top -= 1
 
     def push(self, v):
         """Open the next slot with the value v."""
@@ -407,7 +380,20 @@ def _steps(d, stats, sizes=None, records=True):
                 else:
                     sy = _star_rows(d, j)
                     common = sx & sy
-                    ok = _pair_collapsible(d, cursor, j, union, common)
+                    # the pair test keeps only the rows in both stars and the
+                    # pair x = cursor, y = j itself.  A row in the star of x
+                    # alone lies, within the union, only in columns that
+                    # hold x, so x dominates it (and likewise for y); a
+                    # strong-collapse core is unique up to isomorphism
+                    # (Barmak & Minian 2012), so dropping those rows first
+                    # gives the verdict of the whole union.  x is in the star
+                    # of y exactly when y is in the star of x, so `common`
+                    # holds both or neither, and both for every one-hop
+                    # partner.  x and y are the apexes tried first: on a
+                    # torus every union a merge follows is a cone on one of
+                    # them, so only failing tests copy anything
+                    rows = common if cursor in common else common | {cursor, j}
+                    ok = is_strong_collapsible(d, union, rows, (cursor, j))
                 stats.contractibility_tests += 1
                 if records:
                     stats.tested_pairs.append((d.row_labels[cursor], d.row_labels[j], ok))
@@ -448,11 +434,14 @@ def reduce(r: Relation, *, records=True):
     of that relation.  Each input row's star rows are
     listed once, on r; the comparison budget and the stream's starting star
     sizes both come from that list, which is dropped before the stream
-    starts.  `_steps` merges pairs on one mutable draft of r, whose indices
-    stay fixed: a merged row's slot goes dead and the cone row takes a new
-    slot at the tail, and each pair's union of closed stars is collapsed
-    from a copy of those stars alone, under the draft's ids.  The draft is
-    frozen once, into the one relation a run builds.
+    starts, and so is r once its widest row is read and its draft made, so
+    a relation the caller does not hold is freed during the pass (from
+    CPython 3.11; 3.10 keeps a call's arguments on the caller's stack until
+    it returns).  `_steps` merges pairs on one mutable draft of r, whose
+    indices stay fixed: a merged row's slot goes dead and the cone row
+    takes a new slot at the tail, and each pair's union of closed stars is
+    collapsed from a copy of those stars alone, under the draft's ids.  The
+    draft is frozen once, into the one relation a run builds.
 
     With `records=False` the stats keep no `tested_pairs` and no star-size
     histories, which cost a tuple per test and a few updates per merge;
@@ -466,14 +455,15 @@ def reduce(r: Relation, *, records=True):
                            comparison_budget=_budget(stars))
     sizes = list(map(len, stars))
     del stars
+    widest = max(map(len, r.rows), default=0)
     d = _Draft.of(r)
+    del r
     log = list(_steps(d, stats, sizes, records))
     cur = d.freeze()
     stats.rows_after, stats.cols_after = cur.shape
     stats.steps_applied = len(log)
     stats.delta_max_seen = max([max(sizes, default=0)] + [rep.delta_z - 1 for rep in log])
-    stats.epsilon_max_seen = max([max(map(len, r.rows), default=0)]
-                                 + [rep.epsilon_z for rep in log])
+    stats.epsilon_max_seen = max([widest] + [rep.epsilon_z for rep in log])
     return cur, stats, log
 
 

@@ -469,14 +469,12 @@ class _Draft:
     """Mutable incidence over stable indices: one set of row ids per column
     and, per row, its column ids, copy-on-write.
 
-    `_Draft.of` makes every draft.  A draft of a relation shares the
-    relation's row tuples, and a row becomes a set of its own only at its
-    first edit, when `_drop` takes a column out of it; in the reducer that
-    is a merge's clean-up.  Rows are read by iteration, `len` and
-    membership, which tuples and sets both serve.  A draft of a draft
-    shares the tuple rows and copies the set rows, so an edit to one is not
-    seen by the other.  Columns are always sets: every merge edits its
-    union's columns.
+    `_Draft.of` makes a draft of a relation, which shares the relation's
+    row tuples, and a row becomes a set of its own only at its first edit,
+    when `_drop` takes a column out of it; in the reducer that is a merge's
+    clean-up.  Rows are read by iteration, `len` and membership, which
+    tuples and sets both serve.  Columns are always sets: every merge edits
+    its union's columns.
 
     A member dropped with `_drop` keeps its index with an empty set, and a
     new row takes the next index, so edits never renumber anything;
@@ -484,7 +482,9 @@ class _Draft:
     edit that adds a row is the reducer's merge (`reducer._merge`): it
     appends the cone row, a set, and its label and, in one pass over the
     cone row's columns, takes the merged pair out of each and puts the cone
-    row in.
+    row in.  `collapse.collapse_core` builds its draft with set rows
+    itself, since the fixpoint's `_dominated` tests containment with `<=`,
+    which orders tuples.
     """
 
     row_labels: list
@@ -494,13 +494,10 @@ class _Draft:
 
     @classmethod
     def of(cls, r):
-        """A draft of the whole of r, a relation or a draft; only its labels
-        and its two orientations are read, and r is left unchanged.  Every
-        slot keeps its index, dead ones included.  A tuple or dead row is
-        shared, and a set row copied."""
-        return cls(list(r.row_labels), r.col_labels,
-                   [set(row) if type(row) is set else row for row in r.rows],
-                   [set(col) for col in r.cols])
+        """A draft of the whole of the relation r, sharing its row tuples;
+        only its labels and its two orientations are read, and r is left
+        unchanged."""
+        return cls(list(r.row_labels), r.col_labels, list(r.rows), [set(c) for c in r.cols])
 
     freeze = _freeze
 

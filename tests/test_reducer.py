@@ -1,6 +1,9 @@
 """The pair-merge reducer: candidates, steps, the full pass, and the audit."""
 
+import copy
 import random
+import sys
+import weakref
 from collections import Counter
 from itertools import islice
 
@@ -11,6 +14,7 @@ from dowker import (Relation, betti_gf2, candidate_vertices, comparison_budget,
                     gen_sphere_uv, gen_torus_grid, is_strong_collapsible, reduce,
                     reduction_step)
 import dowker.reducer
+from dowker import cli
 from dowker import collapse as collapse_module
 from dowker import relation as relation_module
 from dowker.reducer import ReductionStats, StepReport, _star_rows, _steps
@@ -59,13 +63,23 @@ def test_full_simplex_candidates_all_one_hop():
 # ----------------------------------------------------------------------
 # the pair test and the partners the stream lists
 
-def test_pair_test_matches_the_test_of_the_union_of_stars():
+def test_pair_test_matches_the_test_of_the_union_of_stars(monkeypatch):
     # the pair test drops the rows that lie in one star only; on every
     # ordered pair of live rows of each input, with and without repeated
     # rows and columns, and of each draft the stream leaves, dead slots and
     # cone rows included, it must give the verdict of the whole union and
-    # leave the draft as it is
-    pair_test = dowker.reducer._pair_collapsible
+    # leave the draft as it is; so must every pair test the stream itself
+    # runs, on the draft as it stands at that test
+    pair_test = dowker.reducer.is_strong_collapsible
+    streamed = []
+
+    def checking(d, union, rows, apexes):
+        got = pair_test(d, union, rows, apexes)
+        assert got == pair_test(d, union)
+        streamed.append(got)
+        return got
+
+    monkeypatch.setattr(dowker.reducer, "is_strong_collapsible", checking)
     rng = random.Random(157)
     draws = [random_irreducible_relation(rng) for _ in range(300)]
     drafts = []
@@ -74,7 +88,8 @@ def test_pair_test_matches_the_test_of_the_union_of_stars():
             drafts.append(_Draft.of(rel))
         d = _Draft.of(r)
         for _ in _steps(d, ReductionStats()):
-            drafts.append(_Draft.of(d))
+            drafts.append(copy.deepcopy(d))
+    assert set(streamed) == {True, False}
     verdicts = set()
     for d in drafts:
         before = ([set(row) for row in d.rows], [set(col) for col in d.cols])
@@ -83,8 +98,10 @@ def test_pair_test_matches_the_test_of_the_union_of_stars():
             for y in live:
                 if x == y:
                     continue
-                got = pair_test(d, x, y, set(d.rows[x]) | set(d.rows[y]),
-                                _star_rows(d, x) & _star_rows(d, y))
+                # the rows `_steps` passes: those in both stars and the pair
+                common = _star_rows(d, x) & _star_rows(d, y)
+                rows = common if x in common else common | {x, y}
+                got = pair_test(d, set(d.rows[x]) | set(d.rows[y]), rows, (x, y))
                 assert got == is_strong_collapsible(d, set(d.rows[x]) | set(d.rows[y]))
                 verdicts.add(got)
         assert ([set(row) for row in d.rows], [set(col) for col in d.cols]) == before
@@ -153,19 +170,19 @@ def test_pair_test_collapses_few_rows_on_a_torus(monkeypatch):
     # are a cone on one of the pair, so no row is copied or collapsed at all
     handed = []
     collapse = collapse_module._collapse
-    pair_test = dowker.reducer._pair_collapsible
+    pair_test = dowker.reducer.is_strong_collapsible
 
     def recording(row_sets, col_sets, rows, *rest):
         # the fallback collapses rows first, so the row ids come third
         handed[-1].append(len(rows))
         return collapse(row_sets, col_sets, rows, *rest)
 
-    def measured(d, x, y, sx, sy):
+    def measured(*args):
         handed.append([])
-        return pair_test(d, x, y, sx, sy)
+        return pair_test(*args)
 
     monkeypatch.setattr(collapse_module, "_collapse", recording)
-    monkeypatch.setattr(dowker.reducer, "_pair_collapsible", measured)
+    monkeypatch.setattr(dowker.reducer, "is_strong_collapsible", measured)
     d = _Draft.of(Relation.from_toplexes(gen_torus_grid(20, 30)))
     stats = ReductionStats()
     list(_steps(d, stats))
@@ -203,13 +220,13 @@ def test_a_visit_reuses_the_verdict_of_a_union_that_failed(monkeypatch):
     # union among those that failed: 21 visits with a partner run 21 tests
     # of the 231 recorded, and every recorded verdict fails
     calls = []
-    pair_test = dowker.reducer._pair_collapsible
+    pair_test = dowker.reducer.is_strong_collapsible
 
-    def counting(d, x, y, sx, sy):
-        calls.append((x, y))
-        return pair_test(d, x, y, sx, sy)
+    def counting(d, union, rows, apexes):
+        calls.append(apexes)
+        return pair_test(d, union, rows, apexes)
 
-    monkeypatch.setattr(dowker.reducer, "_pair_collapsible", counting)
+    monkeypatch.setattr(dowker.reducer, "is_strong_collapsible", counting)
     stats = ReductionStats()
     steps = list(_steps(_Draft.of(Relation.from_toplexes(gen_simplex_boundary(20))), stats))
     assert steps == [] and stats.contractibility_tests == 22 * 21 // 2 == 231
@@ -223,13 +240,13 @@ def test_reused_verdicts_equal_the_test_on_the_relation_as_it_stood(monkeypatch)
     # verdict of the union of the pair's columns on the draft as it stood at
     # that test, and some verdicts must be reused
     calls = []
-    pair_test = dowker.reducer._pair_collapsible
+    pair_test = dowker.reducer.is_strong_collapsible
 
     def counting(*args):
-        calls.append(args[1:3])
+        calls.append(args[3])
         return pair_test(*args)
 
-    monkeypatch.setattr(dowker.reducer, "_pair_collapsible", counting)
+    monkeypatch.setattr(dowker.reducer, "is_strong_collapsible", counting)
     rng = random.Random(181)
     inputs = [random_irreducible_relation(rng) for _ in range(300)]
     inputs += [with_repeats(rng, random_irreducible_relation(rng)) for _ in range(100)]
@@ -243,7 +260,7 @@ def test_reused_verdicts_equal_the_test_on_the_relation_as_it_stood(monkeypatch)
         while True:
             # the draft only changes at a merge, which is the last test
             # recorded before the stream yields
-            state = _Draft.of(d)
+            state = copy.deepcopy(d)
             rep = next(stream, None)
             new = stats.tested_pairs[seen:]
             for n, (a, b, ok) in enumerate(new):
@@ -677,6 +694,49 @@ def test_reduce_builds_one_relation(monkeypatch):
         built.clear()
         reduce(r)
         assert len(built) == 1
+
+
+class _WeakRelation(Relation):
+    """A relation that a weak reference can follow."""
+
+    __slots__ = ("__weakref__",)
+
+
+def torus_with_weak_ref(refs):
+    """A 4 x 5 torus relation, with a weak reference to it appended to
+    `refs`; nothing else holds it."""
+    torus = Relation.from_toplexes(gen_torus_grid(4, 5))
+    r = _WeakRelation(torus.row_labels, torus.col_labels, torus.rows)
+    refs.append(weakref.ref(r))
+    return r
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.10 keeps a call's arguments on the caller's stack")
+def test_reduce_releases_a_relation_no_one_else_holds_during_the_pass(
+        monkeypatch, tmp_path, capsys):
+    # nothing after the draft is made reads the input, so by the first merge
+    # the stream yields, a relation no one else holds is gone: from the
+    # library, and from the CLI with and without --check-betti
+    refs = []
+    released = []
+    steps = dowker.reducer._steps
+
+    def watching(*args):
+        for rep in steps(*args):
+            released.append(refs[-1]() is None)
+            yield rep
+
+    monkeypatch.setattr(dowker.reducer, "_steps", watching)
+    # a plain call: pytest keeps the parts of an assert statement alive
+    out, stats, log = reduce(torus_with_weak_ref(refs), records=False)
+    assert out.shape == (7, 14) and log and released[0]
+    monkeypatch.setattr(cli, "_load_relation", lambda path, fmt: torus_with_weak_ref(refs))
+    for flags in ([], ["--check-betti"]):
+        released.clear()
+        argv = ["reduce", "--input", str(tmp_path / "unread"), "--format", "rel", "--json"]
+        assert cli.main(argv + flags) == 0
+        assert '"rows_after": 7' in capsys.readouterr().out and released[0]
 
 
 def test_second_pass_replays_with_counted_cone_labels():

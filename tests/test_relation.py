@@ -187,13 +187,8 @@ def test_draft_restriction_skips_dead_slots():
 
 def test_draft_rows_are_copied_on_write():
     # a draft of a relation shares its row tuples, and a row becomes a set
-    # of its own at its first edit, a dropped column; a draft of a draft
-    # copies those sets and shares the rest, so an edit to either draft
-    # leaves the other as it was
+    # of its own at its first edit, a dropped column
     rng = random.Random(79)
-
-    def sets(d):
-        return [set(row) for row in d.rows], [set(col) for col in d.cols]
 
     def drop_columns(d):
         """Drop some of d's columns; the rows that lost one."""
@@ -205,7 +200,7 @@ def test_draft_rows_are_copied_on_write():
                 relation_module._drop(d.cols, d.rows, c)
         return edited
 
-    shared = copied = edited_after = 0
+    shared = copied = 0
     for _ in range(300):
         r = random_relation(rng)
         d = relation_module._Draft.of(r)
@@ -221,19 +216,10 @@ def test_draft_rows_are_copied_on_write():
                 assert type(d.rows[i]) is set
             else:
                 assert d.rows[i] is r.rows[i]
-        e = relation_module._Draft.of(d)
-        assert sets(e) == sets(d)
-        for a, b in zip(d.rows, e.rows):
-            assert (a is b) == (type(a) is not set)
         shared += sum(type(a) is tuple for a in d.rows)
         copied += sum(type(a) is set for a in d.rows)
-        assert not any(a is b for a, b in zip(d.cols, e.cols))
-        for one, other in ((e, d), (d, e)):
-            before = sets(other)
-            edited_after += bool(drop_columns(one))
-            assert sets(other) == before
-    # 473 tuple rows shared, 346 set rows copied, 214 edits after a copy
-    assert shared > 300 and copied > 300 and edited_after > 100
+    # 520 tuple rows shared, 307 rows made sets
+    assert shared > 300 and copied > 300
 
 
 # ----------------------------------------------------------------------
