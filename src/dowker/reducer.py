@@ -12,11 +12,12 @@ compares each of those few with the new row's columns in one pass
 (`_absorbed`).  Each step removes two rows and adds one, preserving the
 mod-2 Betti numbers whenever the tested subcomplex really was contractible.
 
-All of this edits one mutable working draft, which shares the input's row
-tuples until a clean-up edits a row (`relation._Draft`).  The pass is a stream,
-`_steps`: it merges pairs on the draft in place and yields each step's report
-once its merge is applied; `reduce` runs it to the end and builds one
-relation, the result.  Each input row's star rows are listed once, for the
+All of this edits one mutable working draft, which starts from the input's
+row tuples and keeps every row a tuple (`relation._Draft`); a merge changes
+only the rows the step equations name (`ReductionStats`).  The pass is a
+stream, `_steps`: it merges pairs on the draft in place and yields each
+step's report once its merge is applied; `reduce` runs it to the end and
+builds one relation, the result.  Each input row's star rows are listed once, for the
 comparison budget and the starting star sizes.  Each cursor row's star rows
 and each partner's are built once per visit, and each test builds the
 pair's column union and the rows in both stars once; the pair test and the
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .collapse import is_strong_collapsible
-from .relation import _DEAD, Relation, _Draft, _drop
+from .relation import _DEAD, Relation, _Draft
 
 _Z_LABEL = re.compile(r"^z([0-9]+)$")
 
@@ -87,15 +88,17 @@ class ReductionStats:
     live vertices, once before any step and once after each step.  The
     starting counts come from the star rows `reduce` lists once per input
     row.  After that they are kept per merge by the step equations, which
-    the test suite audits against a recount for every step: the cone row's
-    counts come from the StepReport, a row whose star held both merged rows
-    loses one star vertex, a row the clean-up removed columns from keeps the
-    size of its own column set, and no other count changes, so no star is
-    recounted.  `delta_max_seen` / `epsilon_max_seen`, the largest value
-    each history holds, are worked out without the histories, from the
-    starting counts and each report's cone row counts: under the step
-    equations a count only falls, except at the cone row's new slot, so a
-    maximum rises only there, to the cone row's count.
+    the test suite audits against a recount for every step.  A merge
+    changes only the merged pair, whose slots go dead, the cone row, whose
+    counts come from the StepReport, and the rows in both merged rows'
+    stars: each loses one star vertex and keeps the size of its own column
+    set, which the clean-up may have cut.  No other row and no other count
+    changes, so no star is recounted.  `delta_max_seen` /
+    `epsilon_max_seen`, the largest value each history holds, are worked
+    out without the histories, from the starting counts and each report's
+    cone row counts: under the step equations a count only falls, except
+    at the cone row's new slot, so a maximum rises only there, to the cone
+    row's count.
     """
 
     rows_before: int = 0
@@ -216,22 +219,21 @@ def _absorbed(cols, union, inner):
     return faces, dups
 
 
-def _merge(d, xi, xj, union, star_i, star_j, common, z, ncols):
-    """Replace rows xi and xj of draft `d`, whose star rows are `star_i` and
-    `star_j`, by the cone row `z`, in place.  `union` is the union of the
-    two rows' columns and `common` is `star_i & star_j`, both as the pair
-    test had them.
+def _merge(d, xi, xj, union, both, delta, z, ncols):
+    """Replace rows xi and xj of draft `d` by the cone row `z`, in place, and
+    return the step's StepReport.  `union` holds the two rows' columns,
+    `both` the rows other than the pair in both merged rows' stars, and
+    `delta` is the vertex count of the union of those stars, all as the
+    pair test had them; `ncols` is the draft's live column count before
+    the merge.
 
-    The cone row takes the next index and the set `union` itself as its
-    columns, and one pass over those columns takes the pair out of each and
-    puts the cone row in.  Columns among those that the merge made
-    dominated are dropped; nothing else can be affected, and a row that
-    loses a column to the drop and was still the input's tuple becomes a
-    set there (`relation._drop`).  `ncols` is the draft's live column count
-    before the merge.  Returns the step's
-    StepReport, the rows other than the pair in both merged rows' stars,
-    and the set of rows other than the cone row that the clean-up removed a
-    column from.
+    The cone row, a tuple of `union`, takes the next index, and one pass
+    over its columns takes the pair out of each and puts the cone row in.
+    The columns among those that the merge made dominated go, and nothing
+    else can be affected: each row that held one, the cone row or a row of
+    `both`, is replaced by a tuple without it.  So this is the one edit of
+    a row, every row stays a tuple, and what changes is what the step
+    equations say (`ReductionStats`).
 
     The clean-up, `_absorbed`, tests only the cone row's columns whose other
     rows all lie in both stars, each in one pass over the cone row's
@@ -245,23 +247,24 @@ def _merge(d, xi, xj, union, star_i, star_j, common, z, ncols):
     """
     pair = (d.row_labels[xi], d.row_labels[xj])
     zi = len(d.rows)
-    for c in union:
+    cone = tuple(union)
+    for c in cone:
         s = d.cols[c]
         s.discard(xi)
         s.discard(xj)
         s.add(zi)
     d.rows[xi] = d.rows[xj] = _DEAD
-    d.rows.append(union)
+    d.rows.append(cone)
     d.row_labels.append(z)
-    both = common - {xi, xj}
-    faces, dups = _absorbed(d.cols, union, both | {zi})
-    gone = [_drop(d.cols, d.rows, c) for c in faces + dups]
-    rep = StepReport(pair=pair, z_label=z,
-                     faces_absorbed=len(faces), duplicates_merged=len(dups),
-                     delta_z=len(star_i) + len(star_j) - len(common),
-                     epsilon_z=len(d.rows[zi]),
-                     cols_before=ncols, cols_after=ncols - len(gone))
-    return rep, both, set().union(*gone) - {zi}
+    faces, dups = _absorbed(d.cols, cone, both | {zi})
+    for c in faces + dups:
+        for k in d.cols[c]:
+            d.rows[k] = tuple([b for b in d.rows[k] if b != c])
+        d.cols[c] = _DEAD
+    return StepReport(pair=pair, z_label=z,
+                      faces_absorbed=len(faces), duplicates_merged=len(dups),
+                      delta_z=delta, epsilon_z=len(d.rows[zi]),
+                      cols_before=ncols, cols_after=ncols - len(faces) - len(dups))
 
 
 def reduction_step(r: Relation, xi: int, xj: int):
@@ -282,8 +285,8 @@ def reduction_step(r: Relation, xi: int, xj: int):
     r = r.make_column_irreducible()
     d = _Draft.of(r)
     sx, sy = _star_rows(d, xi), _star_rows(d, xj)
-    report = _merge(d, xi, xj, {*d.rows[xi], *d.rows[xj]}, sx, sy, sx & sy,
-                    f"z{_fresh_z(r.row_labels)}", r.ncols)[0]
+    report = _merge(d, xi, xj, {*d.rows[xi], *d.rows[xj]}, (sx & sy) - {xi, xj},
+                    len(sx | sy), f"z{_fresh_z(r.row_labels)}", r.ncols)
     return d.freeze(), report
 
 
@@ -306,7 +309,7 @@ class _RunningMax:
         self.top = len(self.count) - 1
 
     def lower(self, k, v):
-        """Give slot k, which holds more than v, the value v."""
+        """Give slot k, which holds no less than v, the value v."""
         count = self.count
         count[self.values[k]] -= 1
         self.values[k] = v
@@ -332,9 +335,9 @@ def _steps(d, stats, sizes=None, records=True):
     the cursor row's star rows once and tests the partners `_partners` gives
     in turn, building each partner's star rows, the pair's column union and
     the rows in both stars once; the failed-union key, the pair test and
-    the merge share them.  The union is a fresh set, since either row may
-    be the input's tuple, and a merge takes it as the cone row.  On the first success the pair is merged,
-    which leaves the cursor's slot dead, and the cursor moves on, as it does
+    the merge share them.  On the first success the pair is merged, which
+    leaves the cursor's slot dead and changes only what the step equations
+    name (see ReductionStats), and the cursor moves on, as it does
     when every test fails; a dead slot is passed over, and a cone row is
     processed when the cursor reaches it.  Each test is counted in `stats`
     as it happens.  With `records`, each test also goes into
@@ -400,22 +403,19 @@ def _steps(d, stats, sizes=None, records=True):
                 if not ok:
                     failed.add(key if failed else frozenset(union))
                     continue
-                rep, both, lost = _merge(d, cursor, j, union, sx, sy, common, f"z{z}", ncols)
+                both = common - {cursor, j}
+                rep = _merge(d, cursor, j, union, both, len(sx) + len(sy) - len(common),
+                             f"z{z}", ncols)
                 z = _successor(z)
                 ncols = rep.cols_after
                 if records:
-                    # the step equations: the merged slots go dead, the cone
-                    # row's counts are the report's, a row whose star held
-                    # both merged rows loses one star vertex, a row that lost
-                    # columns to the clean-up holds the rest, and no other
-                    # count changes
+                    # the step equations (see ReductionStats)
                     for m, v in ((delta, rep.delta_z - 1), (epsilon, rep.epsilon_z)):
                         m.lower(cursor, 0)
                         m.lower(j, 0)
                         m.push(v)
                     for k in both:
                         delta.lower(k, delta.values[k] - 1)
-                    for k in lost:
                         epsilon.lower(k, len(d.rows[k]))
                     stats.delta_max_history.append(delta.top)
                     stats.epsilon_max_history.append(epsilon.top)

@@ -5,9 +5,9 @@ single source of truth for a simplicial complex: the simplices of the complex
 are exactly the row sets that share a column.  Incidence is stored sparsely
 in both orientations: a relation holds the ascending index tuple of every row
 and every column, and the mutable draft that operations edit holds one set per
-column and, per row, the relation's own tuple until the row's first edit
-makes it a set (`_drop`): rows are copy-on-write, so a draft costs little
-more than the relation it edits.  Row-side domination scans and column-side
+column and one tuple per row, at first the relation's own: a draft costs
+little more than the relation it edits, and an edit replaces the tuples of
+the rows it changes.  Row-side domination scans and column-side
 clean-up each run on their natural axis without transposing the whole
 matrix, and their cost follows the ones of the matrix, not its width.
 
@@ -99,16 +99,15 @@ _DEAD = frozenset()
 
 
 def _drop(sets_a, sets_b, i):
-    """Remove member i of axis a in place: remove it from the sets of axis b
-    and give it the shared empty set, so a dead slot keeps no set of its
-    own.  Returns the set it had.  A draft's row that is still the
-    relation's tuple becomes a set here, at its first edit."""
+    """Remove member i of axis a in place: remove it from the sets of axis b,
+    which must be sets, and give it the shared empty set, so a dead slot
+    keeps no set of its own.  Returns the set it had.  The set-based copies
+    edit with it: the collapse fixpoint and `_maximal`, through `_exhaust`,
+    and `Relation.remove_rows`, which drops rows from a draft's column
+    sets."""
     s = sets_a[i]
     for b in s:
-        t = sets_b[b]
-        if type(t) is tuple:
-            t = sets_b[b] = set(t)
-        t.discard(i)
+        sets_b[b].discard(i)
     sets_a[i] = _DEAD
     return s
 
@@ -467,24 +466,23 @@ def _freeze(r, cols=None):
 @dataclass(slots=True)
 class _Draft:
     """Mutable incidence over stable indices: one set of row ids per column
-    and, per row, its column ids, copy-on-write.
+    and one tuple of column ids per row.
 
     `_Draft.of` makes a draft of a relation, which shares the relation's
-    row tuples, and a row becomes a set of its own only at its first edit,
-    when `_drop` takes a column out of it; in the reducer that is a merge's
-    clean-up.  Rows are read by iteration, `len` and membership, which
-    tuples and sets both serve.  Columns are always sets: every merge edits
-    its union's columns.
+    row tuples.  A row is never edited in place: the reducer's merge
+    (`reducer._merge`), the one edit that changes a live row, replaces the
+    tuple of each row it edits, so every row of the draft stays a tuple.
+    Columns are always sets: every merge edits its union's columns.
 
-    A member dropped with `_drop` keeps its index with an empty set, and a
-    new row takes the next index, so edits never renumber anything;
-    `freeze`, which is `_freeze`, renumbers the live members once.  The one
-    edit that adds a row is the reducer's merge (`reducer._merge`): it
-    appends the cone row, a set, and its label and, in one pass over the
-    cone row's columns, takes the merged pair out of each and puts the cone
-    row in.  `collapse.collapse_core` builds its draft with set rows
-    itself, since the fixpoint's `_dominated` tests containment with `<=`,
-    which orders tuples.
+    A dead member keeps its index with the shared empty set, and a new row
+    takes the next index, so edits never renumber anything; `freeze`,
+    which is `_freeze`, renumbers the live members once.  The merge is also
+    the one edit that adds a row: it appends the cone row and its label
+    and, in one pass over the cone row's columns, takes the merged pair out
+    of each and puts the cone row in.  `Relation.remove_rows` drops rows
+    with `_drop`, which edits only column sets.  `collapse.collapse_core`
+    builds its draft with set rows itself, since the fixpoint's
+    `_dominated` tests containment with `<=`, which orders tuples.
     """
 
     row_labels: list

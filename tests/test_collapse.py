@@ -317,22 +317,23 @@ def test_core_collapses_set_rows_not_the_relations_tuples():
     # `_dominated` tests containment with `<=`, which on tuples is
     # lexicographic order: (0, 1) <= (0, 2, 3), though {0, 1} is not a
     # subset of {0, 2, 3}.  Fed this relation's tuple rows, the fixpoint
-    # takes row a as dominated by row b and leaves a 2x2 core of a
-    # contractible complex
+    # takes row a as dominated by row b, and its first column removal
+    # fails, since `_drop` edits sets only
     r = Relation(list("abc"), list("pqrs"), [(0, 1), (0, 2, 3), (1,)])
     assert r.rows[0] <= r.rows[1] and not set(r.rows[0]) <= set(r.rows[1])
     d = _Draft.of(r)
     rows, cols = set(range(r.nrows)), set(range(r.ncols))
-    relation_module._collapse(d.rows, d.cols, rows, cols)
-    assert (len(rows), len(cols)) == (2, 2)
+    with pytest.raises(AttributeError):
+        relation_module._collapse(d.rows, d.cols, rows, cols)
+    assert 0 not in rows
     core = collapse_core(r)
     assert (core.row_labels, core.col_labels) == core_labels_reference(r) == (("a",), ("p",))
 
 
 def test_the_fixpoint_is_never_handed_a_tuple_row(monkeypatch):
-    # a draft's untouched rows are the relation's tuples, so every caller
-    # of `_collapse` must hand it set rows: the core, `reduce` and the pair
-    # tests, on the seeded draws, and the core still matches the reference
+    # every row of a draft is a tuple, so every caller of `_collapse` must
+    # hand it set rows: the core, `reduce` and the pair tests, on the
+    # seeded draws, and the core still matches the reference
     collapse = relation_module._collapse
     calls = Counter()
     phase = None

@@ -3,6 +3,7 @@
 import copy
 import random
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from itertools import islice
@@ -872,7 +873,9 @@ def test_running_max_lower_and_push_match_a_recount():
              ([7, 7], [("lower", 0, 0), ("lower", 1, 0)], 0),
              ([9, 1], [("push", 4), ("lower", 0, 0)], 4),
              ([3, 8], [("push", 12), ("lower", 2, 0), ("lower", 1, 2)], 3),
-             ([], [("push", 5), ("lower", 0, 0)], 0)]
+             ([], [("push", 5), ("lower", 0, 0)], 0),
+             # lowering a slot to its own value changes nothing
+             ([4, 6, 6], [("lower", 1, 6), ("lower", 0, 4), ("lower", 2, 3)], 6)]
     for values, ops, top in cases:
         m, values = running_max(values), list(values)
         _check_running_max(m, values)
@@ -948,34 +951,84 @@ def test_second_pass_can_shrink_further():
         assert betti_gf2(twice.toplexes(), 3) == betti_gf2(draws[k].toplexes(), 3)
 
 
-def test_a_pass_makes_sets_only_of_the_rows_a_clean_up_edits(monkeypatch):
-    # copy-on-write rows: an input row becomes a set only when a merge's
-    # clean-up drops a column from it, so on torus 20x30, after every merge,
-    # every live input row that no clean-up edited is still the relation's
-    # own tuple, and every live cone row is the set its merge built
+def _merge_inputs():
+    """Torus 20x30, the uv sphere 24x21, whose merges remove duplicate
+    columns too, and 400 seeded random draws."""
+    rng = random.Random(223)
+    return ([Relation.from_toplexes(gen_torus_grid(20, 30)),
+             Relation.from_toplexes(gen_sphere_uv(24, 21))]
+            + [random_irreducible_relation(rng) for _ in range(400)])
+
+
+def test_every_draft_row_stays_a_tuple_through_a_pass():
+    # a merge replaces the tuples of the rows it edits and appends the cone
+    # row as a tuple, so after every merge of a pass every live row of the
+    # draft is a tuple, and an input row no merge edited is still the
+    # relation's own tuple
+    kept = replaced = dups = 0
+    for r in _merge_inputs():
+        d = _Draft.of(r)
+        for rep in _steps(d, ReductionStats(), records=False):
+            dups += rep.duplicates_merged
+            live = [row for row in d.rows if row]
+            assert all(type(row) is tuple for row in live)
+            shared = sum(d.rows[i] is r.rows[i] for i in range(r.nrows))
+            kept += shared
+            replaced += len(live) - shared
+    # 144,372 checks of a kept input tuple and 158,731 of a replaced or cone
+    # row; 69 duplicate columns merged, 27 of them on the uv sphere
+    assert kept > 140000 and replaced > 150000 and dups >= 27
+
+
+def test_a_merge_replaces_only_rows_in_both_stars(monkeypatch):
+    # `_merge` returns its report alone and edits no row in place: a row
+    # whose tuple it kept holds the columns it held, and every row whose
+    # tuple it replaced lies in both merged rows' stars, as `both` gives
+    # them, or is the cone row
     merge = dowker.reducer._merge
-    edited = set()
+    seen = {"merges": 0, "replaced": 0}
 
-    def recording(*args):
-        out = merge(*args)
-        edited.update(out[2])
-        return out
+    def checking(d, xi, xj, union, both, delta, z, ncols):
+        common = _star_rows(d, xi) & _star_rows(d, xj)
+        assert both == common - {xi, xj}
+        before = list(d.rows)
+        held = [set(row) for row in before]
+        rep = merge(d, xi, xj, union, both, delta, z, ncols)
+        assert type(rep) is StepReport
+        assert d.rows[xi] == d.rows[xj] == relation_module._DEAD
+        assert type(d.rows[-1]) is tuple and len(d.rows) == len(before) + 1
+        for k, row in enumerate(before):
+            if k in (xi, xj) or not row:
+                continue
+            if d.rows[k] is row:
+                assert set(row) == held[k]
+            else:
+                assert k in both and type(d.rows[k]) is tuple
+                assert set(d.rows[k]) < held[k]
+                seen["replaced"] += 1
+        seen["merges"] += 1
+        return rep
 
-    monkeypatch.setattr(dowker.reducer, "_merge", recording)
-    r = Relation.from_toplexes(gen_torus_grid(20, 30))
-    d = _Draft.of(r)
-    kept = made = 0
-    for _ in _steps(d, ReductionStats(), records=False):
-        for i in range(r.nrows):
-            if d.rows[i] and i in edited:
-                assert type(d.rows[i]) is set
-                made += 1
-            elif d.rows[i]:
-                assert d.rows[i] is r.rows[i]
-                kept += 1
-        assert all(type(row) is set for row in d.rows[r.nrows:] if row)
-    # 85,817 checks of a kept tuple and 3,883 of a set that a clean-up made
-    assert kept > 80000 and made > 3000
+    monkeypatch.setattr(dowker.reducer, "_merge", checking)
+    for r in _merge_inputs():
+        reduce(r)
+    # 2,637 merges replace 2,939 rows other than the cone row
+    assert seen["merges"] > 2500 and seen["replaced"] > 2800
+
+
+def test_reduce_peak_traced_memory_on_torus_60x80():
+    # every draft row is a tuple, so no cone row or cleaned-up row is held
+    # as a set: the traced peak of one `reduce` is 2.99-3.01 MiB on CPython
+    # 3.10-3.13, against 4.49-4.51 MiB while those rows were sets
+    r = Relation.from_toplexes(gen_torus_grid(60, 80))
+    tracemalloc.start()
+    try:
+        out, _, log = reduce(r, records=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.shape, len(log)) == ((9, 18), 4791)
+    assert peak <= 3.5 * 2**20
 
 
 def test_a_second_pass_on_the_same_draft_matches_reduce_of_its_freeze():
