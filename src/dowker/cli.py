@@ -33,7 +33,11 @@ import sys
 import time
 
 from .collapse import collapse_core
-from .complexio import FIXTURES, fixture_incidences, parse_off, parse_toplex_file
+# the loads number names as they read them and keep no toplex's names;
+# parse_toplex_file is imported for the benchmark's tracer
+# (perfbench/tracing.py), which wraps it here
+from .complexio import (FIXTURES, fixture_incidences, index_off, index_toplex_file,  # noqa: F401
+                        parse_toplex_file)
 from .errors import ParseError, SizeCapError
 from .homology import DEFAULT_SIZE_CAP, betti_gf2
 from .reducer import format_step_log, reduce
@@ -80,9 +84,9 @@ def _load_relation(path, fmt):
     if fmt == "rel":
         return Relation.from_text(text)
     if fmt == "toplex":
-        return Relation.from_toplexes(parse_toplex_file(text))
+        return Relation.from_toplexes(index_toplex_file(text))
     # argparse's choices leave "off" as the only other format
-    return Relation.from_toplexes(parse_off(text))
+    return Relation.from_toplexes(index_off(text))
 
 
 def cmd_reduce(args):
@@ -145,9 +149,10 @@ def cmd_reduce(args):
 
 
 def cmd_betti(args):
-    # no local name holds the relation, so betti_gf2 can free its labels and
-    # rows before ranking (from CPython 3.11; 3.10 keeps a call's arguments
-    # on the caller's stack until it returns)
+    # no local name holds the relation, so betti_gf2 frees its labels and
+    # rows once it has taken the columns, before it enumerates (from
+    # CPython 3.11; 3.10 keeps a call's arguments on the caller's stack
+    # until it returns)
     betti = betti_gf2(_load_relation(args.input, args.format), args.max_dim,
                       size_cap=_size_cap())
     print(_numbers(betti))

@@ -10,24 +10,42 @@ generators used as regression fixtures, listed in one table, `FIXTURES`.
 from __future__ import annotations
 
 from .errors import ParseError
-from .relation import Relation, _counts, _lines, _normalise_toplexes, _other_axis, _tokens
+from .relation import (Relation, _column, _counts, _indexed, _lines, _maximal, _other_axis,
+                       _tokens)
 
 
 class ToplexList:
     """Ordered list of toplexes with a stable vertex order.
 
-    Every list, parsed, generated or given, is numbered, checked and
-    normalised by the one function `relation._normalise_toplexes`, which
-    drops duplicate toplexes and toplexes set-contained in another, keeping
-    the earliest occurrence.  `vertex_names` is the union of all input
-    toplexes in first-appearance order, dropped ones included.
-    `vertex_indices` holds each toplex's ascending vertex indices into
-    `vertex_names`, so a ToplexList passed on to `Relation.from_toplexes`
-    or the homology oracle is used as it stands.
+    Every list, parsed, generated or given, is numbered and checked by the
+    one rule `relation._column`, as each toplex is read, and normalised by
+    `relation._maximal`, which drops duplicate toplexes and toplexes
+    set-contained in another, keeping the earliest occurrence.
+    `vertex_names` is the union of all input toplexes in first-appearance
+    order, dropped ones included.  `vertex_indices` holds each toplex's
+    ascending vertex indices into `vertex_names`, so a ToplexList passed on
+    to `Relation.from_toplexes` or the homology oracle is used as it
+    stands.
     """
 
     def __init__(self, toplexes):
-        self.vertex_names, self.toplexes, self.vertex_indices = _normalise_toplexes(toplexes)
+        index = {}
+        self._keep(index, ((t, _column(t, index)) for t in map(tuple, toplexes)))
+
+    def _keep(self, index, numbered):
+        """Take the maximal toplexes of `numbered`, (vertex names, ascending
+        index tuple) pairs in input order whose names `index` numbers, and
+        return self; each toplex keeps its names in input order, as a
+        tuple."""
+        tops, cols = [], []
+        for names, col in numbered:
+            tops.append(tuple(names))
+            cols.append(col)
+        keep = _maximal(cols, len(index))
+        self.vertex_names = tuple(index)
+        self.toplexes = tuple([tops[j] for j in keep])
+        self.vertex_indices = tuple([cols[j] for j in keep])
+        return self
 
     def __len__(self):
         return len(self.toplexes)
@@ -50,35 +68,52 @@ class ToplexList:
         return "".join(" ".join(_tokens(t)) + "\n" for t in self.toplexes)
 
 
+def _toplex_lines(text, index):
+    """Each toplex line of a toplex file in turn, every line that
+    `relation._lines` reads: its vertex names, split on whitespace, and
+    their ascending index tuple by `relation._column`, which numbers new
+    names in the dict `index`.  A line that the rule refuses, blank or
+    repeating a name, raises ParseError naming it, when it is read."""
+    for n, raw in _lines(text):
+        names = raw.split()
+        try:
+            col = _column(names, index)
+        except ValueError:
+            what = "vertex repeated within a toplex" if names else "blank line in toplex file"
+            raise ParseError(what, line=n) from None
+        yield names, col
+
+
 def parse_toplex_file(text) -> ToplexList:
-    """Parse the toplex file format.
+    """Parse the toplex file format: one toplex per line, as
+    whitespace-separated vertex names.
 
-    Each line that `relation._lines` reads is one toplex as
-    whitespace-separated vertex names.  The split lines go to `ToplexList`
-    as they are read, with no line bookkeeping, so the one normaliser
-    numbers and checks each of them once, in first-appearance order.  It
-    refuses only an empty toplex (a blank line) or one that repeats a
-    vertex, and stops at the first; only then are the lines read again, to
-    report that line's number.
+    The lines are read once, by `_toplex_lines`, so each is numbered and
+    checked as it is read, and the first blank line or line that repeats a
+    name is reported with its number.
     """
-    try:
-        return ToplexList(raw.split() for _, raw in _lines(text))
-    except ValueError:
-        for n, raw in _lines(text):
-            names = raw.split()
-            if not names or len(set(names)) != len(names):
-                what = "vertex repeated within a toplex" if names else "blank line in toplex file"
-                raise ParseError(what, line=n) from None
-        raise
+    index = {}
+    return object.__new__(ToplexList)._keep(index, _toplex_lines(text, index))
 
 
-def parse_off(text) -> ToplexList:
-    """Parse an ASCII OFF mesh into its face toplexes.
+def index_toplex_file(text):
+    """The toplex file `text` as `parse_toplex_file` reads it, but as the
+    vertex order and the kept toplexes' index tuples only, a
+    `relation._Indexed`: no toplex's names are kept.  The command line
+    loads toplex files with it; the errors are `parse_toplex_file`'s."""
+    index = {}
+    # the list is built, numbering names in `index`, before _indexed reads it
+    return _indexed(index, [col for _, col in _toplex_lines(text, index)])
+
+
+def _off_faces(text):
+    """The faces of an ASCII OFF mesh in turn, each line checked as it is
+    read: each face is the list of its vertex names, the decimal indices
+    from the file.
 
     Coordinates are discarded: only which vertices span each face matters to
-    the reduction.  Polygon faces are kept whole as toplexes.  Vertex names
-    are the decimal indices from the file.  Blank lines are skipped, and
-    comments are as `relation._lines` reads them.
+    the reduction.  Blank lines are skipped, and comments are as
+    `relation._lines` reads them.
     """
     lines = ((n, words) for n, raw in _lines(text) if (words := raw.split()))
 
@@ -98,7 +133,6 @@ def parse_off(text) -> ToplexList:
         raise ParseError("negative count", line=n)
     for _ in range(n_verts):
         next_line("vertex line")
-    tops = []
     for _ in range(n_faces):
         n, words = next_line("face line")
         try:
@@ -113,8 +147,24 @@ def parse_off(text) -> ToplexList:
                 raise ParseError(f"face index {i} out of range", line=n)
         if len(set(face)) != len(face):
             raise ParseError("face repeats a vertex", line=n)
-        tops.append(tuple(str(i) for i in face))
-    return ToplexList(tops)
+        yield [str(i) for i in face]
+
+
+def parse_off(text) -> ToplexList:
+    """Parse an ASCII OFF mesh into its face toplexes, read by `_off_faces`.
+
+    Polygon faces are kept whole as toplexes.
+    """
+    return ToplexList(_off_faces(text))
+
+
+def index_off(text):
+    """The OFF mesh `text` as `parse_off` reads it, but as a
+    `relation._Indexed`, like `index_toplex_file`: no face's names are
+    kept.  The command line loads OFF files with it."""
+    index = {}
+    # the list is built, numbering names in `index`, before _indexed reads it
+    return _indexed(index, [_column(face, index) for face in _off_faces(text)])
 
 
 def witness_relation(cover) -> Relation:

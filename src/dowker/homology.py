@@ -8,8 +8,10 @@ oracle reads the toplexes as ascending vertex-index tuples: a Relation's
 column tuples are used as they are, and vertex-name collections are
 numbered by `relation._normalise_toplexes`, in first-appearance order, as
 `Relation.from_toplexes` numbers them, without building the rows that a
-Relation would add.  The vertices are listed from their count,
-and each level above them is built in bulk, a chunk of toplexes at a time,
+Relation would add.  `betti_gf2` takes a Relation's columns and row count
+before it enumerates and lets go of the relation itself.  The vertices are
+listed from their count, and each level above them is built in bulk, a
+chunk of toplexes at a time,
 under the simplex cap; a level at the toplexes' own size holds their tuples
 themselves.  Each level keeps the order in which its simplices first
 appear among the toplexes' faces: a rank depends on the order of neither
@@ -84,11 +86,12 @@ def _face_indices(levels, k):
 def enumerate_simplices(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP) -> ChainComplexGF2:
     """All simplices of the complex generated by `toplexes`, up to max_dim+1.
 
-    `toplexes` is a Relation, whose columns are the toplexes and whose rows
-    are the vertices in row order; a ToplexList or iterable of vertex-name
-    collections is numbered by `relation._normalise_toplexes`, the columns
-    `Relation.from_toplexes` would give, so its vertices are numbered in
-    first-appearance order.  Going one
+    `toplexes` is read through `relation._normalise_toplexes`: a Relation,
+    whose columns are the toplexes and whose rows are the vertices in row
+    order, and a ToplexList or a `relation._Indexed` are used as they
+    stand; an iterable of vertex-name collections is numbered into the
+    columns `Relation.from_toplexes` would give, so its vertices are
+    numbered in first-appearance order.  Going one
     dimension above max_dim makes the Betti number at max_dim exact; no
     level above the largest toplex is built, since it would be empty.
     `max_dim` defaults to the dimension of the largest toplex (0 without
@@ -105,11 +108,8 @@ def enumerate_simplices(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP) -> Ch
     order).  Only the levels are built; `_face_indices` streams the boundary
     maps from them.
     """
-    if isinstance(toplexes, Relation):
-        cols, total = toplexes.cols, toplexes.nrows
-    else:
-        order, _, cols = relation._normalise_toplexes(toplexes)
-        total = len(order)
+    order, cols = relation._normalise_toplexes(toplexes)
+    total = len(order)
     top_dim = max(map(len, cols), default=0) - 1
     if max_dim is None:
         max_dim = max(top_dim, 0)
@@ -239,16 +239,22 @@ def betti_gf2(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP):
     listed: d_1 is ranked on the edge level itself (an edge
     is its endpoints' indices), and each higher d_k on its transpose, the
     cofaces of each face, which has the same rank, read by
-    `_transposed_rank` from the `_face_indices` stream.  The reference to
-    `toplexes` is dropped once the levels are built, and each level once
-    the last map that reads it is ranked, so a Relation no one else holds
-    is freed before the ranks, and the ranks run beside ever fewer levels.
+    `_transposed_rank` from the `_face_indices` stream.  Of a Relation
+    only the columns and the row count are read, and they are taken before
+    the enumeration, so a Relation no one else holds is freed, labels and
+    rows, before any level is built (from CPython 3.11; 3.10 keeps a call's
+    arguments on the caller's stack until it returns).  The columns are
+    dropped once the levels are built, and each level once the last map
+    that reads it is ranked, so the ranks run beside ever fewer levels.
     Above the largest toplex every Betti number is 0; the result holds
     max_dim + 1 numbers, so SizeCapError is raised when that exceeds
     `size_cap`.
     """
     if max_dim is not None and max_dim + 1 > size_cap:
         raise SizeCapError(f"{max_dim + 1} Betti numbers exceed cap {size_cap}")
+    if isinstance(toplexes, Relation):
+        # the vertices are only counted, so a range stands for the labels
+        toplexes = relation._Indexed(range(toplexes.nrows), toplexes.cols)
     levels = enumerate_simplices(toplexes, max_dim, size_cap).simplices_by_dim
     del toplexes
     counts = list(map(len, levels))

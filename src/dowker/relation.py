@@ -35,22 +35,27 @@ dominated, against the cone row's columns, and tells the faces from the
 duplicates, the split a merge reports.
 
 The three text formats read their lines through one generator, `_lines`,
-which skips comments and numbers every line of the file, and the two
-writers, of relations and of toplex lists, turn labels into tokens through
-one function, `_tokens`, which refuses a label that would read back as
-something else.
+which skips comments and numbers every line of the file; every reader
+takes them as a stream and lists none.  The two writers, of relations and
+of toplex lists, turn labels into tokens through one function, `_tokens`,
+which refuses a label that would read back as something else.
 
-Vertex-name toplexes become index tuples in one function,
-`_normalise_toplexes`: it numbers the names in one pass, in
-first-appearance order, checks each toplex as it reads it, and keeps the
-maximal toplexes with the same `_maximal`.  `ToplexList`,
-`parse_toplex_file`, `from_toplexes` and the homology oracle go through
-it, and a ToplexList it has built is used as it stands.
+Vertex names become index tuples by one rule, `_column`, which numbers
+each toplex's names in first-appearance order and refuses an empty toplex
+or a repeated vertex.  Every reader of names applies it as it reads each
+toplex: `_normalise_toplexes`, for `from_toplexes` and the homology
+oracle, `ToplexList`, and the toplex and OFF readers of
+`dowker.complexio`.  All of them keep the maximal toplexes with the same
+`_maximal`.  Only a `ToplexList` keeps the names of each toplex; the
+others keep the vertex order and the index tuples, an `_Indexed`, which
+`_normalise_toplexes` takes as it stands, as it takes a ToplexList.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import islice
 from operator import index, lt
 
 from .errors import ParseError
@@ -274,15 +279,16 @@ class Relation:
     def from_toplexes(cls, toplexes):
         """Relation whose complex equals the complex generated by `toplexes`.
 
-        Accepts a ToplexList or any iterable of vertex-name collections.
-        Rows are the vertices in first-appearance order, as
+        Accepts a ToplexList, the `_Indexed` form that the command line's
+        toplex and OFF loads build, or any iterable of vertex-name
+        collections.  Rows are the vertices in first-appearance order, as
         `_normalise_toplexes` numbers them; columns are the maximal input
         toplexes.  Duplicate and set-contained toplexes are dropped, keeping
         the earliest occurrence, so the result is column irreducible, and
         every vertex lies in a kept toplex, since a dropped toplex lies in
         one.
         """
-        order, _, cols = _normalise_toplexes(toplexes)
+        order, cols = _normalise_toplexes(toplexes)
         return cls._build(order, [f"t{j}" for j in range(len(cols))],
                           _other_axis(cols, len(order)), cols)
 
@@ -362,45 +368,51 @@ class Relation:
         """Parse the relation text format; comments are as `_lines` reads
         them.
 
-        An empty body line would be an empty row and is rejected.
+        The lines are read as a stream, never listed.  An empty body line
+        would be an empty row and is rejected.  A wrong row-line count is
+        reported before a bad row: on a bad row, the lines left are counted
+        first.
         """
-        lines = list(_lines(text))
-        if len(lines) < 3:
+        lines = _lines(text)
+        head = list(islice(lines, 3))
+        if len(head) < 3:
             raise ParseError("expected a size line and two label lines")
-        n_size, size_line = lines[0]
+        (n_size, size_line), (n_row, row_line), (n_col, col_line) = head
         parts = size_line.split()
         if len(parts) != 2 or not all(p.isdecimal() for p in parts):
             raise ParseError("size line must be '<rows> <cols>'", line=n_size)
         nrows, ncols = _counts(parts, n_size)
-        n_row, row_line = lines[1]
-        n_col, col_line = lines[2]
-        row_labels = row_line.split()
-        col_labels = col_line.split()
+        row_labels, col_labels = row_line.split(), col_line.split()
         if len(row_labels) != nrows:
             raise ParseError(f"expected {nrows} row labels, got {len(row_labels)}",
                              line=n_row)
         if len(col_labels) != ncols:
             raise ParseError(f"expected {ncols} column labels, got {len(col_labels)}",
                              line=n_col)
-        body = lines[3:]
-        if len(body) != nrows:
-            raise ParseError(f"expected {nrows} row lines, got {len(body)}")
-        rows = []
-        for n, raw in body:
-            if not raw.strip():
-                raise ParseError("empty row", line=n)
-            try:
-                idx = tuple(map(int, raw.split()))
-            except ValueError:
-                raise ParseError("row line must list column indices", line=n) from None
-            if not (all(map(lt, idx, idx[1:])) and 0 <= idx[0] and idx[-1] < ncols):
-                # only a refused row is sorted: an index out of range is
-                # reported before the order
-                ascending = sorted(set(idx))
-                if ascending[0] < 0 or ascending[-1] >= ncols:
-                    raise ParseError("column index out of range", line=n)
-                raise ParseError("column indices must be strictly ascending", line=n)
-            rows.append(idx)
+        rows, fault = [], None
+        try:
+            for n, raw in islice(lines, nrows):
+                if not raw.strip():
+                    raise ParseError("empty row", line=n)
+                try:
+                    idx = tuple(map(int, raw.split()))
+                except ValueError:
+                    raise ParseError("row line must list column indices", line=n) from None
+                if not (all(map(lt, idx, idx[1:])) and 0 <= idx[0] and idx[-1] < ncols):
+                    # only a refused row is sorted: an index out of range is
+                    # reported before the order
+                    ascending = sorted(set(idx))
+                    if ascending[0] < 0 or ascending[-1] >= ncols:
+                        raise ParseError("column index out of range", line=n)
+                    raise ParseError("column indices must be strictly ascending", line=n)
+                rows.append(idx)
+        except ParseError as exc:
+            fault = exc
+        got = len(rows) + (fault is not None) + sum(1 for _ in lines)
+        if got != nrows:
+            raise ParseError(f"expected {nrows} row lines, got {got}")
+        if fault is not None:
+            raise fault
         # the rows are checked above, so only the labels and the columns remain
         if len(set(row_labels)) != nrows:
             raise ParseError("duplicate row labels")
@@ -537,31 +549,47 @@ def _maximal(cols, n):
     return sorted(live)
 
 
-def _normalise_toplexes(toplexes):
-    """Vertex order, kept toplexes and their ascending vertex-index tuples,
-    from a ToplexList or an iterable of vertex-name collections; the one
-    place where vertex names are numbered and checked.
+def _column(names, index):
+    """The ascending vertex-index tuple of one toplex, `names` a sequence
+    of vertex names, each new name numbered in the dict `index` in
+    first-appearance order: the one numbering rule of every toplex list,
+    given or read from a file.  ValueError for an empty toplex or one that
+    repeats a vertex."""
+    col = sorted([index.setdefault(v, len(index)) for v in names])
+    if not col or len(set(col)) != len(col):
+        raise ValueError(f"toplex {tuple(names)!r} repeats a vertex" if col else "empty toplex")
+    return tuple(col)
 
-    A ToplexList is returned as it stands.  Otherwise names are numbered in
-    one pass, in first-appearance order, and each toplex is checked as it
-    is read: it must be non-empty and repeat no vertex.  `_maximal` then
-    drops duplicate and set-contained toplexes, keeping the earliest; the
-    vertex order still holds the vertices of dropped ones, each of which
-    lies in a kept toplex.
+
+# a complex as `_normalise_toplexes` reads a ToplexList, and nothing more:
+# the vertex names, in order, and the kept toplexes' ascending vertex-index
+# tuples
+_Indexed = namedtuple("_Indexed", "vertex_names vertex_indices")
+
+
+def _indexed(index, cols):
+    """The `_Indexed` of the toplexes `cols`, ascending index tuples into
+    the vertex names that the dict `index` numbers, keeping the maximal
+    toplexes with `_maximal`."""
+    return _Indexed(tuple(index), tuple([cols[j] for j in _maximal(cols, len(index))]))
+
+
+def _normalise_toplexes(toplexes):
+    """The `_Indexed` of a Relation (its row labels and its columns), of a
+    ToplexList, or of any value with `vertex_names` and `vertex_indices`,
+    which are used as they stand, or of an iterable of vertex-name
+    collections.
+
+    The collections are numbered and checked in one pass, in
+    first-appearance order, by `_column`, and only their index tuples are
+    kept.  `_maximal` then drops duplicate and set-contained toplexes,
+    keeping the earliest; the vertex order still holds the vertices of
+    dropped ones, each of which lies in a kept toplex.
     """
-    cols = getattr(toplexes, "vertex_indices", None)
-    if cols is not None:
-        return toplexes.vertex_names, toplexes.toplexes, cols
+    if isinstance(toplexes, Relation):
+        return _Indexed(toplexes.row_labels, toplexes.cols)
+    if hasattr(toplexes, "vertex_indices"):
+        return _Indexed(toplexes.vertex_names, toplexes.vertex_indices)
     index = {}
-    tops, cols = [], []
-    for t in toplexes:
-        t = tuple(t)
-        if not t:
-            raise ValueError("empty toplex")
-        col = sorted([index.setdefault(v, len(index)) for v in t])
-        if len(set(col)) != len(t):
-            raise ValueError(f"toplex {t!r} repeats a vertex")
-        tops.append(t)
-        cols.append(tuple(col))
-    keep = _maximal(cols, len(index))
-    return tuple(index), tuple([tops[j] for j in keep]), tuple([cols[j] for j in keep])
+    # the list is built, numbering names in `index`, before _indexed reads it
+    return _indexed(index, [_column(t, index) for t in map(tuple, toplexes)])

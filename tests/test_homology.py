@@ -349,6 +349,37 @@ def test_betti_releases_a_relation_no_one_else_holds_before_ranking(
     assert capsys.readouterr().out == "1 2 1\n" and refs and released[0]
 
 
+class _WeakRelation(Relation):
+    """A relation that a weak reference can follow."""
+
+    __slots__ = ("__weakref__",)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.10 keeps a call's arguments on the caller's stack")
+def test_betti_frees_a_relation_no_one_else_holds_before_it_enumerates(monkeypatch):
+    # the oracle reads only the columns and the row count, and takes them
+    # before the enumeration, so the relation itself is gone by then
+    refs = []
+    dead = []
+    real = homology.enumerate_simplices
+
+    def watching(*args):
+        dead.append(refs[0]() is None)
+        return real(*args)
+
+    def weak_torus():
+        torus = Relation.from_toplexes(gen_torus_grid(4, 5))
+        r = _WeakRelation(torus.row_labels, torus.col_labels, torus.rows)
+        refs.append(weakref.ref(r))
+        return r
+
+    monkeypatch.setattr(homology, "enumerate_simplices", watching)
+    # a plain call: pytest keeps the parts of an assert statement alive
+    betti = betti_gf2(weak_torus())
+    assert betti == (1, 2, 1) and dead == [True]
+
+
 def test_top_level_is_the_relations_own_column_tuples():
     # on relations with repeated columns and toplexes of mixed sizes, the
     # level at the largest toplex's dimension holds the column tuples
