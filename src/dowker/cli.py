@@ -33,10 +33,9 @@ import sys
 import time
 
 from .collapse import collapse_core
-# the loads number names as they read them and keep no toplex's names;
 # parse_toplex_file is imported for the benchmark's tracer
 # (perfbench/tracing.py), which wraps it here
-from .complexio import (FIXTURES, fixture_incidences, index_off, index_toplex_file,  # noqa: F401
+from .complexio import (FIXTURES, _off_faces, _read_toplexes, fixture_incidences,  # noqa: F401
                         parse_toplex_file)
 from .errors import ParseError, SizeCapError
 from .homology import DEFAULT_SIZE_CAP, betti_gf2
@@ -83,10 +82,12 @@ def _load_relation(path, fmt):
         text = fh.read()
     if fmt == "rel":
         return Relation.from_text(text)
+    # the toplex and OFF loads hand their lines' names to from_toplexes as
+    # they read them, so no toplex's names are kept
     if fmt == "toplex":
-        return Relation.from_toplexes(index_toplex_file(text))
+        return _read_toplexes(text, Relation.from_toplexes)
     # argparse's choices leave "off" as the only other format
-    return Relation.from_toplexes(index_off(text))
+    return Relation.from_toplexes(_off_faces(text))
 
 
 def cmd_reduce(args):

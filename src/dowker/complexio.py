@@ -5,22 +5,30 @@ maximal simplex per line), ASCII OFF meshes (faces become toplexes, geometry
 is discarded), and covers of a space (the nerve restricted to intersections
 witnessed by elements).  Also provides the sphere/torus/simplex-boundary
 generators used as regression fixtures, listed in one table, `FIXTURES`.
+
+Each text format has one reader, which passes on each toplex's vertex
+names as it reads its line: `_read_toplexes`, for toplex files, hands them
+to the builder it is given, and `_off_faces`, for OFF meshes, yields them.
+`parse_toplex_file` and `parse_off` build a `ToplexList`, which keeps every
+kept toplex's names; the command line builds `Relation.from_toplexes` from
+the same readers, which keeps only the vertex order and the index tuples.
+Both builders number and check the names by the one rule
+`relation._column`.
 """
 
 from __future__ import annotations
 
 from .errors import ParseError
-from .relation import (Relation, _column, _counts, _indexed, _lines, _maximal, _other_axis,
-                       _tokens)
+from .relation import Relation, _column, _counts, _lines, _maximal, _other_axis, _tokens
 
 
 class ToplexList:
     """Ordered list of toplexes with a stable vertex order.
 
-    Every list, parsed, generated or given, is numbered and checked by the
-    one rule `relation._column`, as each toplex is read, and normalised by
-    `relation._maximal`, which drops duplicate toplexes and toplexes
-    set-contained in another, keeping the earliest occurrence.
+    Every list, parsed, generated or given, is taken as a list of name
+    tuples, numbered and checked by the one rule `relation._column`, and
+    normalised by `relation._maximal`, which drops duplicate toplexes and
+    toplexes set-contained in another, keeping the earliest occurrence.
     `vertex_names` is the union of all input toplexes in first-appearance
     order, dropped ones included.  `vertex_indices` holds each toplex's
     ascending vertex indices into `vertex_names`, so a ToplexList passed on
@@ -29,23 +37,12 @@ class ToplexList:
     """
 
     def __init__(self, toplexes):
-        index = {}
-        self._keep(index, ((t, _column(t, index)) for t in map(tuple, toplexes)))
-
-    def _keep(self, index, numbered):
-        """Take the maximal toplexes of `numbered`, (vertex names, ascending
-        index tuple) pairs in input order whose names `index` numbers, and
-        return self; each toplex keeps its names in input order, as a
-        tuple."""
-        tops, cols = [], []
-        for names, col in numbered:
-            tops.append(tuple(names))
-            cols.append(col)
+        index, tops = {}, list(map(tuple, toplexes))
+        cols = [_column(t, index) for t in tops]
         keep = _maximal(cols, len(index))
         self.vertex_names = tuple(index)
         self.toplexes = tuple([tops[j] for j in keep])
         self.vertex_indices = tuple([cols[j] for j in keep])
-        return self
 
     def __len__(self):
         return len(self.toplexes)
@@ -68,42 +65,31 @@ class ToplexList:
         return "".join(" ".join(_tokens(t)) + "\n" for t in self.toplexes)
 
 
-def _toplex_lines(text, index):
-    """Each toplex line of a toplex file in turn, every line that
-    `relation._lines` reads: its vertex names, split on whitespace, and
-    their ascending index tuple by `relation._column`, which numbers new
-    names in the dict `index`.  A line that the rule refuses, blank or
-    repeating a name, raises ParseError naming it, when it is read."""
-    for n, raw in _lines(text):
-        names = raw.split()
-        try:
-            col = _column(names, index)
-        except ValueError:
-            what = "vertex repeated within a toplex" if names else "blank line in toplex file"
-            raise ParseError(what, line=n) from None
-        yield names, col
+def _read_toplexes(text, build):
+    """`build` of the toplex file `text`: one toplex per line, as
+    whitespace-separated vertex names.
+
+    The split lines go to `build`, `ToplexList` or
+    `Relation.from_toplexes`, as `relation._lines` reads them, with no line
+    bookkeeping, so `relation._column` numbers and checks each of them
+    once, in first-appearance order.  It refuses only an empty toplex (a
+    blank line) or one that repeats a vertex, and stops at the first; only
+    then are the lines read again, to report that line's number.
+    """
+    try:
+        return build(raw.split() for _, raw in _lines(text))
+    except ValueError:
+        for n, raw in _lines(text):
+            names = raw.split()
+            if not names or len(set(names)) != len(names):
+                what = "vertex repeated within a toplex" if names else "blank line in toplex file"
+                raise ParseError(what, line=n) from None
+        raise
 
 
 def parse_toplex_file(text) -> ToplexList:
-    """Parse the toplex file format: one toplex per line, as
-    whitespace-separated vertex names.
-
-    The lines are read once, by `_toplex_lines`, so each is numbered and
-    checked as it is read, and the first blank line or line that repeats a
-    name is reported with its number.
-    """
-    index = {}
-    return object.__new__(ToplexList)._keep(index, _toplex_lines(text, index))
-
-
-def index_toplex_file(text):
-    """The toplex file `text` as `parse_toplex_file` reads it, but as the
-    vertex order and the kept toplexes' index tuples only, a
-    `relation._Indexed`: no toplex's names are kept.  The command line
-    loads toplex files with it; the errors are `parse_toplex_file`'s."""
-    index = {}
-    # the list is built, numbering names in `index`, before _indexed reads it
-    return _indexed(index, [col for _, col in _toplex_lines(text, index)])
+    """Parse the toplex file format, read by `_read_toplexes`."""
+    return _read_toplexes(text, ToplexList)
 
 
 def _off_faces(text):
@@ -156,15 +142,6 @@ def parse_off(text) -> ToplexList:
     Polygon faces are kept whole as toplexes.
     """
     return ToplexList(_off_faces(text))
-
-
-def index_off(text):
-    """The OFF mesh `text` as `parse_off` reads it, but as a
-    `relation._Indexed`, like `index_toplex_file`: no face's names are
-    kept.  The command line loads OFF files with it."""
-    index = {}
-    # the list is built, numbering names in `index`, before _indexed reads it
-    return _indexed(index, [_column(face, index) for face in _off_faces(text)])
 
 
 def witness_relation(cover) -> Relation:

@@ -35,20 +35,24 @@ dominated, against the cone row's columns, and tells the faces from the
 duplicates, the split a merge reports.
 
 The three text formats read their lines through one generator, `_lines`,
-which skips comments and numbers every line of the file; every reader
-takes them as a stream and lists none.  The two writers, of relations and
-of toplex lists, turn labels into tokens through one function, `_tokens`,
-which refuses a label that would read back as something else.
+which skips comments and numbers every line of the file.  It splits the
+text into its line strings at once, but builds no list of (number, line)
+pairs, and no reader lists them: each takes them as they come.  The two
+writers, of relations and of toplex lists, turn labels into tokens through
+one function, `_tokens`, which refuses a label that would read back as
+something else.
 
 Vertex names become index tuples by one rule, `_column`, which numbers
 each toplex's names in first-appearance order and refuses an empty toplex
-or a repeated vertex.  Every reader of names applies it as it reads each
-toplex: `_normalise_toplexes`, for `from_toplexes` and the homology
-oracle, `ToplexList`, and the toplex and OFF readers of
-`dowker.complexio`.  All of them keep the maximal toplexes with the same
-`_maximal`.  Only a `ToplexList` keeps the names of each toplex; the
-others keep the vertex order and the index tuples, an `_Indexed`, which
-`_normalise_toplexes` takes as it stands, as it takes a ToplexList.
+or a repeated vertex.  Two builders apply it to every toplex they read:
+`_normalise_toplexes`, for `from_toplexes` and the homology oracle, and
+`dowker.complexio.ToplexList`.  Both keep the maximal toplexes with the
+same `_maximal`.  Only a ToplexList keeps the names of each toplex;
+`_normalise_toplexes` keeps the vertex order and the index tuples, an
+`_Indexed`, and takes a ToplexList's as they stand.  The toplex and OFF
+readers of `dowker.complexio` hand their toplexes to either builder as
+they read them, so the command line's loads go through `from_toplexes`
+and keep no toplex's names.
 """
 
 from __future__ import annotations
@@ -279,14 +283,16 @@ class Relation:
     def from_toplexes(cls, toplexes):
         """Relation whose complex equals the complex generated by `toplexes`.
 
-        Accepts a ToplexList, the `_Indexed` form that the command line's
-        toplex and OFF loads build, or any iterable of vertex-name
-        collections.  Rows are the vertices in first-appearance order, as
-        `_normalise_toplexes` numbers them; columns are the maximal input
-        toplexes.  Duplicate and set-contained toplexes are dropped, keeping
-        the earliest occurrence, so the result is column irreducible, and
-        every vertex lies in a kept toplex, since a dropped toplex lies in
-        one.
+        Accepts a ToplexList, whose vertex order and index tuples are used
+        as they stand, or any iterable of vertex-name collections, which is
+        read once, in order, keeping only each toplex's index tuple: the
+        command line's toplex and OFF loads pass their readers' generators,
+        so they keep no toplex's names.  Rows are the vertices in
+        first-appearance order, as `_normalise_toplexes` numbers them;
+        columns are the maximal input toplexes.  Duplicate and
+        set-contained toplexes are dropped, keeping the earliest
+        occurrence, so the result is column irreducible, and every vertex
+        lies in a kept toplex, since a dropped toplex lies in one.
         """
         order, cols = _normalise_toplexes(toplexes)
         return cls._build(order, [f"t{j}" for j in range(len(cols))],
@@ -368,8 +374,9 @@ class Relation:
         """Parse the relation text format; comments are as `_lines` reads
         them.
 
-        The lines are read as a stream, never listed.  An empty body line
-        would be an empty row and is rejected.  A wrong row-line count is
+        The lines are taken as `_lines` yields them, and no list of
+        (number, line) pairs is built.  An empty body line would be an
+        empty row and is rejected.  A wrong row-line count is
         reported before a bad row: on a bad row, the lines left are counted
         first.
         """
@@ -430,9 +437,10 @@ class Relation:
 
 def _lines(text):
     """(line number, line) for each line of `text` that is not a comment,
-    blank lines included: the one reader of the three text formats.  Lines
-    are numbered from 1, comments included, and a comment is a line whose
-    first non-blank character is `#`."""
+    blank lines included: the one reader of the three text formats.  The
+    pairs come one at a time from the list of line strings that
+    `str.splitlines` makes.  Lines are numbered from 1, comments included,
+    and a comment is a line whose first non-blank character is `#`."""
     return ((n, raw) for n, raw in enumerate(text.splitlines(), 1)
             if not raw.lstrip().startswith("#"))
 
@@ -567,13 +575,6 @@ def _column(names, index):
 _Indexed = namedtuple("_Indexed", "vertex_names vertex_indices")
 
 
-def _indexed(index, cols):
-    """The `_Indexed` of the toplexes `cols`, ascending index tuples into
-    the vertex names that the dict `index` numbers, keeping the maximal
-    toplexes with `_maximal`."""
-    return _Indexed(tuple(index), tuple([cols[j] for j in _maximal(cols, len(index))]))
-
-
 def _normalise_toplexes(toplexes):
     """The `_Indexed` of a Relation (its row labels and its columns), of a
     ToplexList, or of any value with `vertex_names` and `vertex_indices`,
@@ -581,15 +582,17 @@ def _normalise_toplexes(toplexes):
     collections.
 
     The collections are numbered and checked in one pass, in
-    first-appearance order, by `_column`, and only their index tuples are
-    kept.  `_maximal` then drops duplicate and set-contained toplexes,
-    keeping the earliest; the vertex order still holds the vertices of
-    dropped ones, each of which lies in a kept toplex.
+    first-appearance order, by `_column`, each as it stands (no copy is
+    made), and only their index tuples are kept.  `_maximal` then drops
+    duplicate and set-contained toplexes, keeping the earliest; the vertex
+    order still holds the vertices of dropped ones, each of which lies in a
+    kept toplex.
     """
     if isinstance(toplexes, Relation):
         return _Indexed(toplexes.row_labels, toplexes.cols)
     if hasattr(toplexes, "vertex_indices"):
         return _Indexed(toplexes.vertex_names, toplexes.vertex_indices)
     index = {}
-    # the list is built, numbering names in `index`, before _indexed reads it
-    return _indexed(index, [_column(t, index) for t in map(tuple, toplexes)])
+    # the list is built, numbering names in `index`, before `len(index)` is read
+    cols = [_column(t, index) for t in toplexes]
+    return _Indexed(tuple(index), tuple([cols[j] for j in _maximal(cols, len(index))]))

@@ -278,6 +278,37 @@ def random_toplex_list(rng, max_vertices=12, max_toplexes=20, max_size=5):
     return tops
 
 
+def random_toplex_file(rng):
+    """Seeded toplex file text with comment lines, duplicate lines (some
+    reordered), equal or mixed toplex sizes, and sometimes a first line that
+    a later toplex contains, so its vertices are first seen in a dropped
+    toplex."""
+    nv = rng.randint(2, 10)
+    sizes = [rng.randint(1, min(5, nv))] if rng.random() < 0.4 else range(1, min(5, nv) + 1)
+    lines = [rng.sample([f"v{i}" for i in range(nv)], rng.choice(sizes))
+             for _ in range(rng.randint(1, 15))]
+    lines += [rng.sample(t, len(t)) for t in rng.sample(lines, len(lines) // 3)]
+    rng.shuffle(lines)
+    if rng.random() < 0.3:
+        # a vertex named only here and in a later, larger toplex
+        lines.insert(0, ["new"])
+        lines.append(["new", *lines[-1]])
+    text = [" ".join(t) for t in lines]
+    for _ in range(rng.randint(0, 3)):
+        text.insert(rng.randint(0, len(text)), rng.choice(["# note", "  #x y", "#"]))
+    return "\n".join(text) + "\n"
+
+
+def off_text(toplexes):
+    """ASCII OFF text of the ToplexList `toplexes`: one vertex line at the
+    origin per vertex, in vertex order, and one face line per kept toplex,
+    its ascending vertex indices, which read back as vertex names."""
+    lines = ["OFF", f"{len(toplexes.vertex_names)} {len(toplexes)} 0"]
+    lines += ["0 0 0"] * len(toplexes.vertex_names)
+    lines += [f"{len(face)} {' '.join(map(str, face))}" for face in toplexes.vertex_indices]
+    return "\n".join(lines) + "\n"
+
+
 def random_irreducible_relation(rng, **kwargs):
     return Relation.from_toplexes(random_toplex_list(rng, **kwargs))
 

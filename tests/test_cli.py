@@ -13,11 +13,12 @@ import tracemalloc
 import pytest
 
 import dowker
-from dowker import (Relation, betti_gf2, collapse_core, enumerate_simplices,
+from dowker import (ParseError, Relation, betti_gf2, collapse_core, enumerate_simplices,
                     format_step_log, gen_sphere_cube, gen_sphere_uv, gen_torus_grid,
-                    parse_toplex_file, reduce)
-from dowker import cli
-from _util import FAN_TOPLEXES, betti_dense_reference, fan_relation
+                    parse_off, parse_toplex_file, reduce)
+from dowker import cli, complexio, relation
+from _util import (FAN_TOPLEXES, betti_dense_reference, fan_relation, off_text,
+                   random_toplex_file)
 
 FAN_TEXT = "".join(" ".join(t) + "\n" for t in FAN_TOPLEXES)
 TETRA_OFF = ("OFF\n4 4 6\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
@@ -408,15 +409,18 @@ def test_ingestion_peak_rss_bounded():
     assert kib < 150 * 1024
 
 
-def test_toplex_load_traces_at_most_3_6_mib(tmp_path):
-    # the load numbers the names line by line and keeps no toplex's names:
-    # on torus 60x80 (9,600 lines) its traced peak is 3.15-3.26 MiB on
-    # CPython 3.10-3.13, against 4.87-5.17 MiB while the load built a
-    # ToplexList of name tuples
-    src = gen_file(tmp_path, "t.toplex", "torus", "--m", "60", "--n", "80")
+@pytest.mark.parametrize("fmt", ["toplex", "off"])
+def test_toplex_load_traces_at_most_3_6_mib(tmp_path, fmt):
+    # the load hands each line's names to from_toplexes, which keeps no
+    # toplex's names: on torus 60x80 (9,600 faces) the traced peak is
+    # 3.14-3.25 MiB for the toplex file and 3.13-3.24 MiB for the OFF file
+    # on CPython 3.10-3.13 in a new interpreter, against 4.87-5.17 MiB for
+    # the toplex file while the load built a ToplexList of name tuples
+    torus = gen_torus_grid(60, 80)
+    src = write(tmp_path, f"t.{fmt}", torus.to_text() if fmt == "toplex" else off_text(torus))
     tracemalloc.start()
     try:
-        r = cli._load_relation(src, "toplex")
+        r = cli._load_relation(src, fmt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -432,16 +436,68 @@ def test_betti_of_a_loaded_rel_traces_at_most_3_7_mib(tmp_path):
     # traced peak on torus 60x80 is 3.45 MiB on CPython 3.11-3.13, against
     # 4.80-4.91 MiB while the oracle held the relation through the
     # enumeration and the load listed every line (5.48 MiB on 3.10 either
-    # way, where the caller's stack keeps the relation)
-    src = write(tmp_path, "t.rel", Relation.from_toplexes(gen_torus_grid(60, 80)).to_text())
-    tracemalloc.start()
-    try:
-        betti = betti_gf2(cli._load_relation(src, "rel"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert betti == (1, 2, 1)
+    # way, where the caller's stack keeps the relation). The test runs in a
+    # new interpreter: the peak counts the tuples that CPython parks on its
+    # free lists, so how earlier tests left those lists moves it by up to
+    # 0.3 MiB
+    out = run_fresh("import sys, tracemalloc\n"
+                    "from dowker import Relation, betti_gf2, cli, gen_torus_grid\n"
+                    "with open(sys.argv[1], 'w') as fh:\n"
+                    "    fh.write(Relation.from_toplexes(gen_torus_grid(60, 80)).to_text())\n"
+                    "tracemalloc.start()\n"
+                    "betti = betti_gf2(cli._load_relation(sys.argv[1], 'rel'))\n"
+                    "print(*betti, tracemalloc.get_traced_memory()[1])\n",
+                    str(tmp_path / "t.rel"))
+    *betti, peak = map(int, out.split())
+    assert betti == [1, 2, 1]
     assert peak <= 3.7 * 2**20
+
+
+# ----------------------------------------------------------------------
+# loads
+
+# a square's two triangles, a repeat of the first in another vertex order,
+# an edge and a vertex that lie in them, and comment and blank lines
+REDUNDANT_OFF = ("OFF\n# a square\n4 5\n0 0 0\n1 0 0\n\n1 1 0\n0 1 0\n"
+                 "3 0 1 2\n3 2 1 0\n2 0 2\n  # the other half\n3 0 2 3\n1 3\n")
+
+
+def test_loads_give_the_parsers_relations(tmp_path):
+    # each format has one reader: the command line hands its toplexes to
+    # Relation.from_toplexes, parse_toplex_file and parse_off to ToplexList
+    rng = random.Random(71)
+    for _ in range(500):
+        text = random_toplex_file(rng)
+        src = write(tmp_path, "t.toplex", text)
+        assert cli._load_relation(src, "toplex") == Relation.from_toplexes(parse_toplex_file(text))
+    quad = "OFF\n5 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n2 2 0\n4 0 1 2 3\n3 1 4 2\n"
+    for text in (TETRA_OFF, quad, REDUNDANT_OFF, off_text(gen_torus_grid(5, 6)),
+                 off_text(gen_sphere_uv(6, 5))):
+        src = write(tmp_path, "t.off", text)
+        assert cli._load_relation(src, "off") == Relation.from_toplexes(parse_off(text))
+    assert cli._load_relation(src, "off").shape == (26, 48)
+
+
+def test_loads_number_names_inside_from_toplexes(tmp_path, monkeypatch):
+    # the benchmark times the toplex and OFF loads by the span it wraps
+    # around Relation.from_toplexes, so every name is numbered inside it
+    real, inside = relation._column, []
+    target = Relation.from_toplexes.__func__.__code__
+
+    def watched(names, index):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not target:
+            frame = frame.f_back
+        inside.append(frame is not None)
+        return real(names, index)
+
+    for module in (relation, complexio):
+        monkeypatch.setattr(module, "_column", watched)
+    torus = gen_torus_grid(4, 5)
+    for fmt, text in (("toplex", torus.to_text()), ("off", off_text(torus))):
+        inside.clear()
+        assert cli._load_relation(write(tmp_path, f"t.{fmt}", text), fmt).shape == (20, 40)
+        assert len(inside) == 40 and all(inside), fmt
 
 
 # ----------------------------------------------------------------------
@@ -536,12 +592,19 @@ def test_bad_values_exit_1_naming_the_fault(tmp_path, capsys, name, text, argv, 
         "rel-short", "rel-row-order", "rel-row-range", "rel-empty-row", "rel-row-not-int",
         "rel-count-before-bad-row", "rel-count-before-bad-row-extra-line"])
 def test_malformed_inputs_exit_1_with_the_faults_line(tmp_path, capsys, fmt, text, message):
-    # the readers meet each line once and name the first fault as they meet it
+    # each reader names the first fault: the OFF and .rel readers as they
+    # meet it, the toplex reader by reading the lines again once the rule
+    # that numbers them has refused one
     src = write(tmp_path, f"bad.{fmt}", text)
     for command in ("betti", "check", "reduce"):
         assert cli.main([command, "--input", src, "--format", fmt]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    # the library's parser of the format says the same
+    parse = {"toplex": parse_toplex_file, "off": parse_off, "rel": Relation.from_text}[fmt]
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
 
 
 def test_size_cap_exits_3(tmp_path, capsys, monkeypatch):
@@ -664,14 +727,19 @@ def collector_paused():
 
 @pytest.mark.parametrize("toplexes", [gen_torus_grid(20, 30), gen_sphere_uv(24, 21)],
                          ids=["torus-20x30", "sphere-uv-24x21"])
-def test_bulk_builders_leave_no_reference_cycles(toplexes, collector_paused):
+def test_bulk_builders_leave_no_reference_cycles(tmp_path, toplexes, collector_paused):
     # main pauses the collector because what the commands build is acyclic:
     # reference counting alone frees each builder's result and scratch
     r = Relation.from_toplexes(toplexes)
     rel_text, toplex_text = r.to_text(), toplexes.to_text()
+    # the loads pass their readers' generators to from_toplexes
+    toplex_src = write(tmp_path, "t.toplex", toplex_text)
+    off_src = write(tmp_path, "t.off", off_text(toplexes))
     builders = {
         "from_text": lambda: Relation.from_text(rel_text),
         "from_toplexes": lambda: Relation.from_toplexes(parse_toplex_file(toplex_text)),
+        "load_toplex": lambda: cli._load_relation(toplex_src, "toplex"),
+        "load_off": lambda: cli._load_relation(off_src, "off"),
         "betti_gf2": lambda: betti_gf2(r, 2),
         "enumerate_simplices": lambda: enumerate_simplices(r, 2),
         "reduce": lambda: format_step_log(reduce(r)[2]),

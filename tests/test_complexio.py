@@ -10,7 +10,7 @@ from dowker import (ParseError, Relation, ToplexList, betti_gf2,
                     gen_sphere_uv, gen_torus_grid, parse_off,
                     parse_toplex_file, witness_relation)
 from _util import (FAN_DENSE, edge_use_counts, first_dominators, random_relation,
-                   random_toplex_list)
+                   random_toplex_file, random_toplex_list)
 
 FAN_FILE = """\
 # two triangles sharing an edge, with pendant edges
@@ -69,27 +69,6 @@ def test_parse_blank_line_rejected():
 def test_parse_duplicate_vertex_rejected():
     with pytest.raises(ParseError, match="line 3"):
         parse_toplex_file("a b\nc d\ne e\n")
-
-
-def random_toplex_file(rng):
-    """Seeded toplex file text with comment lines, duplicate lines (some
-    reordered), equal or mixed toplex sizes, and sometimes a first line that
-    a later toplex contains, so its vertices are first seen in a dropped
-    toplex."""
-    nv = rng.randint(2, 10)
-    sizes = [rng.randint(1, min(5, nv))] if rng.random() < 0.4 else range(1, min(5, nv) + 1)
-    lines = [rng.sample([f"v{i}" for i in range(nv)], rng.choice(sizes))
-             for _ in range(rng.randint(1, 15))]
-    lines += [rng.sample(t, len(t)) for t in rng.sample(lines, len(lines) // 3)]
-    rng.shuffle(lines)
-    if rng.random() < 0.3:
-        # a vertex named only here and in a later, larger toplex
-        lines.insert(0, ["new"])
-        lines.append(["new", *lines[-1]])
-    text = [" ".join(t) for t in lines]
-    for _ in range(rng.randint(0, 3)):
-        text.insert(rng.randint(0, len(text)), rng.choice(["# note", "  #x y", "#"]))
-    return "\n".join(text) + "\n"
 
 
 def test_parse_matches_toplex_list_of_the_lines():
