@@ -12,37 +12,35 @@ to the builder it is given, and `_off_faces`, for OFF meshes, yields them.
 `parse_toplex_file` and `parse_off` build a `ToplexList`, which keeps every
 kept toplex's names; the command line builds `Relation.from_toplexes` from
 the same readers, which keeps only the vertex order and the index tuples.
-Both builders number and check the names by the one rule
-`relation._column`.
+Both builders number, check and normalise the names through the one
+normaliser, `relation._normalise_toplexes`.
 """
 
 from __future__ import annotations
 
 from .errors import ParseError
-from .relation import Relation, _column, _counts, _lines, _maximal, _other_axis, _tokens
+from .relation import Relation, _counts, _lines, _normalise_toplexes, _other_axis, _tokens
 
 
 class ToplexList:
     """Ordered list of toplexes with a stable vertex order.
 
     Every list, parsed, generated or given, is taken as a list of name
-    tuples, numbered and checked by the one rule `relation._column`, and
-    normalised by `relation._maximal`, which drops duplicate toplexes and
-    toplexes set-contained in another, keeping the earliest occurrence.
-    `vertex_names` is the union of all input toplexes in first-appearance
-    order, dropped ones included.  `vertex_indices` holds each toplex's
-    ascending vertex indices into `vertex_names`, so a ToplexList passed on
-    to `Relation.from_toplexes` or the homology oracle is used as it
-    stands.
+    tuples and handed to `relation._normalise_toplexes`, the normaliser of
+    `Relation.from_toplexes`, which numbers and checks the names and drops
+    duplicate toplexes and toplexes set-contained in another, keeping the
+    earliest occurrence; the list keeps the name tuples at the positions
+    it kept.  `vertex_names` is the union of all input toplexes in
+    first-appearance order, dropped ones included.  `vertex_indices` holds
+    each toplex's ascending vertex indices into `vertex_names`, so a
+    ToplexList passed on to `Relation.from_toplexes` or the homology oracle
+    is used as it stands.
     """
 
     def __init__(self, toplexes):
-        index, tops = {}, list(map(tuple, toplexes))
-        cols = [_column(t, index) for t in tops]
-        keep = _maximal(cols, len(index))
-        self.vertex_names = tuple(index)
+        tops = list(map(tuple, toplexes))
+        self.vertex_names, self.vertex_indices, keep = _normalise_toplexes(tops)
         self.toplexes = tuple([tops[j] for j in keep])
-        self.vertex_indices = tuple([cols[j] for j in keep])
 
     def __len__(self):
         return len(self.toplexes)
@@ -151,7 +149,8 @@ def witness_relation(cover) -> Relation:
     Two elements contained in exactly the same cover sets give one column,
     and fingerprint columns contained in another are dropped, so the complex
     of the result is the nerve of the cover restricted to intersections
-    actually witnessed by elements.
+    actually witnessed by elements.  The fingerprints are the columns as
+    they stand, and the rows are derived from them once.
     """
     items = list(cover.items()) if hasattr(cover, "items") else [tuple(p) for p in cover]
     names = [name for name, _ in items]
@@ -167,16 +166,16 @@ def witness_relation(cover) -> Relation:
     first = {}
     for e, fp in membership.items():
         first.setdefault(tuple(sorted(fp)), e)
-    col_labels = []
-    used = set()
+    col_labels, used = [], set()
     for e in first.values():
         label = str(e)
         while label in used:
             label += "'"
         used.add(label)
         col_labels.append(label)
-    rows = _other_axis(first, len(names))
-    return Relation(names, col_labels, rows).make_column_irreducible()
+    cols = list(first)
+    return Relation._build(names, col_labels, _other_axis(cols, len(names)),
+                           cols).make_column_irreducible()
 
 
 # ----------------------------------------------------------------------

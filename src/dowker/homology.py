@@ -6,9 +6,10 @@ it reads as a stream of face-index tuples, one per simplex, never as lists.
 Used to certify that reductions preserve the mod-2 Betti numbers.  The
 oracle reads the toplexes as ascending vertex-index tuples: a Relation's
 column tuples are used as they are, and vertex-name collections are
-numbered by `relation._normalise_toplexes`, in first-appearance order, as
-`Relation.from_toplexes` numbers them, without building the rows that a
-Relation would add.  `betti_gf2` takes a Relation's columns and row count
+numbered by `relation._normalise_toplexes`, the one toplex normaliser,
+which `Relation.from_toplexes` and `ToplexList` call too, in
+first-appearance order, without building the rows that a Relation would
+add.  `betti_gf2` takes a Relation's columns and row count
 before it enumerates and lets go of the relation itself.  The vertices are
 listed from their count, and each level above them is built in bulk, a
 chunk of toplexes at a time,
@@ -86,12 +87,13 @@ def _face_indices(levels, k):
 def enumerate_simplices(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP) -> ChainComplexGF2:
     """All simplices of the complex generated by `toplexes`, up to max_dim+1.
 
-    `toplexes` is read through `relation._normalise_toplexes`: a Relation,
-    whose columns are the toplexes and whose rows are the vertices in row
-    order, and a ToplexList or a `relation._Indexed` are used as they
-    stand; an iterable of vertex-name collections is numbered into the
-    columns `Relation.from_toplexes` would give, so its vertices are
-    numbered in first-appearance order.  Going one
+    `toplexes` is read through `relation._normalise_toplexes`, whose kept
+    input positions go unused: a Relation, whose columns are the toplexes
+    and whose rows are the vertices in row order, and a ToplexList or a
+    `relation._Indexed` are used as they stand; an iterable of vertex-name
+    collections is numbered into the columns `Relation.from_toplexes`
+    would give, so its vertices are numbered in first-appearance order.
+    Going one
     dimension above max_dim makes the Betti number at max_dim exact; no
     level above the largest toplex is built, since it would be empty.
     `max_dim` defaults to the dimension of the largest toplex (0 without
@@ -108,7 +110,7 @@ def enumerate_simplices(toplexes, max_dim=None, size_cap=DEFAULT_SIZE_CAP) -> Ch
     order).  Only the levels are built; `_face_indices` streams the boundary
     maps from them.
     """
-    order, cols = relation._normalise_toplexes(toplexes)
+    order, cols, _ = relation._normalise_toplexes(toplexes)
     total = len(order)
     top_dim = max(map(len, cols), default=0) - 1
     if max_dim is None:

@@ -13,8 +13,12 @@ matrix, and their cost follows the ones of the matrix, not its width.
 
 No method changes a Relation once it is constructed: every operation
 returns a new value, or the relation itself when it changes nothing.  One
-function, `_freeze`, renumbers: it turns the live rows and columns of a
-relation or a draft, or only a selection of its columns, into a new value.
+function, `_other_axis`, derives a relation's second orientation from its
+first, whichever builder makes it: the constructor, the text reader,
+`from_toplexes`, `_freeze` and `dowker.complexio.witness_relation`.  One
+function, `_freeze`, renumbers: it renumbers the live columns of a
+relation or a draft, or only a selection of them, and the rows that meet
+them, into a new value, and derives the rows from those columns.
 Restriction and column clean-up call it on the relation itself, and clean-up
 selects the maximal columns with `_maximal`, so neither edits a draft; when
 every column is maximal, clean-up returns the relation and renumbers
@@ -44,15 +48,15 @@ something else.
 
 Vertex names become index tuples by one rule, `_column`, which numbers
 each toplex's names in first-appearance order and refuses an empty toplex
-or a repeated vertex.  Two builders apply it to every toplex they read:
-`_normalise_toplexes`, for `from_toplexes` and the homology oracle, and
-`dowker.complexio.ToplexList`.  Both keep the maximal toplexes with the
-same `_maximal`.  Only a ToplexList keeps the names of each toplex;
-`_normalise_toplexes` keeps the vertex order and the index tuples, an
-`_Indexed`, and takes a ToplexList's as they stand.  The toplex and OFF
-readers of `dowker.complexio` hand their toplexes to either builder as
-they read them, so the command line's loads go through `from_toplexes`
-and keep no toplex's names.
+or a repeated vertex, and one normaliser applies it: `_normalise_toplexes`,
+which keeps the maximal toplexes with `_maximal`.  `from_toplexes`, the
+homology oracle and `dowker.complexio.ToplexList` all call it.  It gives
+the vertex order, the kept index tuples and the kept input positions, and
+only a ToplexList reads those positions, to keep the names of each kept
+toplex.  The toplex and OFF readers of `dowker.complexio` hand their
+toplexes to `ToplexList` or to `from_toplexes` as they read them, so the
+command line's loads go through `from_toplexes` and keep no toplex's
+names.
 """
 
 from __future__ import annotations
@@ -66,12 +70,17 @@ from .errors import ParseError
 
 
 def _other_axis(lists, n):
-    """For each of n members of the other axis, the ascending positions in
-    `lists` whose collection holds it."""
+    """For each of n members of the other axis, the ascending tuple of the
+    positions in `lists` whose collection holds it: the one transposer, which
+    every relation's second orientation comes from.  The lists are made
+    tuples one at a time, so no member is held as a list and a tuple at
+    once."""
     out = [[] for _ in range(n)]
     for k, members in enumerate(lists):
         for b in members:
             out[b].append(k)
+    for b, members in enumerate(out):
+        out[b] = tuple(members)
     return out
 
 
@@ -294,7 +303,7 @@ class Relation:
         occurrence, so the result is column irreducible, and every vertex
         lies in a kept toplex, since a dropped toplex lies in one.
         """
-        order, cols = _normalise_toplexes(toplexes)
+        order, cols, _ = _normalise_toplexes(toplexes)
         return cls._build(order, [f"t{j}" for j in range(len(cols))],
                           _other_axis(cols, len(order)), cols)
 
@@ -425,12 +434,8 @@ class Relation:
             raise ParseError("duplicate row labels")
         if len(set(col_labels)) != ncols:
             raise ParseError("duplicate column labels")
-        cols = _other_axis(rows, ncols)
-        # one column at a time, so no column is held as a list and a tuple
-        for j, c in enumerate(cols):
-            cols[j] = tuple(c)
         try:
-            return cls._build(row_labels, col_labels, rows, cols)
+            return cls._build(row_labels, col_labels, rows, _other_axis(rows, ncols))
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
 
@@ -466,21 +471,22 @@ def _counts(words, n):
 
 
 def _freeze(r, cols=None):
-    """The live rows and columns of r, a relation or a draft, renumbered in
-    ascending index order, as a Relation; r is left unchanged.
+    """The live columns of r, a relation or a draft, and the rows that meet
+    them, renumbered in ascending index order, as a Relation; r is left
+    unchanged.
 
-    With column ids `cols`, only the live ones among them and the rows that
-    meet them.
+    With column ids `cols`, only the live ones among them.  Only the
+    labels and the columns of r are read: the rows of the result are
+    derived from its columns by `_other_axis`, so a draft's rows may be
+    tuples or sets.
     """
     keep = [c for c in (range(len(r.cols)) if cols is None else sorted(cols)) if r.cols[c]]
     # a live column holds only live rows, and every live row meets a live column
     rows = sorted(set().union(*[r.cols[c] for c in keep]))
-    col_pos = {c: k for k, c in enumerate(keep)}
     row_pos = {i: k for k, i in enumerate(rows)}
-    return Relation._build(
-        [r.row_labels[i] for i in rows], [r.col_labels[c] for c in keep],
-        [sorted(col_pos[c] for c in r.rows[i] if c in col_pos) for i in rows],
-        [sorted(map(row_pos.__getitem__, r.cols[c])) for c in keep])
+    new_cols = [tuple(sorted(map(row_pos.__getitem__, r.cols[c]))) for c in keep]
+    return Relation._build([r.row_labels[i] for i in rows], [r.col_labels[c] for c in keep],
+                           _other_axis(new_cols, len(rows)), new_cols)
 
 
 @dataclass(slots=True)
@@ -496,10 +502,11 @@ class _Draft:
 
     A dead member keeps its index with the shared empty set, and a new row
     takes the next index, so edits never renumber anything; `freeze`,
-    which is `_freeze`, renumbers the live members once.  The merge is also
-    the one edit that adds a row: it appends the cone row and its label
-    and, in one pass over the cone row's columns, takes the merged pair out
-    of each and puts the cone row in.  `Relation.remove_rows` drops rows
+    which is `_freeze`, renumbers the live members once, from the columns
+    alone, so every edit keeps the rows and the columns in step.  The
+    merge is also the one edit that adds a row: it appends the cone row and
+    its label and, in one pass over the cone row's columns, takes the
+    merged pair out of each and puts the cone row in.  `Relation.remove_rows` drops rows
     with `_drop`, which edits only column sets.  `collapse.collapse_core`
     builds its draft with set rows itself, since the fixpoint's
     `_dominated` tests containment with `<=`, which orders tuples.
@@ -569,30 +576,34 @@ def _column(names, index):
     return tuple(col)
 
 
-# a complex as `_normalise_toplexes` reads a ToplexList, and nothing more:
-# the vertex names, in order, and the kept toplexes' ascending vertex-index
-# tuples
+# a complex that `_normalise_toplexes` takes as it stands, as it takes a
+# ToplexList, and nothing more: the vertex names, in order, and the kept
+# toplexes' ascending vertex-index tuples; `homology.betti_gf2` passes one
+# with a range for the names, so the enumeration keeps no row labels alive
 _Indexed = namedtuple("_Indexed", "vertex_names vertex_indices")
 
 
 def _normalise_toplexes(toplexes):
-    """The `_Indexed` of a Relation (its row labels and its columns), of a
-    ToplexList, or of any value with `vertex_names` and `vertex_indices`,
-    which are used as they stand, or of an iterable of vertex-name
-    collections.
+    """(vertex names, kept ascending vertex-index tuples, kept positions):
+    the one toplex normaliser.
 
-    The collections are numbered and checked in one pass, in
+    A Relation (its row labels and its columns), a ToplexList, or any value
+    with `vertex_names` and `vertex_indices`, such as an `_Indexed`, is used
+    as it stands, and its kept positions are None.  An iterable of
+    vertex-name collections is numbered and checked in one pass, in
     first-appearance order, by `_column`, each as it stands (no copy is
     made), and only their index tuples are kept.  `_maximal` then drops
-    duplicate and set-contained toplexes, keeping the earliest; the vertex
+    duplicate and set-contained toplexes, keeping the earliest, and the
+    ascending input positions it keeps are the third value; the vertex
     order still holds the vertices of dropped ones, each of which lies in a
     kept toplex.
     """
     if isinstance(toplexes, Relation):
-        return _Indexed(toplexes.row_labels, toplexes.cols)
+        return toplexes.row_labels, toplexes.cols, None
     if hasattr(toplexes, "vertex_indices"):
-        return _Indexed(toplexes.vertex_names, toplexes.vertex_indices)
+        return toplexes.vertex_names, toplexes.vertex_indices, None
     index = {}
     # the list is built, numbering names in `index`, before `len(index)` is read
     cols = [_column(t, index) for t in toplexes]
-    return _Indexed(tuple(index), tuple([cols[j] for j in _maximal(cols, len(index))]))
+    keep = _maximal(cols, len(index))
+    return tuple(index), tuple([cols[j] for j in keep]), keep

@@ -1,6 +1,7 @@
 """Parsers, generators and the cover-to-relation builder."""
 
 import random
+import sys
 
 import pytest
 
@@ -352,6 +353,45 @@ def test_toplex_list_normalisation_matches_pairwise_reference():
         tops += [t[::-1] for t in rng.sample(tops, len(tops) // 3)]
         dom = first_dominators([frozenset(t) for t in tops])
         assert ToplexList(tops).toplexes == tuple(tops[i] for i in dom if dom[i] is None)
+
+
+def test_toplex_lists_number_names_inside_the_normaliser(monkeypatch):
+    # a ToplexList numbers and checks its names through
+    # `relation._normalise_toplexes`, the one normaliser, as
+    # `Relation.from_toplexes` does
+    real, inside = relation._column, []
+    target = relation._normalise_toplexes.__code__
+
+    def watched(names, index):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not target:
+            frame = frame.f_back
+        inside.append(frame is not None)
+        return real(names, index)
+
+    monkeypatch.setattr(relation, "_column", watched)
+    builds = (("list", lambda: ToplexList([("a", "b"), ("b", "c"), ("b", "a")]), 3),
+              ("toplex", lambda: parse_toplex_file(FAN_FILE), 6),
+              ("off", lambda: parse_off(TETRA_OFF), 4),
+              ("torus", lambda: gen_torus_grid(4, 5), 40))
+    for what, build, calls in builds:
+        inside.clear()
+        build()
+        assert len(inside) == calls and all(inside), what
+
+
+def test_toplex_list_numbers_as_from_toplexes():
+    rng = random.Random(89)
+    for _ in range(300):
+        tops = random_toplex_list(rng)
+        # reordered repeats and proper faces, shuffled in, so some vertices
+        # are first seen in a dropped toplex
+        tops += [tuple(rng.sample(t, len(t))) for t in rng.sample(tops, len(tops) // 3)]
+        tops += [t[1:] for t in rng.sample(tops, len(tops) // 3) if len(t) > 1]
+        rng.shuffle(tops)
+        got, r = ToplexList(tops), Relation.from_toplexes(tops)
+        assert got.vertex_names == r.row_labels
+        assert got.vertex_indices == r.cols
 
 
 def test_relation_round_trip_through_text_formats():

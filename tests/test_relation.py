@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from dowker import ParseError, Relation, ToplexList, gen_torus_grid, reduction_step
+from dowker import (ParseError, Relation, ToplexList, collapse_core, gen_torus_grid, reduce,
+                    reduction_step, witness_relation)
 from dowker import relation as relation_module
 from dowker.reducer import _absorbed
 from _util import (FAN_DENSE, FAN_MERGED_DENSE, FAN_STAR_DENSE, FAN_TOPLEXES,
@@ -613,3 +614,50 @@ def test_text_builds_both_orientations():
         parsed = Relation.from_text(r.to_text())
         assert (parsed.rows, parsed.cols) == (r.rows, r.cols)
         assert all(type(c) is int for row in parsed.rows for c in row)
+
+
+def assert_orientations(r):
+    """`rows` and `cols` are tuples of strictly ascending int tuples, and
+    `cols` is the transpose of `rows`, worked out here from the definition."""
+    assert (len(r.rows), len(r.cols)) == r.shape
+    for axis in (r.rows, r.cols):
+        assert type(axis) is tuple
+        for members in axis:
+            assert type(members) is tuple and all(type(k) is int for k in members)
+            assert all(a < b for a, b in zip(members, members[1:]))
+    assert r.cols == tuple(tuple(i for i, row in enumerate(r.rows) if j in row)
+                           for j in range(r.ncols))
+
+
+def test_every_builder_keeps_both_orientations_exact():
+    rng = random.Random(83)
+    reducible = dead = 0
+    for _ in range(150):
+        r = random_relation(rng)
+        if rng.random() < 0.5:
+            r = with_repeats(rng, r)
+        irreducible = r.make_column_irreducible()
+        reducible += irreducible is not r
+        xi, xj = rng.sample(range(r.nrows), 2) if r.nrows > 1 else (0, 0)
+        cols = rng.sample(range(r.ncols), rng.randint(1, r.ncols))
+        built = [r, irreducible, r.transpose(), Relation.from_text(r.to_text()),
+                 Relation.from_toplexes(ToplexList(r.toplexes())),
+                 Relation.from_toplexes(list(t) for t in r.toplexes()),
+                 r.restrict_to_columns(cols).relation,
+                 r.remove_rows(rng.sample(r.row_labels, rng.randint(0, r.nrows))),
+                 witness_relation({l: row for l, row in zip(r.row_labels, r.rows)}),
+                 collapse_core(r), reduce(r)[0]]
+        if xi != xj:
+            built.append(reduction_step(r, xi, xj)[0])
+        # a draft with dead row and column slots
+        d = _set_draft(r)
+        for i in rng.sample(range(r.nrows), rng.randint(0, r.nrows - 1)):
+            relation_module._drop(d.rows, d.cols, i)
+        for c in rng.sample(range(r.ncols), rng.randint(0, r.ncols - 1)):
+            if all(len(d.rows[i]) > 1 for i in d.cols[c]):
+                relation_module._drop(d.cols, d.rows, c)
+        dead += relation_module._DEAD in d.rows + d.cols
+        built.append(d.freeze())
+        for b in built:
+            assert_orientations(b)
+    assert reducible > 30 and dead > 100
